@@ -34,9 +34,6 @@ fn print_summary(report: &ParallelReport) {
     for t in &report.config.thread_counts {
         eprint!(" {:>9}", format!("x{t}(sm/s)"));
     }
-    // The scheduler ablation: static chunking at the max thread count, next
-    // to the service path's deque scheduler in the x{max} column.
-    eprint!(" {:>12}", format!("x{max}-static"));
     eprintln!(" {:>6}", "det");
     for i in &report.instances {
         eprint!(
@@ -46,23 +43,15 @@ fn print_summary(report: &ParallelReport) {
         for p in &i.points {
             eprint!(" {:>9.1}", p.samples_per_sec);
         }
-        let static_at_max = i
-            .points
-            .iter()
-            .find(|p| p.threads == max)
-            .and_then(|p| p.static_samples_per_sec)
-            .unwrap_or(0.0);
-        eprint!(" {:>12.1}", static_at_max);
         eprintln!(" {:>6}", if i.deterministic() { "ok" } else { "FAIL" });
     }
     eprintln!(
-        "host cpus: {}; geomean samples/sec at x{}: {:.1}; geomean efficiency at x{}: {:.3} (deque) vs {:.3} (static chunks); geomean speedup at x4: {:.2}",
+        "host cpus: {}; geomean samples/sec at x{}: {:.1}; geomean efficiency at x{}: {:.3}; geomean speedup at x4: {:.2}",
         report.host_cpus,
         max,
         report.geomean_samples_per_sec_at_max(),
         max,
         report.geomean_parallel_efficiency_at_max(),
-        report.geomean_static_efficiency_at_max(),
         report.geomean_speedup_at(4)
     );
 }

@@ -4,22 +4,20 @@
 //!
 //! For each instance the run prepares one `UniGen` sampler, then draws the
 //! same batch (same `master_seed`) through the serial reference
-//! (`WitnessSampler::sample_batch`), through the **service path** (a
+//! (`WitnessSampler::sample_batch`) and through the **service path** (a
 //! persistent `SamplerService` with its work-stealing deque scheduler — the
 //! production path behind `unigen_cli batch`, and what the CI gate
-//! measures), and through the pre-service **static-chunk** scheduler
-//! (`ParallelSampler::sample_batch_static_chunks`, recorded as an ablation
-//! column) at each configured thread count. Every mode records samples/sec
-//! and a fingerprint of the produced witness *sequence*; identical
-//! fingerprints across all of them are the serial-equivalence half of the
-//! gate — the engine's whole point is that scheduling changes throughput
-//! and nothing else.
+//! measures) at each configured thread count. Every mode records
+//! samples/sec and a fingerprint of the produced witness *sequence*;
+//! identical fingerprints across all of them are the serial-equivalence
+//! half of the gate — the engine's whole point is that scheduling changes
+//! throughput and nothing else.
 
 use std::time::Instant;
 
 use unigen::{
-    ParallelSampler, SampleOutcome, SampleRequest, SamplerService, ServiceConfig, UniGen,
-    UniGenConfig, WitnessSampler,
+    SampleOutcome, SampleRequest, SamplerService, ServiceConfig, UniGen, UniGenConfig,
+    WitnessSampler,
 };
 use unigen_circuit::benchmarks::{self, Benchmark};
 use unigen_cnf::Var;
@@ -62,13 +60,6 @@ pub struct ThroughputPoint {
     /// Order-sensitive fingerprint of the witness sequence produced by the
     /// service path.
     pub fingerprint: u64,
-    /// Ablation column: samples/sec through the pre-service static-chunk
-    /// scheduler at the same thread count (`None` for the serial reference
-    /// point, which has no scheduler).
-    pub static_samples_per_sec: Option<f64>,
-    /// Fingerprint of the static-chunk run (`None` for the serial point);
-    /// part of the serial-equivalence check.
-    pub static_fingerprint: Option<u64>,
 }
 
 /// One instance's serial-vs-parallel throughput comparison.
@@ -89,15 +80,11 @@ pub struct ParallelComparison {
 }
 
 impl ParallelComparison {
-    /// `true` when every thread count — through both the service scheduler
-    /// and the static-chunk ablation — reproduced the serial witness
+    /// `true` when every thread count reproduced the serial witness
     /// sequence bit for bit.
     pub fn deterministic(&self) -> bool {
         self.points.iter().all(|p| {
-            p.fingerprint == self.serial.fingerprint
-                && p.successes == self.serial.successes
-                && p.static_fingerprint
-                    .map_or(true, |f| f == self.serial.fingerprint)
+            p.fingerprint == self.serial.fingerprint && p.successes == self.serial.successes
         })
     }
 
@@ -168,21 +155,6 @@ impl ParallelReport {
         geomean(self.instances.iter().filter_map(|i| i.speedup_at(max)))
     }
 
-    /// Ablation: the same parallel-efficiency geomean computed for the
-    /// pre-service **static-chunk** scheduler at the largest thread count.
-    /// Comparing this against
-    /// [`ParallelReport::geomean_parallel_efficiency_at_max`] isolates what
-    /// the work-stealing deque scheduler costs (pure overhead on a uniform
-    /// workload) or buys (absorbed skew on a retry-heavy one).
-    pub fn geomean_static_efficiency_at_max(&self) -> f64 {
-        let max = self.max_threads();
-        geomean(self.instances.iter().filter_map(|i| {
-            let point = i.points.iter().find(|p| p.threads == max)?;
-            let static_rate = point.static_samples_per_sec?;
-            (i.serial.samples_per_sec > 0.0).then(|| static_rate / i.serial.samples_per_sec)
-        }))
-    }
-
     /// `true` when every instance passed the serial-equivalence check.
     pub fn deterministic(&self) -> bool {
         self.instances.iter().all(|i| i.deterministic())
@@ -242,15 +214,12 @@ fn measure_batch(
         samples_per_sec: samples as f64 / seconds.max(1e-9),
         successes: outcomes.iter().filter(|o| o.is_success()).count(),
         fingerprint: fingerprint_batch(&outcomes, sampling_set),
-        static_samples_per_sec: None,
-        static_fingerprint: None,
     }
 }
 
 /// Runs the serial-vs-parallel comparison on one instance: the serial
-/// reference, then at each thread count the service path (persistent
-/// work-stealing pool; the gate number) and the static-chunk scheduler (the
-/// ablation column).
+/// reference, then the service path (persistent work-stealing pool; the
+/// gate number) at each thread count.
 pub fn measure_parallel_comparison(
     benchmark: &Benchmark,
     config: &ParallelBenchConfig,
@@ -269,7 +238,6 @@ pub fn measure_parallel_comparison(
         .sample_batch(config.samples, config.master_seed);
     let serial = measure_batch(outcomes, &sampling_set, 0, started.elapsed().as_secs_f64());
 
-    let pool = ParallelSampler::new(prepared.clone());
     let points = config
         .thread_counts
         .iter()
@@ -278,31 +246,21 @@ pub fn measure_parallel_comparison(
             // construction (thread spawn + one prototype clone per worker)
             // stays outside the timed region; the timed region is one
             // request's submit-to-response round trip.
-            let service = SamplerService::new(
+            let service = SamplerService::try_new(
                 prepared.clone(),
                 ServiceConfig::default().with_workers(threads),
-            );
+            )
+            .expect("configured thread counts are at least 1");
             let started = Instant::now();
             let response = service
                 .submit(SampleRequest::new(config.samples, config.master_seed))
                 .wait();
-            let mut point = measure_batch(
+            measure_batch(
                 response.outcomes,
                 &sampling_set,
                 threads,
                 started.elapsed().as_secs_f64(),
-            );
-            drop(service);
-
-            // Ablation: the pre-service static-chunk scheduler on the same
-            // batch (per-call thread scope, no stealing).
-            let pool = pool.clone().with_jobs(threads);
-            let started = Instant::now();
-            let outcomes = pool.sample_batch_static_chunks(config.samples, config.master_seed);
-            let seconds = started.elapsed().as_secs_f64();
-            point.static_samples_per_sec = Some(outcomes.len().max(1) as f64 / seconds.max(1e-9));
-            point.static_fingerprint = Some(fingerprint_batch(&outcomes, &sampling_set));
-            point
+            )
         })
         .collect();
 
@@ -355,18 +313,13 @@ fn json_number(value: f64) -> String {
 }
 
 fn json_point(point: &ThroughputPoint) -> String {
-    let static_column = match point.static_samples_per_sec {
-        Some(rate) => json_number(rate),
-        None => "null".to_string(),
-    };
     format!(
-        "{{\"threads\": {}, \"seconds\": {}, \"samples_per_sec\": {}, \"successes\": {}, \"fingerprint\": {}, \"static_samples_per_sec\": {}}}",
+        "{{\"threads\": {}, \"seconds\": {}, \"samples_per_sec\": {}, \"successes\": {}, \"fingerprint\": {}}}",
         point.threads,
         json_number(point.seconds),
         json_number(point.samples_per_sec),
         point.successes,
-        point.fingerprint,
-        static_column
+        point.fingerprint
     )
 }
 
@@ -399,10 +352,6 @@ pub fn render_parallel_json(report: &ParallelReport) -> String {
     out.push_str(&format!(
         "  \"geomean_parallel_efficiency_at_max_threads\": {},\n",
         json_number(report.geomean_parallel_efficiency_at_max())
-    ));
-    out.push_str(&format!(
-        "  \"geomean_static_chunk_efficiency_at_max_threads\": {},\n",
-        json_number(report.geomean_static_efficiency_at_max())
     ));
     out.push_str(&format!(
         "  \"geomean_speedup_at_4_threads\": {},\n",
@@ -495,16 +444,10 @@ mod tests {
         assert!(comparison.deterministic(), "{comparison:?}");
         assert_eq!(comparison.points.len(), 2);
         assert!(comparison.serial.samples_per_sec > 0.0);
-        // Both schedulers were measured at every thread count, and the
-        // static-chunk ablation matched the serial sequence too.
         for point in &comparison.points {
-            assert!(point.static_samples_per_sec.unwrap() > 0.0);
-            assert_eq!(
-                point.static_fingerprint,
-                Some(comparison.serial.fingerprint)
-            );
+            assert!(point.samples_per_sec > 0.0);
+            assert_eq!(point.fingerprint, comparison.serial.fingerprint);
         }
-        assert!(comparison.serial.static_samples_per_sec.is_none());
     }
 
     #[test]
@@ -524,12 +467,6 @@ mod tests {
         assert!((gate - report.geomean_parallel_efficiency_at_max()).abs() < 1e-3);
         let throughput = parse_baseline_throughput(&json).expect("absolute number parses back");
         assert!((throughput - report.geomean_samples_per_sec_at_max()).abs() < 1e-3);
-        // The ablation column made it into the document, and the gate key
-        // is not a substring of it (the hand-rolled parser matches keys by
-        // substring search).
-        assert!(json.contains("\"geomean_static_chunk_efficiency_at_max_threads\""));
-        assert!(json.contains("\"static_samples_per_sec\""));
-        assert!(report.geomean_static_efficiency_at_max() > 0.0);
     }
 
     #[test]

@@ -36,11 +36,12 @@
 //! workspace only uses them for monotone counters that no control flow
 //! branches on; set `model::Config::atomics_are_steps` to explore them
 //! too. Weak memory is not modelled at all (every execution is sequentially
-//! consistent), `std::thread::scope` is passthrough-only, and condvar waits
-//! never wake spuriously (waiters are woken FIFO). These are the standard
-//! loom-lite trade-offs: the checker proves *protocol* properties — slot
-//! accounting, wakeup chains, teardown — not memory-ordering ones; the
-//! optional ThreadSanitizer CI lane covers the latter.
+//! consistent), there are no scoped threads (every thread goes through
+//! [`thread::spawn`]), and condvar waits never wake spuriously (waiters are
+//! woken FIFO). These are the standard loom-lite trade-offs: the checker
+//! proves *protocol* properties — slot accounting, wakeup chains, teardown
+//! — not memory-ordering ones; the optional ThreadSanitizer CI lane covers
+//! the latter.
 //!
 //! # Writing a model-checked test
 //!

@@ -6,13 +6,12 @@
 //! unwound by execution teardown makes `join` participate in the teardown
 //! instead of returning a result.
 //!
-//! [`scope`] is passthrough-only: scoped borrows tie thread lifetimes to a
-//! stack frame the controlled scheduler cannot park safely, and the only
-//! user ([`ParallelSampler`](../../unigen/parallel/index.html)) is already
-//! covered end-to-end by bit-identity tests. Calling it from inside
-//! `crate::model::check` panics with a pointer at [`spawn`].
+//! There is deliberately no `scope`: scoped borrows tie thread lifetimes to
+//! a stack frame the controlled scheduler cannot park safely, so every
+//! thread in the workspace goes through the model-checkable [`spawn`] (the
+//! repo lint rejects `std::thread::scope` outside this crate).
 
-pub use std::thread::{Result, Scope, ScopedJoinHandle};
+pub use std::thread::Result;
 
 #[cfg(feature = "model")]
 use crate::rt;
@@ -97,20 +96,6 @@ where
     JoinHandle {
         imp: Imp::Real(std::thread::spawn(f)),
     }
-}
-
-/// Creates a scope for spawning scoped threads. Passthrough-only — panics
-/// when called from a model-checked thread (use [`spawn`] there).
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-{
-    #[cfg(feature = "model")]
-    assert!(
-        !rt::in_model_thread(),
-        "conc::thread::scope is passthrough-only; model-checked code must use conc::thread::spawn"
-    );
-    std::thread::scope(f)
 }
 
 /// Cooperatively yields. A pure schedule point under the model backend (it

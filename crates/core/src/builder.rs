@@ -385,7 +385,7 @@ impl<'f> SamplerBuilder<'f> {
 /// `AnySampler` implements [`WitnessSampler`] by delegation, is `Clone +
 /// Send + Sync` (the heavyweight prepared state is `Arc`-shared, only the
 /// incremental solver is duplicated), and therefore drops into
-/// [`SamplerService`], [`crate::ParallelSampler`], or any generic harness
+/// [`SamplerService`] or any generic harness
 /// exactly like the concrete types do.
 #[derive(Debug, Clone)]
 #[non_exhaustive]

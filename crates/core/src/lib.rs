@@ -30,8 +30,6 @@
 //! made concrete and shaped for an RPC boundary. See
 //! [`WitnessSampler::sample_batch`] for the serial reference semantics and
 //! the [`service`] module docs for the contract.
-//! [`ParallelSampler`] remains as a thin compatibility wrapper over a
-//! single-request service.
 //!
 //! With [`UniGenConfig::certify`] the persistent solver additionally logs a
 //! DRAT-style proof of every cell enumeration, verified online by the
@@ -91,7 +89,6 @@ mod config;
 mod error;
 mod fault;
 mod kappa_pivot;
-mod parallel;
 mod sampler;
 pub mod service;
 mod unigen;
@@ -107,7 +104,6 @@ pub use config::UniGenConfig;
 pub use error::{BuildError, SamplerError, ServiceConfigError, TrySubmitError};
 pub use fault::FaultPlan;
 pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
-pub use parallel::ParallelSampler;
 pub use sampler::{OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
 pub use service::{
     ResponseHandle, SampleRequest, SampleResponse, SamplerService, ServiceConfig, ServiceHealth,

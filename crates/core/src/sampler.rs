@@ -105,7 +105,7 @@ impl SampleStats {
 
 /// Returns the dedicated RNG stream for sample `index` of a batch seeded
 /// with `master_seed` — the stream-derivation rule shared by the serial
-/// [`WitnessSampler::sample_batch`] reference and [`crate::ParallelSampler`].
+/// [`WitnessSampler::sample_batch`] reference and [`crate::SamplerService`].
 ///
 /// The pair is mixed through a SplitMix64 finalizer rather than a plain
 /// `master_seed ^ index`: XOR alone maps batches with nearby master seeds to
@@ -130,7 +130,7 @@ pub(crate) fn stream_for_index(master_seed: u64, index: usize) -> StdRng {
 /// over earlier calls. Every sampler in this crate picks a uniform witness by
 /// index, so sorting first makes the picked witness a function of the cell
 /// and the RNG alone — the property the deterministic parallel batch engine
-/// ([`crate::ParallelSampler`]) relies on to produce bit-identical output
+/// ([`crate::SamplerService`]) relies on to produce bit-identical output
 /// regardless of how samples are scheduled across worker solvers.
 pub(crate) fn sort_witnesses_canonically(witnesses: &mut [Model], sampling_set: &[Var]) {
     // Comparing from the *last* sampling-set variable down makes the
@@ -257,11 +257,6 @@ pub trait WitnessSampler {
     /// Produces one witness (or reports failure).
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome;
 
-    /// Produces `count` witnesses, collecting the outcomes.
-    fn sample_many(&mut self, count: usize, rng: &mut dyn RngCore) -> Vec<SampleOutcome> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-
     /// Produces `count` witnesses, sample `i` drawing all of its randomness
     /// from a dedicated stream derived (via a SplitMix64 mix) from
     /// `(master_seed, i)`.
@@ -270,9 +265,9 @@ pub trait WitnessSampler {
     /// each sample owns an RNG stream derived from its *index* (not from
     /// however many draws earlier samples consumed), the witness at position
     /// `i` is a function of the sampler's prepared state, `master_seed` and
-    /// `i` alone. [`crate::ParallelSampler`] exploits exactly this to fan the
+    /// `i` alone. [`crate::SamplerService`] exploits exactly this to fan the
     /// index range out over a pool of worker solvers while reproducing this
-    /// method's output bit for bit, at any thread count.
+    /// method's output bit for bit, at any worker count.
     ///
     /// The determinism contract requires per-`BSAT` budgets that never
     /// trigger (the default unlimited [`unigen_satsolver::Budget`]): a

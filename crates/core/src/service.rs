@@ -1,11 +1,10 @@
 //! The sampling service: typed requests and responses over a **persistent**
 //! work-stealing worker pool.
 //!
-//! The paper observes that witness generation is "embarrassingly parallel";
-//! [`crate::ParallelSampler`] (PR 4) proved it with a per-call thread scope
-//! and static contiguous chunking. This module is the serving-shaped
-//! evolution of that engine, designed so the sampler can later sit behind an
-//! async RPC boundary:
+//! The paper observes that witness generation is "embarrassingly parallel".
+//! [`SamplerService`] is the workspace's one parallel batch engine, checked
+//! against the serial reference [`crate::WitnessSampler::sample_batch`] and
+//! shaped so the sampler can sit behind an RPC boundary:
 //!
 //! * **Persistent pool.** A [`SamplerService`] spawns its workers once, at
 //!   construction, and each worker clones the prepared sampler exactly once
@@ -15,13 +14,12 @@
 //!   Requests then flow through the same pool for the service's whole
 //!   lifetime; nothing is re-cloned or re-spawned per batch.
 //! * **Work stealing.** Each request's sample indices are dealt into
-//!   per-worker deques in contiguous chunks (the same shape as the old
-//!   static partition), but an idle worker *steals* from the back of the
-//!   busiest other deque instead of going to sleep. Per-sample cost is
-//!   highly variable — a cell that needs `BSAT` retries is roughly an order
-//!   of magnitude dearer than one accepted at the first width — and under
-//!   static chunking one unlucky chunk serialises the whole batch; stealing
-//!   absorbs the skew. (The deques are arbitrated by one scheduler lock
+//!   per-worker deques in contiguous chunks, but an idle worker *steals*
+//!   from the back of the busiest other deque instead of going to sleep.
+//!   Per-sample cost is highly variable — a cell that needs `BSAT` retries
+//!   is roughly an order of magnitude dearer than one accepted at the first
+//!   width — and without stealing one unlucky chunk serialises the whole
+//!   batch; stealing absorbs the skew. (The deques are arbitrated by one scheduler lock
 //!   rather than a lock-free Chase–Lev deque: the workspace is dependency
 //!   free, and at per-sample granularity — milliseconds of solver work per
 //!   item — the lock is nowhere near the critical path.)
@@ -46,10 +44,29 @@
 //! is **bit-identical** to `sample_batch(count, master_seed)` on a clone of
 //! the prototype, per request, at any worker count.
 //!
-//! The scope notes of [`crate::ParallelSampler`] carry over verbatim (the
-//! guarantee covers the projection onto the sampling set), with one
-//! addition: a [`SampleRequest::budget`] deadline, once expired, makes
-//! workers complete the request's not-yet-started samples as typed
+//! Three scope notes. First, the guarantee as stated covers each witness's
+//! *projection* onto the sampling set — the part of a model on which
+//! distinctness, uniformity and the Theorem 1 envelope are defined. The
+//! *completion* of the remaining variables is pinned down too whenever the
+//! sampling set functionally determines them (the independent-support
+//! setting the sampler is meant for, and true of every bundled circuit
+//! benchmark); for a sampling set that genuinely under-determines the
+//! formula, different worker counts may complete the non-sampling variables
+//! differently, since the completion comes from a worker solver's heuristic
+//! state.
+//!
+//! Second, per-`BSAT` budgets must never fire (the default unlimited
+//! [`unigen_satsolver::Budget`] trivially satisfies this): a wall-clock or
+//! conflict cutoff triggers depending on accumulated per-worker solver
+//! state, which is exactly the state workers do not share. A budget that
+//! does fire does not *silently* diverge, though — the affected samples
+//! complete as typed [`OutcomeKind::Interrupted`] outcomes, so the
+//! guarantee narrows to the successfully completed indices (and
+//! deterministically injected faults absorbed by the recovery ladder keep
+//! the sequence bit-identical; see [`crate::FaultPlan`]).
+//!
+//! Third, a [`SampleRequest::budget`] deadline, once expired, makes workers
+//! complete the request's not-yet-started samples as typed
 //! [`OutcomeKind::Interrupted`] outcomes when they reach them. *Which*
 //! samples get cut depends on wall-clock timing, but every outcome that
 //! does complete as a witness is still the deterministic witness for its
@@ -118,9 +135,8 @@ use crate::sampler::{
 pub struct ServiceConfig {
     /// Number of worker threads. Must be at least 1:
     /// [`SamplerService::try_new`] rejects zero with
-    /// [`ServiceConfigError::ZeroWorkers`] ([`SamplerService::new`] clamps
-    /// for back-compatibility). Defaults to the machine's available
-    /// parallelism.
+    /// [`ServiceConfigError::ZeroWorkers`]. Defaults to the machine's
+    /// available parallelism.
     pub workers: usize,
     /// Maximum number of admitted-but-not-yet-completed requests (clamped to
     /// at least 1). [`SamplerService::submit`] blocks while the queue is at
@@ -393,18 +409,6 @@ impl std::fmt::Debug for SamplerService {
 }
 
 impl SamplerService {
-    /// Spawns a service over `prototype`, clamping a zero worker count to 1
-    /// for back-compatibility — prefer [`SamplerService::try_new`], which
-    /// rejects it with a typed error instead.
-    pub fn new<S>(prototype: S, config: ServiceConfig) -> Self
-    where
-        S: WitnessSampler + Clone + Send + Sync + 'static,
-    {
-        let config = config.with_workers(config.workers.max(1));
-        Self::try_with_fault_plan(prototype, config, None)
-            .expect("a clamped service configuration is always valid")
-    }
-
     /// Spawns a service over `prototype`, rejecting an invalid
     /// [`ServiceConfig`] with a typed [`ServiceConfigError`].
     ///
@@ -1013,11 +1017,12 @@ mod tests {
         let f = formula_with_count(10, 3);
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(12, 0xabc);
-        for workers in [1usize, 2, 5] {
-            let service = SamplerService::new(
+        for workers in [1usize, 2, 3, 5, 8] {
+            let service = SamplerService::try_new(
                 prepared.clone(),
                 ServiceConfig::default().with_workers(workers),
-            );
+            )
+            .unwrap();
             let response = service.submit(SampleRequest::new(12, 0xabc)).wait();
             assert_eq!(
                 witnesses_of(&response.outcomes),
@@ -1031,12 +1036,13 @@ mod tests {
     #[test]
     fn empty_request_completes_immediately_without_a_queue_slot() {
         let f = formula_with_count(3, 0);
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             UniGen::new(&f, UniGenConfig::default()).unwrap(),
             ServiceConfig::default()
                 .with_workers(2)
                 .with_queue_capacity(1),
-        );
+        )
+        .unwrap();
         let response = service.submit(SampleRequest::new(0, 1)).wait();
         assert!(response.outcomes.is_empty());
         assert_eq!(service.pending_requests(), 0);
@@ -1048,7 +1054,8 @@ mod tests {
         let f = formula_with_count(8, 2);
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(9, 7);
-        let service = SamplerService::new(prepared, ServiceConfig::default().with_workers(3));
+        let service =
+            SamplerService::try_new(prepared, ServiceConfig::default().with_workers(3)).unwrap();
         let streamed: Vec<SampleOutcome> = service.submit(SampleRequest::new(9, 7)).collect();
         assert_eq!(witnesses_of(&streamed), witnesses_of(&serial));
     }
@@ -1056,10 +1063,11 @@ mod tests {
     #[test]
     fn aggregate_stats_accumulates_every_outcome() {
         let f = formula_with_count(9, 1);
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             UniGen::new(&f, UniGenConfig::default()).unwrap(),
             ServiceConfig::default().with_workers(2),
-        );
+        )
+        .unwrap();
         let response = service.submit(SampleRequest::new(6, 3)).wait();
         let mut expected = SampleStats::default();
         for outcome in &response.outcomes {
@@ -1073,10 +1081,11 @@ mod tests {
     #[test]
     fn expired_request_budget_yields_typed_interrupted_outcomes() {
         let f = formula_with_count(9, 1);
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             UniGen::new(&f, UniGenConfig::default()).unwrap(),
             ServiceConfig::default().with_workers(2),
-        );
+        )
+        .unwrap();
         // A zero budget is already expired when the first item starts: every
         // outcome is a typed interruption, distinguishable from a genuine ⊥.
         let response = service
@@ -1168,12 +1177,13 @@ mod tests {
         let prototype = SkewedSampler::new(expensive, Duration::from_millis(3));
         let registry = Arc::clone(&prototype.registry);
 
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             prototype,
             ServiceConfig::default()
                 .with_workers(WORKERS)
                 .with_queue_capacity(1),
-        );
+        )
+        .unwrap();
         let response = service.submit(SampleRequest::new(COUNT, seed)).wait();
         assert_eq!(response.outcomes.len(), COUNT);
 
@@ -1224,14 +1234,15 @@ mod tests {
         }
 
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             Gated {
                 gate: Arc::clone(&gate),
             },
             ServiceConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1),
-        );
+        )
+        .unwrap();
         let first = service.submit(SampleRequest::new(2, 1));
         // The queue (capacity 1) now holds the blocked request: a second
         // submission must be rejected and returned verbatim.
@@ -1268,13 +1279,14 @@ mod tests {
             }
         }
 
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             Panicky,
             ServiceConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1)
                 .with_max_respawns(1),
-        );
+        )
+        .unwrap();
         // The single worker panics on item 0, respawns once, panics again,
         // completes the item as Faulted, and — being the last alive worker —
         // drains items 1 and 2 as Faulted too. wait() must return, not hang.
@@ -1318,8 +1330,9 @@ mod tests {
             SamplerService::try_new(sampler.clone(), ServiceConfig::default().with_workers(0))
                 .expect_err("zero workers must be rejected");
         assert_eq!(err, ServiceConfigError::ZeroWorkers);
-        // The legacy constructor keeps its documented clamp-to-one.
-        let service = SamplerService::new(sampler, ServiceConfig::default().with_workers(0));
+        // One worker is the smallest valid pool.
+        let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(1))
+            .expect("one worker is valid");
         assert_eq!(service.health().configured_workers, 1);
     }
 
@@ -1362,7 +1375,8 @@ mod tests {
         let f = formula_with_count(6, 1);
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(6, 11);
-        let service = SamplerService::new(prepared, ServiceConfig::default().with_workers(2));
+        let service =
+            SamplerService::try_new(prepared, ServiceConfig::default().with_workers(2)).unwrap();
         let handle = service.submit(SampleRequest::new(6, 11));
         // Dropping the service drains the admitted request before joining.
         service.shutdown();
@@ -1378,12 +1392,13 @@ mod tests {
         let serial_a = prepared.clone().sample_batch(7, 100);
         let serial_b = prepared.clone().sample_batch(5, 200);
         let serial_c = prepared.clone().sample_batch(9, 300);
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             prepared,
             ServiceConfig::default()
                 .with_workers(3)
                 .with_queue_capacity(8),
-        );
+        )
+        .unwrap();
         // Submit everything before collecting anything: the three requests
         // interleave arbitrarily across the pool.
         let ha = service.submit(SampleRequest::new(7, 100));

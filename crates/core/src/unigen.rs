@@ -289,7 +289,7 @@ impl UniGen {
     /// envelope, but witnesses of the same batch are *not* mutually
     /// independent because they share a cell; callers that need independent
     /// samples must use [`WitnessSampler::sample_batch`] (or
-    /// [`crate::ParallelSampler`]) instead — that API draws one fresh cell
+    /// [`crate::SamplerService`]) instead — that API draws one fresh cell
     /// per sample. The shared-cell batch amortises the hashing and
     /// enumeration cost over its members, which is what makes high-volume
     /// stimulus generation cheap in practice.

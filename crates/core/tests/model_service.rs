@@ -96,12 +96,13 @@ fn assert_explored(cfg: &Config, report: &Report) {
 /// `try_submit` a follow-up request — completion must release the queue
 /// slot before the finished board becomes visible.
 fn backpressure_round_trip_body() {
-    let service = SamplerService::new(
+    let service = SamplerService::try_new(
         Stub,
         ServiceConfig::default()
             .with_workers(1)
             .with_queue_capacity(1),
-    );
+    )
+    .unwrap();
     let handle = service.submit(SampleRequest::new(1, 7));
     let response = handle.wait();
     assert_eq!(response.outcomes.len(), 1);
@@ -131,12 +132,13 @@ fn backpressure_slot_accounting_is_clean() {
 fn reintroduced_backpressure_race_is_found() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             Stub,
             ServiceConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1),
-        );
+        )
+        .unwrap();
         service.debug_reintroduce_slot_release_race();
         let response = service.submit(SampleRequest::new(1, 7)).wait();
         assert_eq!(response.outcomes.len(), 1);
@@ -195,7 +197,8 @@ fn board_sched_lock_nesting_is_acyclic_and_observed() {
 fn steal_vs_completion_never_loses_items() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(Stub, ServiceConfig::default().with_workers(2));
+        let service =
+            SamplerService::try_new(Stub, ServiceConfig::default().with_workers(2)).unwrap();
         let response = service.submit(SampleRequest::new(4, 11)).wait();
         assert_eq!(response.outcomes.len(), 4);
         assert!(
@@ -217,12 +220,13 @@ fn steal_vs_completion_never_loses_items() {
 fn worker_panic_respawn_retries_item() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             FlakyFirst::new(1),
             ServiceConfig::default()
                 .with_workers(1)
                 .with_max_respawns(1),
-        );
+        )
+        .unwrap();
         let response = service.submit(SampleRequest::new(1, 3)).wait();
         assert_eq!(response.outcomes[0].kind, OutcomeKind::Bottom);
         let health = service.health();
@@ -242,7 +246,8 @@ fn worker_panic_respawn_retries_item() {
 fn drop_while_handle_waiting_completes_request() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(Stub, ServiceConfig::default().with_workers(1));
+        let service =
+            SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap();
         let handle = service.submit(SampleRequest::new(1, 5));
         let waiter = conc::thread::spawn(move || handle.wait());
         drop(service);
@@ -261,7 +266,8 @@ fn drop_while_handle_waiting_completes_request() {
 fn handle_dropped_mid_stream_is_clean() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(Stub, ServiceConfig::default().with_workers(1));
+        let service =
+            SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap();
         let mut handle = service.submit(SampleRequest::new(2, 9));
         // Consume at most one outcome, then abandon the stream while the
         // worker may still be posting the second.
@@ -280,12 +286,13 @@ fn handle_dropped_mid_stream_is_clean() {
 fn shutdown_after_total_pool_death_is_clean() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             AlwaysPanics,
             ServiceConfig::default()
                 .with_workers(1)
                 .with_max_respawns(0),
-        );
+        )
+        .unwrap();
         let response = service.submit(SampleRequest::new(2, 13)).wait();
         assert!(
             response

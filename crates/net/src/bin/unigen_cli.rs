@@ -12,13 +12,13 @@
 //!   --epsilon E      tolerance ε (> 1.71)                       [default: 6.0]
 //!   --seed S         random seed                                [default: 1]
 //!   --timeout SECS   per-solver-call budget in seconds          [default: none]
-//!   --jobs N         sample on N worker threads (0 = all cores) [default: serial]
 //!   --certify        verify a DRAT-style proof of every cell online
-//!   --proof-dump F   write the raw proof stream to F (serial only; implies
-//!                    --certify)
+//!   --proof-dump F   write the raw proof stream to F (not with `batch`;
+//!                    implies --certify)
 //!   --verbose        print per-sample statistics to stderr
 //!
 //! batch-only options:
+//!   --jobs N         service worker threads (0 = all cores)     [default: 0]
 //!   --requests R     split the samples over R service requests  [default: 1]
 //!   --queue N        bounded request-queue capacity             [default: 16]
 //!
@@ -62,16 +62,15 @@
 //! back to the blocking submit path. The run ends with a
 //! [`unigen::ServiceHealth`] summary.
 //!
-//! On the legacy path, `--jobs` still works but is deprecated in favour of
-//! `batch --jobs`: sample `i` draws its randomness from a dedicated stream
-//! derived from `(seed, i)`, so the emitted witness sequence is identical
-//! for every worker count (including `--jobs 1`) — unless `--timeout` is
+//! In `batch`, sample `i` of request `r` draws its randomness from a
+//! dedicated stream derived from `(seed + r, i)`, so the emitted witness
+//! sequence is identical for every `--jobs` value — unless `--timeout` is
 //! also given: a per-`BSAT` cutoff fires based on each worker solver's
 //! private accumulated state, which can make different samples fail at
-//! different worker counts (the CLI warns when the two flags are combined;
-//! the same caveat applies to `batch --timeout`). Without `--jobs`, the
-//! historical serial behaviour (one RNG consumed across all samples) is
-//! preserved.
+//! different worker counts (the CLI warns when the two flags are combined).
+//! Without `batch`, sampling is serial: one RNG seeded with `--seed` is
+//! consumed across all samples, each witness streamed out as it is
+//! produced.
 //!
 //! The sampling set is taken from `c ind … 0` comment lines in the input
 //! file (the convention of the original UniGen benchmark suite); without
@@ -85,8 +84,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use unigen::{
-    OutcomeKind, ParallelSampler, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder,
-    SamplerService, ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
+    OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder, SamplerService,
+    ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
@@ -101,9 +100,8 @@ struct CliOptions {
     epsilon: f64,
     seed: u64,
     timeout: Option<Duration>,
-    /// `None` = historical serial sampling; `Some(0)` = one worker per core;
-    /// `Some(n)` = n workers (deterministic per-index streams either way).
-    jobs: Option<usize>,
+    /// Service worker threads, `0` = one per core (batch only).
+    jobs: usize,
     /// Certified enumeration: solver-side proof logging plus the online
     /// independent checker.
     certify: bool,
@@ -144,7 +142,7 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         epsilon: 6.0,
         seed: 1,
         timeout: None,
-        jobs: None,
+        jobs: 0,
         certify: false,
         proof_dump: None,
         verbose: false,
@@ -186,11 +184,13 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 options.timeout = Some(Duration::from_secs(secs));
             }
             "--jobs" => {
-                options.jobs = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--jobs needs an unsigned integer (0 = all cores)")?,
-                );
+                options.jobs = iter
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--jobs needs an unsigned integer (0 = all cores)")?;
+                if !options.batch {
+                    return Err(format!("--jobs is a `batch` option\n{}", usage()));
+                }
             }
             "--requests" => {
                 options.requests = iter
@@ -234,10 +234,10 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     if options.file.is_empty() {
         return Err(usage().to_string());
     }
-    if options.proof_dump.is_some() && (options.batch || options.jobs.is_some()) {
+    if options.proof_dump.is_some() && options.batch {
         return Err(
-            "--proof-dump needs the serial path (no `batch`, no --jobs): worker solver \
-             clones fork the proof stream, so only the serial sampler's stream is complete"
+            "--proof-dump needs the serial path (no `batch`): worker solver clones fork \
+             the proof stream, so only the serial sampler's stream is complete"
                 .to_string(),
         );
     }
@@ -344,47 +344,13 @@ fn run(options: &CliOptions) -> Result<(), String> {
         return run_batch(options, sampler, &emit);
     }
 
+    // Serial sampling: one RNG consumed across samples, each witness
+    // streamed out as soon as it is produced (no buffering of the whole run).
     let mut produced = 0usize;
-    match options.jobs {
-        Some(jobs) => {
-            eprintln!(
-                "c note: the `--jobs` flag path is deprecated; prefer the service-backed \
-                 `unigen_cli batch --jobs N` subcommand"
-            );
-            // The deterministic batch path: per-index RNG streams fanned out
-            // over a worker pool (0 = one worker per core). The witness
-            // sequence is identical for every worker count.
-            if options.timeout.is_some() {
-                eprintln!(
-                    "c warning: --timeout makes BSAT cutoffs depend on per-worker solver state, \
-                     so the witness sequence may differ between --jobs values"
-                );
-            }
-            let pool = ParallelSampler::new(sampler.clone());
-            let pool = if jobs == 0 {
-                pool
-            } else {
-                pool.with_jobs(jobs)
-            };
-            eprintln!("c sampling on {} worker thread(s)", pool.jobs());
-            for (i, outcome) in pool
-                .sample_batch(options.samples, options.seed)
-                .iter()
-                .enumerate()
-            {
-                produced += usize::from(emit(i, outcome));
-            }
-        }
-        None => {
-            // Historical serial behaviour: one RNG consumed across samples,
-            // each witness streamed out as soon as it is produced (no
-            // buffering of the whole run).
-            let mut rng = StdRng::seed_from_u64(options.seed);
-            for i in 0..options.samples {
-                let outcome = sampler.sample(&mut rng);
-                produced += usize::from(emit(i, &outcome));
-            }
-        }
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    for i in 0..options.samples {
+        let outcome = sampler.sample(&mut rng);
+        produced += usize::from(emit(i, &outcome));
     }
     if options.certify {
         if let Some(err) = sampler.cert_error() {
@@ -411,13 +377,6 @@ fn run(options: &CliOptions) -> Result<(), String> {
         // The persistent incremental solver's lifetime counters: how many
         // per-cell guards were cycled and how much learned knowledge was
         // scoped to cells (retired) versus kept across them (retained).
-        // (Under --jobs each worker owns a solver clone; the counters below
-        // describe the preparation-phase solver only.)
-        if options.jobs.is_some() {
-            eprintln!(
-                "c solver counters below cover the preparation phase only (workers own clones)"
-            );
-        }
         let stats = sampler.solver_stats();
         eprintln!("c solver: {stats}");
         eprintln!(
@@ -485,12 +444,11 @@ fn run_batch(
         );
     }
     let mut config = ServiceConfig::default().with_queue_capacity(options.queue);
-    if let Some(jobs) = options.jobs {
-        if jobs > 0 {
-            config = config.with_workers(jobs);
-        }
+    if options.jobs > 0 {
+        config = config.with_workers(options.jobs);
     }
-    let service = SamplerService::new(sampler, config);
+    let service = SamplerService::try_new(sampler, config)
+        .map_err(|e| format!("cannot start the sampler service: {e}"))?;
     eprintln!(
         "c service: {} worker thread(s), request queue capacity {}",
         service.workers(),
@@ -1097,8 +1055,6 @@ mod tests {
             "9",
             "--timeout",
             "30",
-            "--jobs",
-            "4",
             "--verbose",
             "foo.cnf",
         ]))
@@ -1107,20 +1063,30 @@ mod tests {
         assert_eq!(options.epsilon, 3.5);
         assert_eq!(options.seed, 9);
         assert_eq!(options.timeout, Some(Duration::from_secs(30)));
-        assert_eq!(options.jobs, Some(4));
         assert!(options.verbose);
         assert_eq!(options.file, "foo.cnf");
     }
 
     #[test]
     fn jobs_defaults_to_serial_and_rejects_garbage() {
-        assert_eq!(parse_args(&args(&["a.cnf"])).unwrap().jobs, None);
+        assert_eq!(parse_args(&args(&["a.cnf"])).unwrap().jobs, 0);
         assert_eq!(
-            parse_args(&args(&["--jobs", "0", "a.cnf"])).unwrap().jobs,
-            Some(0)
+            parse_args(&args(&["batch", "--jobs", "0", "a.cnf"]))
+                .unwrap()
+                .jobs,
+            0
         );
-        assert!(parse_args(&args(&["--jobs", "many", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["--jobs"])).is_err());
+        assert!(parse_args(&args(&["batch", "--jobs", "many", "a.cnf"])).is_err());
+        assert!(parse_args(&args(&["batch", "--jobs"])).is_err());
+    }
+
+    #[test]
+    fn jobs_without_batch_is_rejected() {
+        let err = parse_args(&args(&["--jobs", "2", "a.cnf"])).unwrap_err();
+        assert!(
+            err.starts_with("--jobs is a `batch` option"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -1142,7 +1108,7 @@ mod tests {
         assert_eq!(options.samples, 40);
         assert_eq!(options.requests, 4);
         assert_eq!(options.queue, 2);
-        assert_eq!(options.jobs, Some(3));
+        assert_eq!(options.jobs, 3);
         // Batch-only options are rejected on the legacy path, and zero
         // requests/queue are rejected outright.
         assert!(!parse_args(&args(&["a.cnf"])).unwrap().batch);
@@ -1162,12 +1128,10 @@ mod tests {
         assert!(options.certify);
         assert_eq!(options.proof_dump.as_deref(), Some("p.bin"));
         // The dump needs the serial path: worker clones fork the stream.
-        assert!(parse_args(&args(&["--proof-dump", "p.bin", "--jobs", "2", "a.cnf"])).is_err());
         assert!(parse_args(&args(&["batch", "--proof-dump", "p.bin", "a.cnf"])).is_err());
         assert!(parse_args(&args(&["--proof-dump"])).is_err());
-        // Plain --certify composes with both parallel paths.
-        assert!(parse_args(&args(&["--certify", "--jobs", "2", "a.cnf"])).is_ok());
-        assert!(parse_args(&args(&["batch", "--certify", "a.cnf"])).is_ok());
+        // Plain --certify composes with the parallel path.
+        assert!(parse_args(&args(&["batch", "--certify", "--jobs", "2", "a.cnf"])).is_ok());
     }
 
     #[test]
@@ -1189,7 +1153,7 @@ mod tests {
             epsilon: 6.0,
             seed: 7,
             timeout: None,
-            jobs: None,
+            jobs: 0,
             certify: false,
             proof_dump: None,
             verbose: true,
@@ -1211,15 +1175,10 @@ mod tests {
         assert!(!bytes.is_empty());
         unigen_cert::Checker::check(&unigen::cert_formula(&formula), &bytes).unwrap();
         let _ = std::fs::remove_file(&dump);
-        // The deprecated parallel flag path on the same file.
-        let options = CliOptions {
-            jobs: Some(2),
-            ..options
-        };
-        run(&options).unwrap();
         // The service-backed batch subcommand path, multiple requests.
         let options = CliOptions {
             batch: true,
+            jobs: 2,
             samples: 5,
             requests: 2,
             queue: 1,

@@ -159,12 +159,13 @@ fn outbound_drain_condvar_never_loses_a_wakeup() {
 fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             Stub,
             ServiceConfig::default()
                 .with_workers(1)
                 .with_queue_capacity(1),
-        );
+        )
+        .unwrap();
         let wake = Arc::new(WakeSignal::new());
         let outbound = {
             let wake = Arc::clone(&wake);
@@ -233,12 +234,15 @@ fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
 fn disconnect_mid_stream_frees_the_service_slot() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = Arc::new(SamplerService::new(
-            Stub,
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1),
-        ));
+        let service = Arc::new(
+            SamplerService::try_new(
+                Stub,
+                ServiceConfig::default()
+                    .with_workers(1)
+                    .with_queue_capacity(1),
+            )
+            .unwrap(),
+        );
         let outbound = Arc::new(Outbound::new(1, Box::new(|| {})));
         let requests = Arc::new(ConnRequests::new());
         let cancel = requests.begin(1).expect("fresh id");

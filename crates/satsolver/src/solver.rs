@@ -156,7 +156,7 @@ enum ConflictSource {
 /// arena, the xor engine, the trail, VSIDS state — no `Rc`, no interior
 /// mutability, no shared handles), so a prepared solver can be duplicated
 /// for a parallel sampler worker and moved to its thread. Keeping it that
-/// way is load-bearing for `unigen::ParallelSampler`; the
+/// way is load-bearing for `unigen::SamplerService`; the
 /// `solver_is_send_sync_clone` test pins the property at compile time.
 #[derive(Debug, Clone)]
 pub struct Solver {

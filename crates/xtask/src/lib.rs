@@ -5,10 +5,11 @@
 //! `cargo run -p xtask -- lint` walks the workspace sources and enforces
 //! four rules that `rustc`/`clippy` cannot express:
 //!
-//! * **`std-sync`** — `std::sync::{Mutex, Condvar}` and
-//!   `std::thread::spawn` are forbidden outside `crates/conc`: every
+//! * **`std-sync`** — `std::sync::{Mutex, Condvar}`, `std::thread::spawn`
+//!   and `std::thread::scope` are forbidden outside `crates/conc`: every
 //!   concurrent component must build on the `conc` abstraction layer so
-//!   the model checker can explore it. (Atomics are allowed — they pass
+//!   the model checker can explore it (`conc` deliberately offers no scoped
+//!   threads, so every thread is a model-checkable `conc::thread::spawn`). (Atomics are allowed — they pass
 //!   through `conc::atomic` by convention, but a raw atomic cannot hide a
 //!   blocking protocol from the checker.)
 //! * **`wall-clock`** — `Instant::now` / `SystemTime` are forbidden
@@ -481,12 +482,15 @@ fn match_rule(rule: &str, code: &str, raw: &str) -> Option<String> {
             {
                 return Some(code.trim().to_string());
             }
-            if code.starts_with("use std::thread") && code.contains("spawn") {
+            if code.starts_with("use std::thread")
+                && (code.contains("spawn") || code.contains("scope"))
+            {
                 return Some(code.trim().to_string());
             }
             hit("std::sync::Mutex")
                 .or_else(|| hit("std::sync::Condvar"))
                 .or_else(|| hit("std::thread::spawn"))
+                .or_else(|| hit("std::thread::scope"))
         }
         "wall-clock" => hit("Instant::now").or_else(|| hit("SystemTime")),
         "no-unwrap" => hit(".unwrap()").or_else(|| hit(".expect(")),
@@ -529,6 +533,17 @@ mod tests {
             "fn f() { conc::thread::spawn(|| {}); }\n",
         );
         assert!(clean.is_empty(), "{clean:?}");
+    }
+
+    #[test]
+    fn flags_std_thread_scope_outside_conc() {
+        let src =
+            "use std::thread::scope;\nfn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
+        let v = lint_source("crates/core/src/service.rs", src);
+        assert_eq!(rules_of(&v), vec!["std-sync", "std-sync"]);
+        assert_eq!(v[0].line, 1);
+        assert_eq!(v[1].line, 2);
+        assert!(lint_source("crates/conc/src/thread.rs", src).is_empty());
     }
 
     #[test]

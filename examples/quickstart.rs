@@ -66,7 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // … spawn the persistent service (workers clone the prepared sampler
     // once, here) and stream one request's witnesses as they complete.
-    let service = unigen::SamplerService::new(sampler, ServiceConfig::default().with_workers(2));
+    let service =
+        unigen::SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
     let sampling_set = formula.sampling_set_or_all();
     let mut handle = service.submit(SampleRequest::new(5, 42));
     for (i, outcome) in handle.by_ref().enumerate() {

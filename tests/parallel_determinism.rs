@@ -1,5 +1,5 @@
-//! The parallel batch engine's determinism contract, checked end to end:
-//! `ParallelSampler::sample_batch(n, seed)` must reproduce the serial
+//! The parallel batch engine's determinism contract, checked end to end: a
+//! `SamplerService` request for `(n, seed)` must reproduce the serial
 //! `WitnessSampler::sample_batch` witness sequence bit for bit at every
 //! worker count, and the witnesses flowing through the parallel path must
 //! stay (almost) uniform.
@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use unigen::{
-    ParallelSampler, PreparedMode, SampleOutcome, SampleRequest, SampleStats, SamplerService,
-    ServiceConfig, UniGen, UniGenConfig, UniWit, UniWitConfig, WitnessSampler,
+    PreparedMode, SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, UniGen,
+    UniGenConfig, UniWit, UniWitConfig, WitnessSampler,
 };
 use unigen_cnf::{CnfFormula, Var, XorClause};
 
@@ -38,6 +38,27 @@ fn witness_sequence(outcomes: &[SampleOutcome]) -> Vec<Option<Vec<bool>>> {
         .collect()
 }
 
+/// Runs one `(count, master_seed)` request on a fresh `workers`-thread
+/// service over `prepared` and returns its outcomes.
+fn service_batch<S>(
+    prepared: &S,
+    workers: usize,
+    count: usize,
+    master_seed: u64,
+) -> Vec<SampleOutcome>
+where
+    S: WitnessSampler + Clone + Send + Sync + 'static,
+{
+    SamplerService::try_new(
+        prepared.clone(),
+        ServiceConfig::default().with_workers(workers),
+    )
+    .unwrap()
+    .submit(SampleRequest::new(count, master_seed))
+    .wait()
+    .outcomes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -54,14 +75,13 @@ proptest! {
         let f = formula_with_count(bits, extra);
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(count, master_seed);
-        for jobs in [1usize, 2, 8] {
-            let pool = ParallelSampler::new(prepared.clone()).with_jobs(jobs);
-            let batch = pool.sample_batch(count, master_seed);
+        for workers in [1usize, 2, 8] {
+            let batch = service_batch(&prepared, workers, count, master_seed);
             prop_assert_eq!(
                 witness_sequence(&batch),
                 witness_sequence(&serial),
-                "jobs = {} diverged from the serial reference",
-                jobs
+                "workers = {} diverged from the serial reference",
+                workers
             );
         }
     }
@@ -78,11 +98,12 @@ proptest! {
         f.add_clause([Var::new(0).positive(), Var::new(1).positive()]).unwrap();
         let prepared = UniWit::new(&f, UniWitConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(count, master_seed);
-        for jobs in [2usize, 8] {
-            let pool = ParallelSampler::new(prepared.clone()).with_jobs(jobs);
+        for workers in [1usize, 2, 8] {
             prop_assert_eq!(
-                witness_sequence(&pool.sample_batch(count, master_seed)),
-                witness_sequence(&serial)
+                witness_sequence(&service_batch(&prepared, workers, count, master_seed)),
+                witness_sequence(&serial),
+                "workers = {} diverged from the serial reference",
+                workers
             );
         }
     }
@@ -108,10 +129,11 @@ proptest! {
         let serial_a = prepared.clone().sample_batch(count, master_seed);
         let serial_b = prepared.clone().sample_batch(count + 2, seed_b);
         for workers in [1usize, 2, 8] {
-            let service = SamplerService::new(
+            let service = SamplerService::try_new(
                 prepared.clone(),
                 ServiceConfig::default().with_workers(workers).with_queue_capacity(4),
-            );
+            )
+            .unwrap();
             // Interleave: both requests live in the pool at once.
             let handle_a = service.submit(SampleRequest::new(count, master_seed));
             let handle_b = service.submit(SampleRequest::new(count + 2, seed_b));
@@ -149,10 +171,11 @@ proptest! {
         let f = formula_with_count(bits, 1);
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(count, master_seed);
-        let service = SamplerService::new(
+        let service = SamplerService::try_new(
             prepared,
             ServiceConfig::default().with_workers(3),
-        );
+        )
+        .unwrap();
         let prefix_len = count / 2;
         let mut handle = service.submit(SampleRequest::new(count, master_seed));
         let prefix: Vec<SampleOutcome> = handle.by_ref().take(prefix_len).collect();
@@ -183,8 +206,7 @@ fn parallel_path_is_almost_uniform_chi_square() {
     );
     let sampling = f.sampling_set().unwrap().to_vec();
 
-    let pool = ParallelSampler::new(prepared).with_jobs(8);
-    let batch = pool.sample_batch(1200, 0x5eed);
+    let batch = service_batch(&prepared, 8, 1200, 0x5eed);
     let mut counts: HashMap<u64, u64> = HashMap::new();
     let mut successes = 0u64;
     for outcome in &batch {
@@ -223,23 +245,17 @@ fn parallel_path_is_almost_uniform_chi_square() {
     );
 }
 
-/// The partitioning edge cases: empty batches, more workers than samples,
-/// and a worker count of zero all behave.
+/// The partitioning edge cases: an empty request, and more workers than
+/// samples, at every worker count the proptests use.
 #[test]
 fn parallel_batch_edge_cases() {
     let f = formula_with_count(4, 1);
     let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
-    let pool = ParallelSampler::new(prepared.clone());
-    assert!(pool.sample_batch(0, 3).is_empty());
-
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(0);
-    assert_eq!(pool.jobs(), 1);
-
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(64);
-    let batch = pool.sample_batch(3, 9);
-    assert_eq!(batch.len(), 3);
-    assert_eq!(
-        witness_sequence(&batch),
-        witness_sequence(&prepared.clone().sample_batch(3, 9))
-    );
+    let serial = prepared.clone().sample_batch(3, 9);
+    for workers in [1usize, 2, 3, 8] {
+        assert!(service_batch(&prepared, workers, 0, 3).is_empty());
+        let batch = service_batch(&prepared, workers, 3, 9);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(witness_sequence(&batch), witness_sequence(&serial));
+    }
 }

@@ -65,10 +65,10 @@ proptest! {
             let name = prepared.name();
             let serial = prepared.clone().sample_batch(count, master_seed);
             for workers in [1usize, 2, 8] {
-                let service = SamplerService::new(
+                let service = SamplerService::try_new(
                     prepared.clone(),
                     ServiceConfig::default().with_workers(workers),
-                );
+                ).unwrap();
                 let response = service.submit(SampleRequest::new(count, master_seed)).wait();
                 prop_assert_eq!(
                     witness_sequence(&response.outcomes),
@@ -136,14 +136,15 @@ fn bounded_queue_backpressure_round_trip() {
     }
 
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let service = SamplerService::new(
+    let service = SamplerService::try_new(
         Gated {
             gate: Arc::clone(&gate),
         },
         ServiceConfig::default()
             .with_workers(2)
             .with_queue_capacity(2),
-    );
+    )
+    .unwrap();
     let first = service.submit(SampleRequest::new(3, 1));
     let second = service.submit(SampleRequest::new(3, 2));
     let rejected = service.try_submit(SampleRequest::new(3, 3));
@@ -196,14 +197,15 @@ fn handle_dropped_mid_stream_leaves_service_usable() {
     }
 
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let service = SamplerService::new(
+    let service = SamplerService::try_new(
         Gated {
             gate: Arc::clone(&gate),
         },
         ServiceConfig::default()
             .with_workers(2)
             .with_queue_capacity(1),
-    );
+    )
+    .unwrap();
     let mut abandoned = service.submit(SampleRequest::new(4, 1));
     // The workers are (or will shortly be) parked inside `sample` on the
     // closed gate; the stream has produced nothing yet.
@@ -239,27 +241,4 @@ fn aggregate_stats_is_the_accumulate_fold() {
     // Real solver work flowed through the pool and was accounted.
     assert!(response.aggregate_stats.bsat_calls >= 10);
     assert!(response.round_trip.as_nanos() > 0);
-}
-
-/// The compatibility wrapper and the service agree: `ParallelSampler` (now a
-/// thin wrapper over a single-request service) matches a directly-driven
-/// service and the static-chunk ablation scheduler.
-#[test]
-fn parallel_sampler_wrapper_matches_direct_service_use() {
-    use unigen::ParallelSampler;
-    let f = formula_with_count(8, 2);
-    let prepared = SamplerBuilder::unigen(&f).build().unwrap();
-    let pool = ParallelSampler::new(prepared.clone()).with_jobs(4);
-    let via_wrapper = pool.sample_batch(12, 0xdac2014);
-    let via_static = pool.sample_batch_static_chunks(12, 0xdac2014);
-    let service = SamplerService::new(prepared, ServiceConfig::default().with_workers(4));
-    let via_service = service.submit(SampleRequest::new(12, 0xdac2014)).wait();
-    assert_eq!(
-        witness_sequence(&via_wrapper),
-        witness_sequence(&via_service.outcomes)
-    );
-    assert_eq!(
-        witness_sequence(&via_static),
-        witness_sequence(&via_service.outcomes)
-    );
 }
