@@ -1,11 +1,11 @@
 //! Sampler configuration.
 //!
-//! Since the service-API redesign the preferred construction surface is
-//! [`crate::SamplerBuilder`], which wraps this config (and the other
-//! families') behind one typed entry point —
-//! `SamplerBuilder::unigen(&f).epsilon(6.0).build()?`. The config structs
-//! remain public as the value types a [`crate::SamplerSpec`] carries and
-//! for callers that prefer the original constructors.
+//! [`UniGenConfig`] is what [`crate::UniGen::new`] and
+//! [`crate::UniGen::with_sampling_set`] take —
+//! `UniGen::new(&f, UniGenConfig::default().with_epsilon(6.0))?`. The other
+//! families' configs ([`crate::UniWitConfig`], [`crate::XorSamplePrimeConfig`])
+//! live next to their samplers; each config holds only the options its
+//! family has, so a misapplied option does not compile.
 
 use unigen_counting::ApproxMcConfig;
 use unigen_satsolver::Budget;

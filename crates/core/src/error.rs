@@ -1,4 +1,16 @@
-//! Errors reported by the samplers.
+//! Errors reported by the samplers and the service, typed by phase.
+//!
+//! * **Prepare time.** A sampler's constructor (`UniGen::new`,
+//!   `UniWit::new`, `XorSamplePrime::new`, `UniformSampler::with_witnesses`)
+//!   returns a [`SamplerError`], and [`crate::SamplerService::try_new`]
+//!   returns a [`ServiceConfigError`]. Either means the sampler could never
+//!   have produced a witness: the formula, the config or the service
+//!   config must change.
+//! * **Request time.** [`TrySubmitError`] is transient: the same request
+//!   can simply be retried.
+//!
+//! An unsuccessful *sample* (the paper's `⊥`) is neither: it is an ordinary
+//! outcome, reported through [`crate::SampleOutcome::witness`] being `None`.
 
 use std::fmt;
 
@@ -84,74 +96,6 @@ impl SamplerError {
         SamplerError::EpsilonTooSmall {
             epsilon_milli: (epsilon * 1000.0).round().max(0.0) as u64,
         }
-    }
-}
-
-/// Errors reported by [`crate::SamplerBuilder::build`] — the *prepare-time*
-/// half of the error taxonomy.
-///
-/// Build errors are typed separately from request-time conditions (see
-/// [`TrySubmitError`]): a build error means the sampler could never have
-/// produced a witness and the caller's spec or formula must change, whereas a
-/// request-time error is transient and the same request can simply be
-/// retried. (An unsuccessful *sample* — the paper's `⊥` — is neither: it is
-/// an ordinary outcome, reported through
-/// [`crate::SampleOutcome::witness`] being `None`.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BuildError {
-    /// An option was set that the selected sampler family does not have (for
-    /// example `epsilon` on a UniWit spec, or `sampling_set` on UniWit,
-    /// which by definition hashes over the full support).
-    UnsupportedOption {
-        /// The builder method that was misapplied.
-        option: &'static str,
-        /// The sampler family the spec selects.
-        sampler: &'static str,
-    },
-    /// The preparation phase itself failed (the one-off work the sampler's
-    /// constructor performs: κ/pivot, the `BSAT` probe, approximate
-    /// counting).
-    Prepare(SamplerError),
-    /// [`crate::SamplerBuilder::into_service`] was asked to start a
-    /// service with an invalid configuration.
-    Service(ServiceConfigError),
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::UnsupportedOption { option, sampler } => {
-                write!(
-                    f,
-                    "option `{option}` is not supported by the {sampler} sampler"
-                )
-            }
-            BuildError::Prepare(err) => write!(f, "preparation failed: {err}"),
-            BuildError::Service(err) => write!(f, "service configuration rejected: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildError::Prepare(err) => Some(err),
-            BuildError::Service(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<SamplerError> for BuildError {
-    fn from(err: SamplerError) -> Self {
-        BuildError::Prepare(err)
-    }
-}
-
-impl From<ServiceConfigError> for BuildError {
-    fn from(err: ServiceConfigError) -> Self {
-        BuildError::Service(err)
     }
 }
 

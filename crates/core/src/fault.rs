@@ -2,12 +2,13 @@
 //!
 //! A [`FaultPlan`] is the user-facing description of a fault schedule: fail
 //! the Nth `BSAT` call, exhaust a budget with probability *p* per call,
-//! poison a Gauss–Jordan seal, panic worker *k* at item *i*. It is threaded
-//! through [`crate::SamplerBuilder::fault_plan`] into the samplers (where it
-//! doubles as the solver's [`FaultHook`]) and into
-//! [`crate::service::SamplerService`] (where the worker-panic primitive
-//! lives). The default — no plan at all — is a no-op that costs one pointer
-//! test on the solver's hot path; the bench gates in CI pin that.
+//! poison a Gauss–Jordan seal, panic worker *k* at item *i*. It is installed
+//! on a UniGen sampler with [`crate::UniGen::install_fault_plan`] (where it
+//! doubles as the solver's [`FaultHook`]) and handed to
+//! [`crate::service::SamplerService::try_with_fault_plan`] (where the
+//! worker-panic primitive lives). The default — no plan at all — is a
+//! no-op that costs one pointer test on the solver's hot path; the bench
+//! gates in CI pin that.
 //!
 //! Every decision the plan makes is a pure function of its seed and its
 //! call counters (SplitMix64 over `seed ^ counter`), never of wall-clock or
@@ -30,7 +31,8 @@ fn splitmix64(x: u64) -> u64 {
 /// A seeded, deterministic fault-injection schedule.
 ///
 /// Build one with [`FaultPlan::seeded`] plus the fault primitives, install
-/// it with [`crate::SamplerBuilder::fault_plan`], and read back what
+/// it with [`crate::UniGen::install_fault_plan`] (and
+/// [`crate::SamplerService::try_with_fault_plan`]), and read back what
 /// happened with [`FaultPlan::faults_injected`]. All counters are shared
 /// across clones of the sampler (the plan lives behind an `Arc`), so the
 /// schedule is global to the sampler or service it is installed on.

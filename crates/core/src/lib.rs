@@ -22,12 +22,17 @@
 //! * [`stats`] — count-of-count histograms and distance measures for the
 //!   uniformity comparison.
 //!
-//! For high-volume generation the crate exposes a **service API**: any
-//! family is constructed through one [`SamplerBuilder`] entry point, and a
-//! [`SamplerService`] answers typed [`SampleRequest`]s over a persistent
-//! work-stealing worker pool with a bit-identical-at-any-worker-count
-//! determinism contract — the paper's "embarrassingly parallel" observation
-//! made concrete and shaped for an RPC boundary. See
+//! Each family is prepared by its typed constructor ([`UniGen::new`] with a
+//! [`UniGenConfig`], [`UniWit::new`], [`XorSamplePrime::new`],
+//! [`UniformSampler::with_witnesses`]), so an option a family does not have
+//! is a compile error rather than a runtime one.
+//!
+//! For high-volume generation the crate exposes a **service API**: a
+//! [`SamplerService`] over any prepared sampler answers typed
+//! [`SampleRequest`]s over a persistent work-stealing worker pool with a
+//! bit-identical-at-any-worker-count determinism contract — the paper's
+//! "embarrassingly parallel" observation made concrete and shaped for an
+//! RPC boundary. See
 //! [`WitnessSampler::sample_batch`] for the serial reference semantics and
 //! the [`service`] module docs for the contract.
 //!
@@ -38,15 +43,14 @@
 //! docs for the certificate semantics.
 //!
 //! ```
-//! use unigen::{SamplerBuilder, SampleRequest, ServiceConfig};
+//! use unigen::{SampleRequest, SamplerService, ServiceConfig, UniGen, UniGenConfig};
 //! use unigen_cnf::{CnfFormula, Lit};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut f = CnfFormula::new(3);
 //! f.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2), Lit::from_dimacs(3)])?;
-//! let service = SamplerBuilder::unigen(&f)
-//!     .epsilon(6.0)
-//!     .into_service(ServiceConfig::default().with_workers(2))?;
+//! let sampler = UniGen::new(&f, UniGenConfig::default().with_epsilon(6.0))?;
+//! let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
 //! let response = service.submit(SampleRequest::new(8, 0xdac2014)).wait();
 //! assert_eq!(response.outcomes.len(), 8);
 //! # Ok(())
@@ -83,7 +87,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 mod certify;
 mod config;
 mod error;
@@ -98,10 +101,9 @@ mod xorsample;
 
 pub mod stats;
 
-pub use builder::{AnySampler, SamplerBuilder, SamplerSpec};
 pub use certify::cert_formula;
 pub use config::UniGenConfig;
-pub use error::{BuildError, SamplerError, ServiceConfigError, TrySubmitError};
+pub use error::{SamplerError, ServiceConfigError, TrySubmitError};
 pub use fault::FaultPlan;
 pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
 pub use sampler::{OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};

@@ -5,6 +5,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use unigen_cnf::{Model, Var};
+use unigen_satsolver::InterruptReason;
 
 /// Statistics describing the work a single sample cost.
 ///
@@ -177,6 +178,19 @@ impl std::fmt::Display for OutcomeKind {
             OutcomeKind::Interrupted => "interrupted",
             OutcomeKind::Faulted => "faulted",
         })
+    }
+}
+
+/// The failure kind of a sample whose solver call was interrupted: an
+/// injected or unrecovered fault is [`OutcomeKind::Faulted`], a fired
+/// budget [`OutcomeKind::Interrupted`].
+impl From<InterruptReason> for OutcomeKind {
+    fn from(reason: InterruptReason) -> Self {
+        if reason.is_fault() {
+            OutcomeKind::Faulted
+        } else {
+            OutcomeKind::Interrupted
+        }
     }
 }
 

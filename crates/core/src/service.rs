@@ -91,16 +91,15 @@
 //! # Example
 //!
 //! ```
-//! use unigen::{SamplerBuilder, SamplerService, SampleRequest, ServiceConfig};
+//! use unigen::{SampleRequest, SamplerService, ServiceConfig, UniGen, UniGenConfig};
 //! use unigen_cnf::{CnfFormula, Lit};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut f = CnfFormula::new(3);
 //! f.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2), Lit::from_dimacs(3)])?;
 //!
-//! let service = SamplerBuilder::unigen(&f)
-//!     .epsilon(6.0)
-//!     .into_service(ServiceConfig::default().with_workers(2))?;
+//! let sampler = UniGen::new(&f, UniGenConfig::default().with_epsilon(6.0))?;
+//! let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
 //!
 //! // Streaming: outcomes arrive as index-ordered prefixes complete.
 //! let handle = service.submit(SampleRequest::new(4, 0xdac2014));
@@ -428,8 +427,9 @@ impl SamplerService {
     /// installed: the plan's worker-panic primitive is consulted before
     /// every item, and its counters feed [`SamplerService::health`]. The
     /// plan does **not** reach into the samplers here — install it on the
-    /// prototype (e.g. [`crate::SamplerBuilder::fault_plan`]) before
-    /// constructing the service to fault the solver layer too.
+    /// prototype too ([`crate::UniGen::install_fault_plan`]) before
+    /// constructing the service to fault the solver layer with the same
+    /// schedule and counters.
     pub fn try_with_fault_plan<S>(
         prototype: S,
         config: ServiceConfig,
@@ -986,7 +986,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     use rand::RngCore;
-    use unigen_cnf::{CnfFormula, Var, XorClause};
+    use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
 
     use crate::config::UniGenConfig;
     use crate::unigen::UniGen;
@@ -1367,6 +1367,32 @@ mod tests {
         assert_eq!(plan.faults_injected(), 1);
         // The retried item carries its retry count in the per-sample stats.
         assert_eq!(response.aggregate_stats.retries, 1);
+    }
+
+    #[test]
+    fn one_fault_plan_reaches_the_sampler_and_the_service() {
+        // Wide enough (~2^10 · 0.75 witnesses) that UniGen prepares in
+        // hashed mode and actually issues BSAT calls the plan can fail.
+        let mut f = CnfFormula::new(10);
+        f.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2)])
+            .unwrap();
+        let plan = Arc::new(FaultPlan::seeded(7).fail_nth_bsat(1));
+        let mut prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
+        prepared.install_fault_plan(Arc::clone(&plan));
+        let service = SamplerService::try_with_fault_plan(
+            prepared,
+            ServiceConfig::default().with_workers(1),
+            Some(Arc::clone(&plan)),
+        )
+        .unwrap();
+        let response = service.submit(SampleRequest::new(4, 3)).wait();
+        assert_eq!(response.outcomes.len(), 4);
+        // The solver-level fault fired and was absorbed by the recovery
+        // ladder; the service health surfaces it because both layers share
+        // the one plan.
+        assert_eq!(plan.faults_injected(), 1);
+        assert_eq!(service.health().faults_injected, 1);
+        assert!(response.aggregate_stats.retries >= 1);
     }
 
     #[test]

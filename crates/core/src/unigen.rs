@@ -278,53 +278,6 @@ impl UniGen {
         }
     }
 
-    /// Draws up to `count` witnesses from a **single** accepted cell — the
-    /// throughput extension introduced by UniGen's successor (UniGen2),
-    /// listed as future work in this paper.
-    ///
-    /// One hash is drawn and one `BSAT` call enumerates the cell; if the cell
-    /// size falls inside `[loThresh, hiThresh]`, up to `count` witnesses are
-    /// drawn from it uniformly **without replacement** (at most the whole
-    /// cell). Each returned witness individually satisfies the Theorem 1
-    /// envelope, but witnesses of the same batch are *not* mutually
-    /// independent because they share a cell; callers that need independent
-    /// samples must use [`WitnessSampler::sample_batch`] (or
-    /// [`crate::SamplerService`]) instead — that API draws one fresh cell
-    /// per sample. The shared-cell batch amortises the hashing and
-    /// enumeration cost over its members, which is what makes high-volume
-    /// stimulus generation cheap in practice.
-    ///
-    /// For formulas small enough to be fully enumerated during preparation,
-    /// the batch is simply `count` independent uniform picks.
-    pub fn sample_cell_batch(&mut self, count: usize, rng: &mut dyn RngCore) -> Vec<SampleOutcome> {
-        if count == 0 {
-            return Vec::new();
-        }
-        match &self.mode {
-            PreparedMode::Enumerated { .. } => (0..count).map(|_| self.sample(rng)).collect(),
-            PreparedMode::Hashed { q, .. } => {
-                let q = *q;
-                let (witnesses, stats, failure) = self.collect_cell(q, rng);
-                match witnesses {
-                    Some(mut cell) if !cell.is_empty() => {
-                        // Uniform draw without replacement via a partial
-                        // Fisher-Yates shuffle.
-                        let take = count.min(cell.len());
-                        for i in 0..take {
-                            let j = rng.gen_range(i..cell.len());
-                            cell.swap(i, j);
-                        }
-                        cell.into_iter()
-                            .take(take)
-                            .map(|witness| SampleOutcome::of_witness(witness, stats))
-                            .collect()
-                    }
-                    _ => vec![failed_outcome(failure, stats)],
-                }
-            }
-        }
-    }
-
     /// The per-sample part of Algorithm 1 in the general (hashed) case:
     /// lines 12–22.
     fn sample_hashed(&mut self, q: usize, rng: &mut dyn RngCore) -> SampleOutcome {
@@ -484,11 +437,7 @@ impl UniGen {
                     stats.interrupted_cells += 1;
                     attempts += 1;
                     if attempts > self.config.bsat_retries {
-                        failure = if reason.is_fault() {
-                            OutcomeKind::Faulted
-                        } else {
-                            OutcomeKind::Interrupted
-                        };
+                        failure = reason.into();
                         break 'widths;
                     }
                     continue;
@@ -672,48 +621,6 @@ mod tests {
                 "witness {key} sampled {count} times, expected ≈{expected}"
             );
         }
-    }
-
-    #[test]
-    fn batch_sampling_returns_distinct_valid_witnesses() {
-        // Hashed mode: 2^10 witnesses.
-        let f = formula_with_count(10, 4);
-        let mut sampler = UniGen::new(&f, UniGenConfig::default()).unwrap();
-        assert!(matches!(
-            sampler.prepared_mode(),
-            PreparedMode::Hashed { .. }
-        ));
-        let mut rng = seeded_rng(21);
-        let batch = sampler.sample_cell_batch(8, &mut rng);
-        let successes: Vec<_> = batch.iter().filter_map(|o| o.witness.clone()).collect();
-        assert!(!successes.is_empty(), "batch produced no witnesses");
-        let sampling = f.sampling_set().unwrap().to_vec();
-        let mut projections: Vec<u64> = successes
-            .iter()
-            .map(|w| {
-                assert!(f.evaluate(w));
-                w.project(&sampling).as_index()
-            })
-            .collect();
-        projections.sort_unstable();
-        projections.dedup();
-        // Drawing without replacement from one cell: all distinct.
-        assert_eq!(projections.len(), successes.len());
-        // The whole batch shares one cell enumeration: identical stats.
-        let calls: Vec<usize> = batch.iter().map(|o| o.stats.bsat_calls).collect();
-        assert!(calls.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn batch_sampling_handles_edge_cases() {
-        let f = formula_with_count(3, 1);
-        let mut sampler = UniGen::new(&f, UniGenConfig::default()).unwrap();
-        let mut rng = seeded_rng(22);
-        assert!(sampler.sample_cell_batch(0, &mut rng).is_empty());
-        // Enumerated mode: batch reduces to independent uniform picks.
-        let batch = sampler.sample_cell_batch(20, &mut rng);
-        assert_eq!(batch.len(), 20);
-        assert!(batch.iter().all(|o| o.is_success()));
     }
 
     #[test]

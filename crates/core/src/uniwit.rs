@@ -193,11 +193,7 @@ impl WitnessSampler for UniWit {
                 // it is reported as *interrupted* (or faulted), not as the
                 // definite ⊥ it used to be conflated with.
                 stats.interrupted_cells += 1;
-                failure = if reason.is_fault() {
-                    OutcomeKind::Faulted
-                } else {
-                    OutcomeKind::Interrupted
-                };
+                failure = reason.into();
                 break;
             }
             let size = outcome.len();

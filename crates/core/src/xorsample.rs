@@ -20,7 +20,7 @@ use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{enumerate_cell, Budget, Solver};
 
 use crate::error::SamplerError;
-use crate::sampler::{failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
+use crate::sampler::{failed_outcome, SampleOutcome, SampleStats, WitnessSampler};
 
 /// Configuration of [`XorSamplePrime`].
 #[derive(Debug, Clone, PartialEq)]
@@ -134,12 +134,7 @@ impl WitnessSampler for XorSamplePrime {
         // chosen width was sensible.
         if let Some(reason) = outcome.interrupted {
             stats.interrupted_cells += 1;
-            let kind = if reason.is_fault() {
-                OutcomeKind::Faulted
-            } else {
-                OutcomeKind::Interrupted
-            };
-            return failed_outcome(kind, stats);
+            return failed_outcome(reason.into(), stats);
         }
         // Empty and oversized cells are definite ⊥ outcomes: without an
         // estimate of |R_F| there is no way to tell whether the chosen width

@@ -239,7 +239,7 @@ impl ApproxMc {
 
     /// One `ApproxMCCore` run: find a hash width whose random cell holds
     /// between 1 and `pivot` witnesses. Returns the cell size and the width.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // lint: private helper taking the count loop's state by reference; a struct would exist only to bundle it
     fn core<R: Rng + ?Sized>(
         &self,
         solver: &mut Solver,

@@ -49,7 +49,7 @@
 //! ```
 //!
 //! The `batch` subcommand drives the request/response [`SamplerService`]:
-//! it builds one UniGen sampler through [`SamplerBuilder`], spawns the
+//! it prepares one UniGen sampler with [`UniGen::new`], spawns the
 //! persistent work-stealing pool once, splits `--samples` over
 //! `--requests` typed [`SampleRequest`]s (request `r` uses master seed
 //! `seed + r`), streams each response's witnesses as its index-ordered
@@ -84,8 +84,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use unigen::{
-    OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerBuilder, SamplerService,
-    ServiceConfig, TrySubmitError, UniGen, WitnessSampler,
+    OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig,
+    TrySubmitError, UniGen, UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
@@ -261,21 +261,13 @@ fn run(options: &CliOptions) -> Result<(), String> {
     if let Some(timeout) = options.timeout {
         budget = budget.with_time_limit(timeout);
     }
-    // The unified builder entry point (one surface for every family; this
-    // front end always asks for UniGen).
-    let built = SamplerBuilder::unigen(&formula)
-        .epsilon(options.epsilon)
-        .seed(options.seed)
-        .bsat_budget(budget)
-        .certify(options.certify)
-        .build()
-        // BuildError's Display already carries the "preparation failed" /
-        // "option not supported" context.
-        .map_err(|e| e.to_string())?;
-    let mut sampler: UniGen = built
-        .as_unigen()
-        .cloned()
-        .expect("a UniGen spec builds a UniGen sampler");
+    let config = UniGenConfig::default()
+        .with_epsilon(options.epsilon)
+        .with_seed(options.seed)
+        .with_bsat_budget(budget)
+        .with_certify(options.certify);
+    let mut sampler =
+        UniGen::new(&formula, config).map_err(|e| format!("preparation failed: {e}"))?;
     match sampler.prepared_mode() {
         PreparedMode::Enumerated { witnesses } => {
             eprintln!(
@@ -816,15 +808,11 @@ fn run_selftest(
             batch.sampling_set, wire_set
         ));
     }
-    let built = SamplerBuilder::unigen(&formula)
-        .epsilon(options.epsilon)
-        .seed(prepare_seed)
-        .build()
-        .map_err(|e| format!("selftest: in-process build failed: {e}"))?;
-    let mut sampler: UniGen = built
-        .as_unigen()
-        .cloned()
-        .expect("a UniGen spec builds a UniGen sampler");
+    let config = UniGenConfig::default()
+        .with_epsilon(options.epsilon)
+        .with_seed(prepare_seed);
+    let mut sampler = UniGen::new(&formula, config)
+        .map_err(|e| format!("selftest: in-process preparation failed: {e}"))?;
     let reference = sampler.sample_batch(options.samples as usize, options.seed);
     if reference.len() != batch.outcomes.len() {
         return Err(format!(

@@ -29,7 +29,8 @@ use conc::atomic::{AtomicBool, AtomicU64, Ordering};
 use conc::sync::{Condvar, Mutex, MutexGuard};
 use conc::thread::JoinHandle;
 use unigen::{
-    BuildError, SampleRequest, SamplerBuilder, SamplerError, SamplerService, ServiceConfig,
+    SampleRequest, SamplerError, SamplerService, ServiceConfig, UniGen, UniGenConfig, UniWit,
+    UniWitConfig, UniformSampler, WitnessSampler, XorSamplePrime, XorSamplePrimeConfig,
 };
 use unigen_cnf::dimacs;
 use unigen_cnf::Var;
@@ -130,7 +131,7 @@ pub fn default_spec() -> WireSpec {
     WireSpec {
         family: Family::UniGen,
         epsilon_bits: None,
-        prepare_seed: unigen::UniGenConfig::default().seed,
+        prepare_seed: UniGenConfig::default().seed,
     }
 }
 
@@ -277,29 +278,62 @@ fn build_entry(
     fingerprint: u64,
     service_config: ServiceConfig,
 ) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
-    let mut builder = match spec.family {
-        Family::UniGen => SamplerBuilder::unigen(formula),
-        Family::UniWit => SamplerBuilder::uniwit(formula),
-        Family::XorSamplePrime => SamplerBuilder::xorsample(formula),
-        Family::Uniform => SamplerBuilder::uniform(formula),
-    };
-    builder = builder.seed(spec.prepare_seed);
-    if let Some(bits) = spec.epsilon_bits {
-        builder = builder.epsilon(f64::from_bits(bits));
-    }
-    let service = builder.into_service(service_config).map_err(|err| {
-        let code = match &err {
-            BuildError::Prepare(SamplerError::Unsatisfiable) => ErrorCode::Unsat,
-            BuildError::UnsupportedOption { .. } => ErrorCode::Unsupported,
-            _ => ErrorCode::PrepareFailed,
-        };
-        (code, err.to_string())
-    })?;
+    let sampling_set = formula.sampling_set_or_all();
+    let epsilon = spec.epsilon_bits.map(f64::from_bits);
+    let service = match spec.family {
+        Family::UniGen => {
+            let mut config = UniGenConfig::default().with_seed(spec.prepare_seed);
+            if let Some(epsilon) = epsilon {
+                config = config.with_epsilon(epsilon);
+            }
+            start_service(UniGen::new(formula, config), service_config)
+        }
+        family if epsilon.is_some() => Err((
+            ErrorCode::Unsupported,
+            format!("option `epsilon` is not supported by the {family:?} family"),
+        )),
+        Family::UniWit => start_service(
+            UniWit::new(formula, UniWitConfig::default()),
+            service_config,
+        ),
+        Family::XorSamplePrime => start_service(
+            XorSamplePrime::new(formula, XorSamplePrimeConfig::default()),
+            service_config,
+        ),
+        Family::Uniform => start_service(
+            UniformSampler::with_witnesses(formula, &sampling_set),
+            service_config,
+        ),
+    }?;
     Ok(Arc::new(PreparedEntry {
         service,
-        sampling_set: formula.sampling_set_or_all(),
+        sampling_set,
         fingerprint,
     }))
+}
+
+/// Starts a service over a freshly prepared sampler, mapping the prepare
+/// and service-config errors to their wire codes.
+fn start_service<S>(
+    prepared: Result<S, SamplerError>,
+    config: ServiceConfig,
+) -> Result<SamplerService, (ErrorCode, String)>
+where
+    S: WitnessSampler + Clone + Send + Sync + 'static,
+{
+    let sampler = prepared.map_err(|err| {
+        let code = match err {
+            SamplerError::Unsatisfiable => ErrorCode::Unsat,
+            _ => ErrorCode::PrepareFailed,
+        };
+        (code, format!("preparation failed: {err}"))
+    })?;
+    SamplerService::try_new(sampler, config).map_err(|err| {
+        (
+            ErrorCode::PrepareFailed,
+            format!("service configuration rejected: {err}"),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -155,8 +155,9 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Sampler family selector carried in a request (mirrors
-/// `unigen::SamplerSpec` without dragging config types over the wire).
+/// Sampler family selector carried in a request. The daemon prepares each
+/// family with its typed constructor and that family's default config,
+/// apart from the [`WireSpec`] knobs the family has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// UniGen (Algorithm 1 of the paper).
@@ -317,7 +318,7 @@ pub enum FormulaRef {
     Fingerprint(u64),
 }
 
-/// `SamplerSpec`-shaped configuration carried in a request.
+/// The family and preparation knobs carried in a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireSpec {
     /// Which sampler family to build.
@@ -326,7 +327,8 @@ pub struct WireSpec {
     /// default. Families without an ε knob reject `Some` with a typed
     /// [`ErrorCode::Unsupported`] error.
     pub epsilon_bits: Option<u64>,
-    /// Seed for the prepare phase (hash-family draw, pivot scan).
+    /// Seed for the prepare phase (hash-family draw, pivot scan). Only
+    /// UniGen has a randomised prepare; the other families ignore it.
     pub prepare_seed: u64,
 }
 

@@ -13,11 +13,14 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
-use unigen::{OutcomeKind, SamplerBuilder, UniGen, WitnessSampler};
+use unigen::{
+    OutcomeKind, UniGen, UniGenConfig, UniWit, UniWitConfig, UniformSampler, WitnessSampler,
+    XorSamplePrime, XorSamplePrimeConfig,
+};
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::default_spec;
-use unigen_net::wire::WireOutcomeKind;
+use unigen_net::wire::{Family, WireOutcomeKind, WireSpec};
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
 const DIMACS: &str = "p cnf 5 3\n1 2 0\n-3 4 0\n2 5 0\n";
@@ -37,26 +40,33 @@ fn unix_config(tag: &str) -> ServeConfig {
 
 /// The request spec every test uses (explicit ε so the in-process
 /// reference below is guaranteed to mirror it).
-fn test_spec() -> unigen_net::wire::WireSpec {
+fn test_spec() -> WireSpec {
     let mut spec = default_spec();
     spec.epsilon_bits = Some(EPSILON.to_bits());
     spec
 }
 
+type ProjectedBatch = Vec<(WireOutcomeKind, Option<Vec<bool>>)>;
+
 /// In-process reference batch with the same spec: the projected bits
 /// every wire stream must reproduce exactly.
-fn reference_batch(count: usize, master_seed: u64) -> Vec<(WireOutcomeKind, Option<Vec<bool>>)> {
+fn reference_batch(count: usize, master_seed: u64) -> ProjectedBatch {
     let formula = dimacs::parse(DIMACS).expect("test formula parses");
-    let sampling_set = formula.sampling_set_or_all();
-    let built = SamplerBuilder::unigen(&formula)
-        .epsilon(EPSILON)
-        .seed(test_spec().prepare_seed)
-        .build()
-        .expect("test formula prepares");
-    let mut sampler: UniGen = built
-        .as_unigen()
-        .cloned()
-        .expect("a UniGen spec builds a UniGen sampler");
+    let config = UniGenConfig::default()
+        .with_epsilon(EPSILON)
+        .with_seed(test_spec().prepare_seed);
+    let sampler = UniGen::new(&formula, config).expect("test formula prepares");
+    projected_batch(sampler, &formula.sampling_set_or_all(), count, master_seed)
+}
+
+/// `sample_batch` of a prepared sampler, projected onto `sampling_set` the
+/// way the wire carries it.
+fn projected_batch(
+    mut sampler: impl WitnessSampler,
+    sampling_set: &[unigen_cnf::Var],
+    count: usize,
+    master_seed: u64,
+) -> ProjectedBatch {
     sampler
         .sample_batch(count, master_seed)
         .into_iter()
@@ -77,13 +87,16 @@ fn reference_batch(count: usize, master_seed: u64) -> Vec<(WireOutcomeKind, Opti
 }
 
 fn assert_batch_matches_reference(batch: &unigen_net::WireBatch, count: usize, master_seed: u64) {
-    let reference = reference_batch(count, master_seed);
+    assert_batch_matches(batch, &reference_batch(count, master_seed));
+}
+
+fn assert_batch_matches(batch: &unigen_net::WireBatch, reference: &ProjectedBatch) {
     assert_eq!(
         batch.outcomes.len(),
         reference.len(),
         "wire batch length diverged from in-process sample_batch"
     );
-    for (i, (wire, (kind, bits))) in batch.outcomes.iter().zip(&reference).enumerate() {
+    for (i, (wire, (kind, bits))) in batch.outcomes.iter().zip(reference).enumerate() {
         assert_eq!(wire.index, i as u64, "stream must be index-ordered");
         assert_eq!(&wire.kind, kind, "outcome {i} kind diverged");
         assert_eq!(&wire.witness, bits, "outcome {i} witness bits diverged");
@@ -107,6 +120,91 @@ fn unix_round_trip_is_bit_identical_and_fingerprint_reusable() {
         .expect("fingerprint re-request streams");
     assert_eq!(again.fingerprint, batch.fingerprint);
     assert_batch_matches_reference(&again, 8, 7);
+
+    handle.shutdown();
+}
+
+/// Every wire [`Family`] reaches its typed constructor: one inline request
+/// per family streams in full, bit-identical to `sample_batch` of the same
+/// sampler prepared in process. The formula has ~2^11 witnesses so that
+/// XORSample′'s default 8 constraints leave non-empty cells.
+#[test]
+fn every_wire_family_streams_bit_identical_batches() {
+    const FAMILY_DIMACS: &str = "p cnf 12 3\n1 2 0\n-3 4 0\n5 6 7 0\n";
+    const COUNT: usize = 12;
+    const MASTER_SEED: u64 = 2014;
+    let formula = dimacs::parse(FAMILY_DIMACS).expect("test formula parses");
+    let sampling_set = formula.sampling_set_or_all();
+    let prepare_seed = default_spec().prepare_seed;
+    let cases: [(Family, ProjectedBatch); 4] = [
+        (Family::UniGen, {
+            let config = UniGenConfig::default().with_seed(prepare_seed);
+            let sampler = UniGen::new(&formula, config).expect("UniGen prepares");
+            projected_batch(sampler, &sampling_set, COUNT, MASTER_SEED)
+        }),
+        (Family::UniWit, {
+            let sampler = UniWit::new(&formula, UniWitConfig::default()).expect("UniWit prepares");
+            projected_batch(sampler, &sampling_set, COUNT, MASTER_SEED)
+        }),
+        (Family::XorSamplePrime, {
+            let sampler = XorSamplePrime::new(&formula, XorSamplePrimeConfig::default())
+                .expect("XORSample' prepares");
+            projected_batch(sampler, &sampling_set, COUNT, MASTER_SEED)
+        }),
+        (Family::Uniform, {
+            let sampler =
+                UniformSampler::with_witnesses(&formula, &sampling_set).expect("US prepares");
+            projected_batch(sampler, &sampling_set, COUNT, MASTER_SEED)
+        }),
+    ];
+
+    let handle = serve(unix_config("families")).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+    let mut client = Client::connect_unix(&path).expect("client connects");
+    for (family, reference) in &cases {
+        let spec = WireSpec {
+            family: *family,
+            epsilon_bits: None,
+            prepare_seed,
+        };
+        let request =
+            ClientRequest::inline(FAMILY_DIMACS, COUNT as u64, MASTER_SEED).with_spec(spec);
+        let batch = client
+            .sample(&request)
+            .unwrap_or_else(|err| panic!("{family:?} request failed: {err}"));
+        assert_eq!(batch.outcomes.len(), COUNT, "{family:?} stream is short");
+        assert!(
+            reference.iter().any(|(_, bits)| bits.is_some()),
+            "{family:?} reference produced no witness"
+        );
+        assert_batch_matches(&batch, reference);
+    }
+
+    handle.shutdown();
+}
+
+/// ε is a UniGen knob: on any other family it is a typed `Unsupported`
+/// rejection, and the daemon keeps serving.
+#[test]
+fn epsilon_on_another_family_is_a_typed_unsupported_error() {
+    let handle = serve(unix_config("epsilon")).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let mut client = Client::connect_unix(&path).expect("client connects");
+    for family in [Family::UniWit, Family::XorSamplePrime, Family::Uniform] {
+        let spec = WireSpec {
+            family,
+            ..test_spec()
+        };
+        match client.sample(&ClientRequest::inline(DIMACS, 4, 1).with_spec(spec)) {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
+            other => panic!("expected a typed Unsupported rejection for {family:?}, got {other:?}"),
+        }
+    }
+    let batch = client
+        .sample(&ClientRequest::inline(DIMACS, 4, 9).with_spec(test_spec()))
+        .expect("daemon still serves");
+    assert_batch_matches_reference(&batch, 4, 9);
 
     handle.shutdown();
 }

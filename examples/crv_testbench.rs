@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use unigen::{SampleRequest, SamplerBuilder, ServiceConfig};
+use unigen::{SampleRequest, SamplerService, ServiceConfig, UniGen, UniGenConfig};
 use unigen_circuit::{tseitin, CircuitBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,14 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------------------------------------------------------------
     // 3. Constrained-random stimulus generation: UniGen through the
-    //    service API. The builder prepares the sampler once; the service
+    //    service API. `UniGen::new` prepares the sampler once; the service
     //    answers one typed request for the whole regression run, and the
     //    response carries the aggregate cost statistics pre-folded (no
     //    hand-rolled accumulation loop in the testbench).
     // ---------------------------------------------------------------
-    let service = SamplerBuilder::unigen(&formula)
-        .seed(7)
-        .into_service(ServiceConfig::default().with_workers(2))?;
+    let sampler = UniGen::new(&formula, UniGenConfig::default().with_seed(7))?;
+    let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
     let num_tests = 200;
     let response = service.submit(SampleRequest::new(num_tests, 7)).wait();
     let generated = response.successes();

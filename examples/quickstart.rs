@@ -9,14 +9,14 @@
 //!
 //! The example builds a small constraint the way a constrained-random
 //! verification front end would — a circuit whose inputs are the stimulus
-//! bits — then constructs UniGen through the unified [`SamplerBuilder`]
-//! entry point, submits one typed [`SampleRequest`] to a [`SamplerService`],
+//! bits — then prepares UniGen with its typed constructor [`UniGen::new`],
+//! submits one typed [`SampleRequest`] to a [`SamplerService`],
 //! streams the witnesses as their index-ordered prefix completes, and
 //! finishes with the response's aggregate statistics (no hand-rolled
 //! accumulation loop: [`unigen::SampleResponse::aggregate_stats`] already
 //! folds every outcome with `SampleStats::accumulate`).
 
-use unigen::{PreparedMode, SampleRequest, SamplerBuilder, ServiceConfig};
+use unigen::{PreparedMode, SampleRequest, SamplerService, ServiceConfig, UniGen, UniGenConfig};
 use unigen_circuit::{tseitin, CircuitBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,13 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         formula.sampling_set_or_all().len()
     );
 
-    // Prepare UniGen once through the unified builder (tolerance ε = 6, the
-    // paper's setting) …
-    let sampler = SamplerBuilder::unigen(&formula)
-        .epsilon(6.0)
-        .seed(42)
-        .build()?;
-    match sampler.as_unigen().expect("a UniGen spec").prepared_mode() {
+    // Prepare UniGen once (tolerance ε = 6, the paper's setting) …
+    let config = UniGenConfig::default().with_epsilon(6.0).with_seed(42);
+    let sampler = UniGen::new(&formula, config)?;
+    match sampler.prepared_mode() {
         PreparedMode::Enumerated { witnesses } => {
             println!(
                 "preparation: formula is small, {} witnesses enumerated",
@@ -66,8 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // … spawn the persistent service (workers clone the prepared sampler
     // once, here) and stream one request's witnesses as they complete.
-    let service =
-        unigen::SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
+    let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(2))?;
     let sampling_set = formula.sampling_set_or_all();
     let mut handle = service.submit(SampleRequest::new(5, 42));
     for (i, outcome) in handle.by_ref().enumerate() {

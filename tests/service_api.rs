@@ -1,5 +1,5 @@
-//! End-to-end coverage of the service-oriented sampling API: the unified
-//! [`SamplerBuilder`], typed request/response messages, streaming handles,
+//! End-to-end coverage of the service-oriented sampling API: typed
+//! request/response messages, streaming handles,
 //! bounded queueing with backpressure, and — for **every** sampler family —
 //! the bit-identical-to-`sample_batch` determinism contract at 1, 2 and 8
 //! workers.
@@ -9,8 +9,9 @@ use proptest::prelude::*;
 use rand::RngCore;
 
 use unigen::{
-    AnySampler, BuildError, SampleOutcome, SampleRequest, SampleStats, SamplerBuilder,
-    SamplerService, ServiceConfig, TrySubmitError, WitnessSampler,
+    SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, TrySubmitError,
+    UniGen, UniGenConfig, UniWit, UniWitConfig, UniformSampler, WitnessSampler, XorSamplePrime,
+    XorSamplePrimeConfig,
 };
 use unigen_cnf::{CnfFormula, Var, XorClause};
 
@@ -36,17 +37,30 @@ fn witness_sequence(outcomes: &[SampleOutcome]) -> Vec<Option<Vec<bool>>> {
         .collect()
 }
 
-/// Builds one prepared sampler of each family over the same formula.
-fn all_families(f: &CnfFormula) -> Vec<AnySampler> {
-    vec![
-        SamplerBuilder::unigen(f).build().unwrap(),
-        SamplerBuilder::uniwit(f).build().unwrap(),
-        SamplerBuilder::xorsample(f)
-            .num_constraints(2)
-            .build()
-            .unwrap(),
-        SamplerBuilder::uniform(f).build().unwrap(),
-    ]
+/// Checks that `prepared` served at 1, 2 and 8 workers is bit-identical to
+/// its serial `sample_batch`.
+fn assert_service_matches_serial<S>(prepared: S, count: usize, master_seed: u64)
+where
+    S: WitnessSampler + Clone + Send + Sync + 'static,
+{
+    let serial = prepared.clone().sample_batch(count, master_seed);
+    for workers in [1usize, 2, 8] {
+        let service = SamplerService::try_new(
+            prepared.clone(),
+            ServiceConfig::default().with_workers(workers),
+        )
+        .unwrap();
+        let response = service
+            .submit(SampleRequest::new(count, master_seed))
+            .wait();
+        assert_eq!(
+            witness_sequence(&response.outcomes),
+            witness_sequence(&serial),
+            "{} diverged from its serial reference at {} workers",
+            prepared.name(),
+            workers
+        );
+    }
 }
 
 proptest! {
@@ -61,51 +75,31 @@ proptest! {
         master_seed in 0u64..1_000_000,
     ) {
         let f = formula_with_count(6, 2);
-        for prepared in all_families(&f) {
-            let name = prepared.name();
-            let serial = prepared.clone().sample_batch(count, master_seed);
-            for workers in [1usize, 2, 8] {
-                let service = SamplerService::try_new(
-                    prepared.clone(),
-                    ServiceConfig::default().with_workers(workers),
-                ).unwrap();
-                let response = service.submit(SampleRequest::new(count, master_seed)).wait();
-                prop_assert_eq!(
-                    witness_sequence(&response.outcomes),
-                    witness_sequence(&serial),
-                    "{} diverged from its serial reference at {} workers",
-                    name,
-                    workers
-                );
-            }
-        }
+        assert_service_matches_serial(
+            UniGen::new(&f, UniGenConfig::default()).unwrap(),
+            count,
+            master_seed,
+        );
+        assert_service_matches_serial(
+            UniWit::new(&f, UniWitConfig::default()).unwrap(),
+            count,
+            master_seed,
+        );
+        let config = XorSamplePrimeConfig {
+            num_constraints: 2,
+            ..Default::default()
+        };
+        assert_service_matches_serial(
+            XorSamplePrime::new(&f, config).unwrap(),
+            count,
+            master_seed,
+        );
+        assert_service_matches_serial(
+            UniformSampler::with_witnesses(&f, &f.sampling_set_or_all()).unwrap(),
+            count,
+            master_seed,
+        );
     }
-}
-
-/// The builder rejects misapplied options with a typed prepare-time error
-/// instead of silently ignoring them.
-#[test]
-fn builder_rejects_misapplied_options_at_build_time() {
-    let f = formula_with_count(4, 0);
-    let err = SamplerBuilder::uniwit(&f).epsilon(6.0).build().unwrap_err();
-    assert!(matches!(
-        err,
-        BuildError::UnsupportedOption {
-            option: "epsilon",
-            sampler: "UniWit"
-        }
-    ));
-    let err = SamplerBuilder::uniform(&f)
-        .num_constraints(3)
-        .build()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        BuildError::UnsupportedOption {
-            option: "num_constraints",
-            sampler: "US"
-        }
-    ));
 }
 
 /// Bounded queueing: `try_submit` rejects with the request handed back once
@@ -229,9 +223,11 @@ fn handle_dropped_mid_stream_leaves_service_usable() {
 #[test]
 fn aggregate_stats_is_the_accumulate_fold() {
     let f = formula_with_count(7, 2);
-    let service = SamplerBuilder::unigen(&f)
-        .into_service(ServiceConfig::default().with_workers(3))
-        .unwrap();
+    let service = SamplerService::try_new(
+        UniGen::new(&f, UniGenConfig::default()).unwrap(),
+        ServiceConfig::default().with_workers(3),
+    )
+    .unwrap();
     let response = service.submit(SampleRequest::new(10, 5)).wait();
     let mut folded = SampleStats::default();
     for outcome in &response.outcomes {

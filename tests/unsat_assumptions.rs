@@ -8,8 +8,8 @@
 use std::collections::BTreeSet;
 
 use unigen::{
-    BuildError, SampleRequest, SamplerBuilder, SamplerError, SamplerService, ServiceConfig, UniGen,
-    UniGenConfig, UniWit, UniWitConfig, WitnessSampler, XorSamplePrime, XorSamplePrimeConfig,
+    SampleRequest, SamplerError, SamplerService, ServiceConfig, UniGen, UniGenConfig, UniWit,
+    UniWitConfig, WitnessSampler, XorSamplePrime, XorSamplePrimeConfig,
 };
 use unigen_cnf::{CnfFormula, Var};
 use unigen_instgen::{InstanceGenerator, SgenConfig};
@@ -96,17 +96,13 @@ fn repeated_unsat_cells_keep_the_solver_reusable() {
 }
 
 /// UniGen preparation on an unsat formula fails with the typed
-/// `Unsatisfiable` error — through the direct constructor and the builder.
+/// `Unsatisfiable` error.
 #[test]
 fn unigen_preparation_reports_unsatisfiable() {
     let formula = sgen(2, true, 3);
     assert!(matches!(
         UniGen::new(&formula, UniGenConfig::default()),
         Err(SamplerError::Unsatisfiable)
-    ));
-    assert!(matches!(
-        SamplerBuilder::unigen(&formula).build(),
-        Err(BuildError::Prepare(SamplerError::Unsatisfiable))
     ));
 }
 
