@@ -5,7 +5,7 @@
 //! poison a Gauss–Jordan seal, panic worker *k* at item *i*. It is installed
 //! on a UniGen sampler with [`crate::UniGen::install_fault_plan`] (where it
 //! doubles as the solver's [`FaultHook`]) and handed to
-//! [`crate::service::SamplerService::try_with_fault_plan`] (where the
+//! [`crate::service::WorkerPool::try_with_fault_plan`] (where the
 //! worker-panic primitive lives). The default — no plan at all — is a
 //! no-op that costs one pointer test on the solver's hot path; the bench
 //! gates in CI pin that.
@@ -32,7 +32,7 @@ fn splitmix64(x: u64) -> u64 {
 ///
 /// Build one with [`FaultPlan::seeded`] plus the fault primitives, install
 /// it with [`crate::UniGen::install_fault_plan`] (and
-/// [`crate::SamplerService::try_with_fault_plan`]), and read back what
+/// [`crate::WorkerPool::try_with_fault_plan`]), and read back what
 /// happened with [`FaultPlan::faults_injected`]. All counters are shared
 /// across clones of the sampler (the plan lives behind an `Arc`), so the
 /// schedule is global to the sampler or service it is installed on.

@@ -109,6 +109,7 @@ pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
 pub use sampler::{OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
 pub use service::{
     ResponseHandle, SampleRequest, SampleResponse, SamplerService, ServiceConfig, ServiceHealth,
+    WorkerPool,
 };
 pub use unigen::{PreparedMode, UniGen};
 pub use uniwit::{UniWit, UniWitConfig};

@@ -1,18 +1,21 @@
-//! The sampling service: typed requests and responses over a **persistent**
-//! work-stealing worker pool.
+//! The sampling service: typed requests and responses over a **persistent**,
+//! multi-tenant work-stealing worker pool.
 //!
 //! The paper observes that witness generation is "embarrassingly parallel".
 //! [`SamplerService`] is the workspace's one parallel batch engine, checked
 //! against the serial reference [`crate::WitnessSampler::sample_batch`] and
 //! shaped so the sampler can sit behind an RPC boundary:
 //!
-//! * **Persistent pool.** A [`SamplerService`] spawns its workers once, at
-//!   construction, and each worker clones the prepared sampler exactly once
-//!   — the clone is cheap because the heavyweight immutable state (sampling
-//!   set, hash family, enumerated witness lists) is [`Arc`]-shared inside
-//!   the samplers, while the per-worker incremental solver is private.
-//!   Requests then flow through the same pool for the service's whole
-//!   lifetime; nothing is re-cloned or re-spawned per batch.
+//! * **Persistent pool.** A [`WorkerPool`] spawns its workers once and
+//!   serves any number of prepared samplers: [`WorkerPool::serve`] wraps a
+//!   prototype in a cheap [`SamplerService`] handle, and every request
+//!   carries its handle's prototype to the workers. Each worker keeps a
+//!   private clone of the last prototype it ran and clones again only when
+//!   an item of a different prototype arrives — the clone is cheap because
+//!   the heavyweight immutable state (sampling set, hash family, enumerated
+//!   witness lists) is [`Arc`]-shared inside the samplers, while the
+//!   per-worker incremental solver is private. [`SamplerService::try_new`]
+//!   spawns a pool of its own and serves one prototype on it.
 //! * **Work stealing.** Each request's sample indices are dealt into
 //!   per-worker deques in contiguous chunks, but an idle worker *steals*
 //!   from the back of the busiest other deque instead of going to sleep.
@@ -75,18 +78,20 @@
 //!
 //! # Robustness
 //!
-//! A worker whose sampler panics does not take the pool down: the panic is
-//! caught, the worker **respawns** its sampler from the retained prototype
-//! (bounded by [`ServiceConfig::max_respawns`] per worker) and retries the
-//! same item on the same per-index RNG stream — so an absorbed panic leaves
-//! the response bit-identical to an undisturbed run. A worker that exhausts
-//! its respawn budget completes its item as [`OutcomeKind::Faulted`] and
-//! leaves the pool cleanly; if the *last* worker leaves, queued and future
-//! items complete as `Faulted` immediately, so no handle, submitter, or
-//! [`SamplerService::shutdown`] call ever hangs on a dead pool. The
-//! [`ServiceHealth`] snapshot ([`SamplerService::health`]) reports alive
-//! workers, respawns, panics, retries, and queue depth; chaos schedules are
-//! injected with [`crate::FaultPlan::panic_worker_at`].
+//! A sampler panic does not take the pool down: the panic is caught, the
+//! worker discards its clone and retries the same item on a fresh clone of
+//! the item's prototype and on the same per-index RNG stream — so an
+//! absorbed panic leaves the response bit-identical to an undisturbed run.
+//! Each item is retried at most [`ServiceConfig::max_respawns`] times; then
+//! it completes as [`OutcomeKind::Faulted`] and the worker goes on to the
+//! next item. A prototype that always panics therefore faults its own
+//! requests and no one else's, and the pool never loses a worker. A
+//! request's outcome board is allocated before the scheduler lock is taken,
+//! so a `count` too large to allocate panics in its caller and leaves the
+//! shared scheduler usable. The [`ServiceHealth`] snapshot
+//! ([`WorkerPool::health`]) reports respawns, panics, retries, and queue
+//! depth; chaos schedules are injected with
+//! [`crate::FaultPlan::panic_worker_at`].
 //!
 //! # Example
 //!
@@ -129,21 +134,22 @@ use crate::sampler::{
     failed_outcome, stream_for_index, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
 };
 
-/// Shape of a [`SamplerService`]'s worker pool and request queue.
+/// Shape of a [`WorkerPool`]'s worker threads and request queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of worker threads. Must be at least 1:
-    /// [`SamplerService::try_new`] rejects zero with
+    /// [`WorkerPool::try_new`] rejects zero with
     /// [`ServiceConfigError::ZeroWorkers`]. Defaults to the machine's
     /// available parallelism.
     pub workers: usize,
-    /// Maximum number of admitted-but-not-yet-completed requests (clamped to
-    /// at least 1). [`SamplerService::submit`] blocks while the queue is at
-    /// capacity; [`SamplerService::try_submit`] returns the request back.
+    /// Maximum number of admitted-but-not-yet-completed requests across
+    /// every prototype the pool serves (clamped to at least 1).
+    /// [`SamplerService::submit`] blocks while the queue is at capacity;
+    /// [`SamplerService::try_submit`] returns the request back.
     pub queue_capacity: usize,
-    /// How many times each worker may replace a panicked sampler with a
-    /// fresh clone of the prototype before giving up and leaving the pool
-    /// (see the module docs' *Robustness* section).
+    /// How many times one work item may be retried on a fresh clone of its
+    /// prototype after a sampler panic before it completes as
+    /// [`OutcomeKind::Faulted`] (see the module docs' *Robustness* section).
     pub max_respawns: usize,
 }
 
@@ -172,14 +178,14 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns a copy with an explicit per-worker respawn budget.
+    /// Returns a copy with an explicit per-item respawn budget.
     pub fn with_max_respawns(mut self, max_respawns: usize) -> Self {
         self.max_respawns = max_respawns;
         self
     }
 
     /// Checks the configuration, returning the typed error
-    /// [`SamplerService::try_new`] propagates.
+    /// [`WorkerPool::try_new`] propagates.
     pub fn validate(&self) -> Result<(), ServiceConfigError> {
         if self.workers == 0 {
             return Err(ServiceConfigError::ZeroWorkers);
@@ -273,6 +279,18 @@ impl SampleResponse {
     }
 }
 
+/// A prepared sampler as the pool sees it: something a worker can fork its
+/// private clone from, whatever the sampler family.
+trait Prototype: Send + Sync {
+    fn fork(&self) -> Box<dyn WitnessSampler>;
+}
+
+impl<S: WitnessSampler + Clone + Send + Sync + 'static> Prototype for S {
+    fn fork(&self) -> Box<dyn WitnessSampler> {
+        Box::new(self.clone())
+    }
+}
+
 /// Per-request completion board: the index-ordered outcome slots plus the
 /// bookkeeping the streaming iterator blocks on.
 struct Board {
@@ -284,6 +302,8 @@ struct Board {
 /// Shared state of one in-flight request.
 struct RequestState {
     request: SampleRequest,
+    /// The prepared sampler every item of this request runs on.
+    prototype: Arc<dyn Prototype>,
     submitted_at: Instant,
     deadline: Option<Instant>,
     board: Mutex<Board>,
@@ -302,14 +322,9 @@ struct Sched {
     deques: Vec<VecDeque<Item>>,
     in_flight: usize,
     shutdown: bool,
-    /// Workers still running their loop. A worker that exhausts its respawn
-    /// budget leaves the pool cleanly; when the *last* one leaves, the
-    /// queued items are completed as `Faulted` so no handle or submitter
-    /// ever blocks on a dead pool.
-    alive: usize,
 }
 
-/// State shared between the service handle and its workers.
+/// State shared between the pool's handles and its workers.
 struct Shared {
     sched: Mutex<Sched>,
     /// Workers wait here for items; submitters notify.
@@ -317,16 +332,16 @@ struct Shared {
     /// Submitters wait here for queue capacity; completing workers notify.
     admission: Condvar,
     queue_capacity: usize,
-    /// Per-worker respawn budget (see [`ServiceConfig::max_respawns`]).
+    /// Per-item respawn budget (see [`ServiceConfig::max_respawns`]).
     max_respawns: usize,
     /// The installed chaos schedule, if any: consulted per item for the
     /// worker-panic primitive and surfaced through [`ServiceHealth`].
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Lifetime count of stolen items, service-wide.
+    /// Lifetime count of stolen items, pool-wide.
     steals: AtomicU64,
-    /// Lifetime count of caught worker panics, service-wide.
+    /// Lifetime count of caught sampler panics, pool-wide.
     worker_panics: AtomicU64,
-    /// Lifetime count of sampler respawns from the prototype, service-wide.
+    /// Lifetime count of sampler respawns from a prototype, pool-wide.
     respawns: AtomicU64,
     /// Lifetime count of item retries (each respawn retries its item once).
     item_retries: AtomicU64,
@@ -338,28 +353,25 @@ struct Shared {
     /// publishing the finished board instead of inside the board critical
     /// section — deliberately re-introducing the `try_submit` race fixed in
     /// the backpressure rework, so the model checker can demonstrate it
-    /// finds the bug. See [`SamplerService::debug_reintroduce_slot_release_race`].
+    /// finds the bug. See [`WorkerPool::debug_reintroduce_slot_release_race`].
     racy_slot_release: AtomicBool,
 }
 
-/// A point-in-time health snapshot of a [`SamplerService`], taken with
-/// [`SamplerService::health`].
+/// A point-in-time health snapshot of a [`WorkerPool`], taken with
+/// [`WorkerPool::health`].
 ///
-/// The lifetime counters are monotone; the pool and queue fields describe
-/// the instant of the snapshot. A healthy undisturbed service reports
-/// `alive_workers == configured_workers` and zeros everywhere else once the
-/// queue drains.
+/// The lifetime counters are monotone; the queue fields describe the
+/// instant of the snapshot. A healthy undisturbed pool reports zeros
+/// everywhere but `configured_workers` once the queue drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServiceHealth {
-    /// Worker threads the service was configured with.
+    /// Worker threads the pool was configured with (and runs: a worker
+    /// never leaves the pool).
     pub configured_workers: usize,
-    /// Workers currently alive (configured minus those that exhausted their
-    /// respawn budget and left the pool).
-    pub alive_workers: usize,
-    /// Lifetime count of caught worker panics.
+    /// Lifetime count of caught sampler panics.
     pub worker_panics: u64,
-    /// Lifetime count of sampler respawns from the retained prototype.
+    /// Lifetime count of sampler respawns from a prototype.
     pub respawns: u64,
     /// Lifetime count of item-level retries (one per respawn).
     pub item_retries: u64,
@@ -372,72 +384,56 @@ pub struct ServiceHealth {
     pub queued_items: usize,
 }
 
-impl ServiceHealth {
-    /// `true` when every configured worker is still alive.
-    pub fn at_full_strength(&self) -> bool {
-        self.alive_workers == self.configured_workers
-    }
-}
-
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().expect("a sampler service worker panicked")
 }
 
-/// A long-lived sampling service: a persistent pool of worker threads, each
-/// owning one clone of a prepared sampler, scheduling per-sample work items
-/// through work-stealing deques and answering typed [`SampleRequest`]s with
-/// index-ordered, bit-deterministic [`SampleResponse`]s.
+/// A persistent pool of worker threads that samples for any number of
+/// prepared prototypes, each reached through a [`SamplerService`] handle
+/// from [`WorkerPool::serve`].
 ///
 /// See the [module documentation](self) for the design and the determinism
-/// contract. Dropping the service completes every admitted request, then
-/// stops and joins the workers; outstanding [`ResponseHandle`]s remain
-/// usable after the drop.
-pub struct SamplerService {
+/// contract. Clones share the pool. Dropping the last clone (including the
+/// ones inside its services) completes every admitted request, then stops
+/// and joins the workers; outstanding [`ResponseHandle`]s remain usable
+/// after the drop.
+#[derive(Clone)]
+pub struct WorkerPool {
+    threads: Arc<Threads>,
+}
+
+/// The pool's join handles; dropping it shuts the pool down. Workers hold
+/// only [`Shared`], so they never keep their own pool alive.
+struct Threads {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for SamplerService {
+impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SamplerService")
-            .field("workers", &self.workers.len())
-            .field("queue_capacity", &self.shared.queue_capacity)
-            .field("steals", &self.steals())
-            .finish()
+        f.debug_struct("WorkerPool")
+            .field("workers", &self.workers())
+            .finish_non_exhaustive()
     }
 }
 
-impl SamplerService {
-    /// Spawns a service over `prototype`, rejecting an invalid
-    /// [`ServiceConfig`] with a typed [`ServiceConfigError`].
-    ///
-    /// Each of the `config.workers` threads clones the prepared prototype
-    /// exactly once at spawn — the one-off cost the persistent pool design
-    /// amortises over every subsequent request. The prototype itself is
-    /// retained (behind an [`Arc`]) so a worker whose sampler panics can
-    /// respawn a fresh clone (see the module docs' *Robustness* section).
-    pub fn try_new<S>(prototype: S, config: ServiceConfig) -> Result<Self, ServiceConfigError>
-    where
-        S: WitnessSampler + Clone + Send + Sync + 'static,
-    {
-        Self::try_with_fault_plan(prototype, config, None)
+impl WorkerPool {
+    /// Spawns a pool, rejecting an invalid [`ServiceConfig`] with a typed
+    /// [`ServiceConfigError`].
+    pub fn try_new(config: ServiceConfig) -> Result<Self, ServiceConfigError> {
+        Self::try_with_fault_plan(config, None)
     }
 
-    /// [`SamplerService::try_new`] with a chaos-testing [`FaultPlan`]
+    /// [`WorkerPool::try_new`] with a chaos-testing [`FaultPlan`]
     /// installed: the plan's worker-panic primitive is consulted before
-    /// every item, and its counters feed [`SamplerService::health`]. The
-    /// plan does **not** reach into the samplers here — install it on the
-    /// prototype too ([`crate::UniGen::install_fault_plan`]) before
-    /// constructing the service to fault the solver layer with the same
-    /// schedule and counters.
-    pub fn try_with_fault_plan<S>(
-        prototype: S,
+    /// every item, and its counters feed [`WorkerPool::health`]. The plan
+    /// does **not** reach into the samplers here — install it on the
+    /// prototype too ([`crate::UniGen::install_fault_plan`]) to fault the
+    /// solver layer with the same schedule and counters.
+    pub fn try_with_fault_plan(
         config: ServiceConfig,
         fault_plan: Option<Arc<FaultPlan>>,
-    ) -> Result<Self, ServiceConfigError>
-    where
-        S: WitnessSampler + Clone + Send + Sync + 'static,
-    {
+    ) -> Result<Self, ServiceConfigError> {
         config.validate()?;
         let workers = config.workers;
         let shared = Arc::new(Shared {
@@ -445,7 +441,6 @@ impl SamplerService {
                 deques: (0..workers).map(|_| VecDeque::new()).collect(),
                 in_flight: 0,
                 shutdown: false,
-                alive: workers,
             }),
             work_available: Condvar::new(),
             admission: Condvar::new(),
@@ -460,113 +455,49 @@ impl SamplerService {
             worker_steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             racy_slot_release: AtomicBool::new(false),
         });
-        // One retained prototype for the whole pool: each worker clones its
-        // private sampler (own incremental solver) from it at spawn, and
-        // again after a caught panic (bounded by `max_respawns`).
-        let prototype = Arc::new(prototype);
         let handles = (0..workers)
             .map(|me| {
-                let prototype = Arc::clone(&prototype);
                 let shared = Arc::clone(&shared);
-                conc::thread::spawn(move || run_worker(prototype, shared, me))
+                conc::thread::spawn(move || run_worker(shared, me))
             })
             .collect();
-        Ok(SamplerService {
-            shared,
-            workers: handles,
+        Ok(WorkerPool {
+            threads: Arc::new(Threads { shared, handles }),
         })
     }
 
-    /// Submits a request, blocking while the bounded request queue is at
-    /// capacity, and returns a streaming [`ResponseHandle`].
-    pub fn submit(&self, request: SampleRequest) -> ResponseHandle {
-        let mut sched = lock(&self.shared.sched);
-        while sched.in_flight >= self.shared.queue_capacity {
-            sched = self
-                .shared
-                .admission
-                .wait(sched)
-                .expect("a sampler service worker panicked");
+    /// Serves `prototype` on this pool. The prototype is retained (behind
+    /// an [`Arc`]) for as long as the returned handle or any of its
+    /// requests lives; workers clone it on demand (see the module docs'
+    /// *Persistent pool*).
+    pub fn serve<S>(&self, prototype: S) -> SamplerService
+    where
+        S: WitnessSampler + Clone + Send + Sync + 'static,
+    {
+        SamplerService {
+            pool: self.clone(),
+            prototype: Arc::new(prototype),
         }
-        self.admit(sched, request)
     }
 
-    /// Submits a request without blocking: if the bounded request queue is
-    /// at capacity, the request is handed back inside
-    /// [`TrySubmitError::QueueFull`] for the caller to retry — idempotently,
-    /// thanks to the determinism contract.
-    pub fn try_submit(&self, request: SampleRequest) -> Result<ResponseHandle, TrySubmitError> {
-        let sched = lock(&self.shared.sched);
-        if sched.in_flight >= self.shared.queue_capacity {
-            return Err(TrySubmitError::QueueFull { request });
-        }
-        Ok(self.admit(sched, request))
-    }
-
-    /// Admits `request` under the scheduler lock: deals its indices into the
-    /// per-worker deques in contiguous chunks (the same initial shape as the
-    /// old static partition — stealing, not the deal, is what absorbs skew)
-    /// and wakes the pool.
-    fn admit(&self, mut sched: MutexGuard<'_, Sched>, request: SampleRequest) -> ResponseHandle {
-        let now = Instant::now();
-        // A dead pool (every worker exhausted its respawn budget) runs
-        // nothing: the request completes immediately as all-`Faulted`
-        // instead of queueing forever. [`SamplerService::health`] shows how
-        // the pool got here.
-        let dead_pool = sched.alive == 0;
-        let complete_now = request.count == 0 || dead_pool;
-        let state = Arc::new(RequestState {
-            request,
-            submitted_at: now,
-            deadline: request.budget.map(|b| now + b),
-            board: Mutex::new(Board {
-                slots: if dead_pool {
-                    vec![Some(SampleOutcome::faulted(SampleStats::default())); request.count]
-                } else {
-                    vec![None; request.count]
-                },
-                completed: if dead_pool { request.count } else { 0 },
-                finished_at: complete_now.then_some(now),
-            }),
-            ready: Condvar::new(),
-        });
-        if complete_now {
-            // Nothing to schedule; the request never occupies a queue slot.
-            return ResponseHandle { state, cursor: 0 };
-        }
-        sched.in_flight += 1;
-        let workers = sched.deques.len();
-        let chunk = request.count.div_ceil(workers);
-        for index in 0..request.count {
-            sched.deques[index / chunk].push_back(Item {
-                request: Arc::clone(&state),
-                index,
-            });
-        }
-        drop(sched);
-        self.shared.work_available.notify_all();
-        ResponseHandle { state, cursor: 0 }
+    fn shared(&self) -> &Shared {
+        &self.threads.shared
     }
 
     /// Returns the number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.threads.handles.len()
     }
 
     /// Returns the request-queue capacity.
     pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_capacity
-    }
-
-    /// Returns the number of admitted-but-not-yet-completed requests.
-    pub fn pending_requests(&self) -> usize {
-        lock(&self.shared.sched).in_flight
+        self.shared().queue_capacity
     }
 
     /// Lifetime count of work items an idle worker stole from another
     /// worker's deque.
     pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.shared().steals.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of work items executed per worker (indexed by worker
@@ -574,7 +505,7 @@ impl SamplerService {
     /// unbalanced — fast workers execute more items; that is the scheduler
     /// doing its job.
     pub fn worker_items(&self) -> Vec<u64> {
-        self.shared
+        self.shared()
             .worker_items
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
@@ -584,25 +515,24 @@ impl SamplerService {
     /// Lifetime count of *stolen* items executed per worker (indexed by
     /// worker id).
     pub fn worker_steals(&self) -> Vec<u64> {
-        self.shared
+        self.shared()
             .worker_steals
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
 
-    /// Takes a point-in-time [`ServiceHealth`] snapshot: pool strength,
+    /// Takes a point-in-time [`ServiceHealth`] snapshot: pool size,
     /// respawn/panic/retry counters, injected-fault count, and queue depth.
     pub fn health(&self) -> ServiceHealth {
-        let sched = lock(&self.shared.sched);
+        let shared = self.shared();
+        let sched = lock(&shared.sched);
         ServiceHealth {
-            configured_workers: self.workers.len(),
-            alive_workers: sched.alive,
-            worker_panics: self.shared.worker_panics.load(Ordering::Relaxed),
-            respawns: self.shared.respawns.load(Ordering::Relaxed),
-            item_retries: self.shared.item_retries.load(Ordering::Relaxed),
-            faults_injected: self
-                .shared
+            configured_workers: self.workers(),
+            worker_panics: shared.worker_panics.load(Ordering::Relaxed),
+            respawns: shared.respawns.load(Ordering::Relaxed),
+            item_retries: shared.item_retries.load(Ordering::Relaxed),
+            faults_injected: shared
                 .fault_plan
                 .as_ref()
                 .map(|plan| plan.faults_injected())
@@ -610,13 +540,6 @@ impl SamplerService {
             pending_requests: sched.in_flight,
             queued_items: sched.deques.iter().map(VecDeque::len).sum(),
         }
-    }
-
-    /// Completes every admitted request, then stops and joins the workers.
-    /// Equivalent to dropping the service, but explicit at call sites that
-    /// want the drain to be visible.
-    pub fn shutdown(self) {
-        drop(self);
     }
 
     /// Test-only regression hook: re-introduces the `try_submit`
@@ -633,17 +556,19 @@ impl SamplerService {
     /// this outside a test.
     #[doc(hidden)]
     pub fn debug_reintroduce_slot_release_race(&self) {
-        self.shared.racy_slot_release.store(true, Ordering::Relaxed);
+        self.shared()
+            .racy_slot_release
+            .store(true, Ordering::Relaxed);
     }
 }
 
-impl Drop for SamplerService {
+impl Drop for Threads {
     fn drop(&mut self) {
         lock(&self.shared.sched).shutdown = true;
         self.shared.work_available.notify_all();
-        for handle in self.workers.drain(..) {
+        for handle in self.handles.drain(..) {
             let result = handle.join();
-            // When the service is torn down by an unwinding thread (a failed
+            // When the pool is torn down by an unwinding thread (a failed
             // test assertion, or a model-checker abort), a second panic here
             // would escalate to a process abort and mask the original
             // failure; the join itself still happened either way.
@@ -654,22 +579,136 @@ impl Drop for SamplerService {
     }
 }
 
+/// A long-lived sampling service: one prepared prototype served on a
+/// [`WorkerPool`], answering typed [`SampleRequest`]s with index-ordered,
+/// bit-deterministic [`SampleResponse`]s.
+///
+/// The handle itself is cheap — a pool reference plus the prototype's
+/// [`Arc`] — and any number of services can share one pool (see
+/// [`WorkerPool::serve`]). See the [module documentation](self) for the
+/// design and the determinism contract.
+pub struct SamplerService {
+    pool: WorkerPool,
+    prototype: Arc<dyn Prototype>,
+}
+
+impl std::fmt::Debug for SamplerService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SamplerService")
+            .field("pool", &self.pool)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SamplerService {
+    /// Spawns a pool of its own and serves `prototype` on it, rejecting an
+    /// invalid [`ServiceConfig`] with a typed [`ServiceConfigError`].
+    pub fn try_new<S>(prototype: S, config: ServiceConfig) -> Result<Self, ServiceConfigError>
+    where
+        S: WitnessSampler + Clone + Send + Sync + 'static,
+    {
+        Ok(WorkerPool::try_new(config)?.serve(prototype))
+    }
+
+    /// The pool this service runs on: worker count, queue capacity,
+    /// scheduler counters and [`ServiceHealth`] are pool-wide.
+    pub fn pool(&self) -> &WorkerPool {
+        &self.pool
+    }
+
+    /// Submits a request, blocking while the pool's bounded request queue
+    /// is at capacity, and returns a streaming [`ResponseHandle`].
+    pub fn submit(&self, request: SampleRequest) -> ResponseHandle {
+        // Allocate the board before taking the scheduler lock: a `count`
+        // too large to allocate then panics here, in the caller, instead of
+        // poisoning the scheduler every prototype on the pool shares.
+        let slots = vec![None; request.count];
+        let shared = self.pool.shared();
+        let mut sched = lock(&shared.sched);
+        while sched.in_flight >= shared.queue_capacity {
+            sched = shared
+                .admission
+                .wait(sched)
+                .expect("a sampler service worker panicked");
+        }
+        self.admit(sched, request, slots)
+    }
+
+    /// Submits a request without blocking: if the bounded request queue is
+    /// at capacity, the request is handed back inside
+    /// [`TrySubmitError::QueueFull`] for the caller to retry — idempotently,
+    /// thanks to the determinism contract.
+    pub fn try_submit(&self, request: SampleRequest) -> Result<ResponseHandle, TrySubmitError> {
+        let slots = vec![None; request.count];
+        let shared = self.pool.shared();
+        let sched = lock(&shared.sched);
+        if sched.in_flight >= shared.queue_capacity {
+            return Err(TrySubmitError::QueueFull { request });
+        }
+        Ok(self.admit(sched, request, slots))
+    }
+
+    /// Admits `request` under the scheduler lock: deals its indices into the
+    /// per-worker deques in contiguous chunks (the same initial shape as the
+    /// old static partition — stealing, not the deal, is what absorbs skew)
+    /// and wakes the pool.
+    fn admit(
+        &self,
+        mut sched: MutexGuard<'_, Sched>,
+        request: SampleRequest,
+        slots: Vec<Option<SampleOutcome>>,
+    ) -> ResponseHandle {
+        let now = Instant::now();
+        let state = Arc::new(RequestState {
+            request,
+            prototype: Arc::clone(&self.prototype),
+            submitted_at: now,
+            deadline: request.budget.map(|b| now + b),
+            board: Mutex::new(Board {
+                slots,
+                completed: 0,
+                finished_at: (request.count == 0).then_some(now),
+            }),
+            ready: Condvar::new(),
+        });
+        if request.count == 0 {
+            // Nothing to schedule; the request never occupies a queue slot.
+            return ResponseHandle { state, cursor: 0 };
+        }
+        sched.in_flight += 1;
+        let workers = sched.deques.len();
+        let chunk = request.count.div_ceil(workers);
+        for index in 0..request.count {
+            sched.deques[index / chunk].push_back(Item {
+                request: Arc::clone(&state),
+                index,
+            });
+        }
+        drop(sched);
+        self.pool.shared().work_available.notify_all();
+        ResponseHandle { state, cursor: 0 }
+    }
+
+    /// Drops this handle. The pool stops — after completing every admitted
+    /// request — when its last handle goes, which for a service from
+    /// [`SamplerService::try_new`] is this one; explicit at call sites that
+    /// want the drain to be visible.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+/// A worker's one-slot clone cache: the prototype it last ran and its
+/// private clone of it. Holding the prototype's [`Arc`] keeps its address
+/// from being reused, so [`Arc::ptr_eq`] identifies it exactly.
+type CachedClone = Option<(Arc<dyn Prototype>, Box<dyn WitnessSampler>)>;
+
 /// The worker loop: pop the own deque from the front; failing that, steal
 /// from the back of the longest other deque; failing that, sleep until work
 /// arrives (or exit once shutdown is flagged and every deque is dry — so a
-/// dropped service always drains the requests it admitted).
-///
-/// A caught sampler panic respawns this worker's sampler from the retained
-/// prototype and retries the item on its re-derived RNG stream — up to
-/// `max_respawns` times over the worker's lifetime, after which the item
-/// completes as `Faulted` and the worker leaves the pool for good (see
-/// [`leave_pool`]).
-fn run_worker<S>(prototype: Arc<S>, shared: Arc<Shared>, me: usize)
-where
-    S: WitnessSampler + Clone,
-{
-    let mut sampler = (*prototype).clone();
-    let mut respawns_left = shared.max_respawns;
+/// dropped pool always drains the requests it admitted).
+fn run_worker(shared: Arc<Shared>, me: usize) {
+    let mut cached: CachedClone = None;
     loop {
         let mut sched = lock(&shared.sched);
         let (item, stolen) = loop {
@@ -699,98 +738,75 @@ where
             shared.steals.fetch_add(1, Ordering::Relaxed);
             shared.worker_steals[me].fetch_add(1, Ordering::Relaxed);
         }
-
-        let mut retries = 0usize;
-        let mut pending = Some(item);
-        while let Some(item) = pending.take() {
-            match execute(&mut sampler, &shared, item, stolen, me, retries) {
-                None => {}
-                Some(item) => {
-                    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    if respawns_left == 0 {
-                        // Respawn budget exhausted: complete the item as
-                        // Faulted and leave the pool cleanly, so drop/join
-                        // (and hence shutdown) never hangs or re-panics.
-                        let queue_wait = Instant::now().duration_since(item.request.submitted_at);
-                        post_outcome(
-                            &shared,
-                            &item,
-                            failed_outcome(
-                                OutcomeKind::Faulted,
-                                SampleStats {
-                                    queue_wait,
-                                    steals: usize::from(stolen),
-                                    retries,
-                                    ..SampleStats::default()
-                                },
-                            ),
-                        );
-                        leave_pool(&shared);
-                        return;
-                    }
-                    respawns_left -= 1;
-                    shared.respawns.fetch_add(1, Ordering::Relaxed);
-                    shared.item_retries.fetch_add(1, Ordering::Relaxed);
-                    sampler = (*prototype).clone();
-                    retries += 1;
-                    pending = Some(item);
-                }
-            }
-        }
+        let outcome = execute(&mut cached, &shared, &item, stolen, me);
+        post_outcome(&shared, &item, outcome);
     }
 }
 
-/// Runs one work item on this worker's sampler and posts the outcome to the
-/// request's board. A panicking sampler is caught and the item handed back
-/// (not posted) so [`run_worker`] can respawn the sampler and retry it —
-/// the retry re-derives the same per-index RNG stream, so an absorbed panic
-/// leaves the outcome bit-identical to an undisturbed run.
-fn execute<S: WitnessSampler>(
-    sampler: &mut S,
+/// Runs one work item on this worker's clone of the item's prototype,
+/// cloning it first on a cache miss. A panicking sampler (or clone) is
+/// caught and the item retried on a fresh clone — the retry re-derives the
+/// same per-index RNG stream, so an absorbed panic leaves the outcome
+/// bit-identical to an undisturbed run — at most `max_respawns` times,
+/// after which the item completes as `Faulted`.
+fn execute(
+    cached: &mut CachedClone,
     shared: &Shared,
-    item: Item,
+    item: &Item,
     stolen: bool,
     me: usize,
-    retries: usize,
-) -> Option<Item> {
+) -> SampleOutcome {
     let state = &item.request;
-    let started = Instant::now();
-    let queue_wait = started.duration_since(state.submitted_at);
-    let outcome = if state.deadline.is_some_and(|deadline| started >= deadline) {
-        // The request budget expired while this item was queued: complete it
-        // as a typed interruption without touching the solver (see
-        // `SampleRequest::budget` for the recoverability semantics).
-        SampleOutcome::interrupted(SampleStats {
-            queue_wait,
+    let mut retries = 0usize;
+    loop {
+        let started = Instant::now();
+        let scheduling = SampleStats {
+            queue_wait: started.duration_since(state.submitted_at),
             steals: usize::from(stolen),
             retries,
             ..SampleStats::default()
-        })
-    } else {
-        // The sampler is this worker's private state and is replaced from
-        // the prototype if it panics, so unwind-safety is moot.
+        };
+        if state.deadline.is_some_and(|deadline| started >= deadline) {
+            // The request budget expired while this item was queued: complete
+            // it as a typed interruption without touching the solver (see
+            // `SampleRequest::budget` for the recoverability semantics).
+            return SampleOutcome::interrupted(scheduling);
+        }
+        // A panicked clone is discarded below, so unwind-safety is moot.
         let plan = shared.fault_plan.as_deref();
-        let master_seed = state.request.master_seed;
-        let index = item.index;
         let run = std::panic::AssertUnwindSafe(|| {
-            if plan.is_some_and(|plan| plan.should_panic_worker(me, index)) {
-                panic!("injected worker panic (worker {me}, item {index})");
+            if plan.is_some_and(|plan| plan.should_panic_worker(me, item.index)) {
+                panic!("injected worker panic (worker {me}, item {})", item.index);
             }
-            let mut rng = stream_for_index(master_seed, index);
-            sampler.sample(&mut rng)
+            let sampler = match &mut *cached {
+                Some((prototype, sampler)) if Arc::ptr_eq(prototype, &state.prototype) => sampler,
+                slot => {
+                    &mut slot
+                        .insert((Arc::clone(&state.prototype), state.prototype.fork()))
+                        .1
+                }
+            };
+            sampler.sample(&mut stream_for_index(state.request.master_seed, item.index))
         });
         match std::panic::catch_unwind(run) {
             Ok(mut outcome) => {
-                outcome.stats.queue_wait = queue_wait;
-                outcome.stats.steals = usize::from(stolen);
+                outcome.stats.queue_wait = scheduling.queue_wait;
+                outcome.stats.steals = scheduling.steals;
                 outcome.stats.retries += retries;
-                outcome
+                return outcome;
             }
-            Err(_payload) => return Some(item),
+            Err(_payload) => {
+                *cached = None;
+                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                if retries == shared.max_respawns {
+                    return failed_outcome(OutcomeKind::Faulted, scheduling);
+                }
+                retries += 1;
+                shared.respawns.fetch_add(1, Ordering::Relaxed);
+                shared.item_retries.fetch_add(1, Ordering::Relaxed);
+            }
         }
-    };
-    post_outcome(shared, &item, outcome);
-    None
+    }
 }
 
 /// Posts one outcome to its request's board and, on the last one, releases
@@ -833,36 +849,6 @@ fn post_outcome(shared: &Shared, item: &Item, outcome: SampleOutcome) {
     }
 }
 
-/// A worker whose respawn budget is exhausted leaves the pool: its current
-/// item has already been completed as `Faulted`; if it was the *last* alive
-/// worker, every queued item is completed as `Faulted` too (no one is left
-/// to run them), so handles and submitters never hang on a dead pool. The
-/// worker thread then returns normally — teardown joins it without
-/// re-raising anything, so `shutdown` after total pool death cannot hang or
-/// panic.
-fn leave_pool(shared: &Shared) {
-    let orphans: Vec<Item> = {
-        let mut sched = lock(&shared.sched);
-        sched.alive -= 1;
-        if sched.alive == 0 {
-            sched.deques.iter_mut().flat_map(|d| d.drain(..)).collect()
-        } else {
-            Vec::new()
-        }
-    };
-    for item in orphans {
-        let queue_wait = Instant::now().duration_since(item.request.submitted_at);
-        post_outcome(
-            shared,
-            &item,
-            SampleOutcome::faulted(SampleStats {
-                queue_wait,
-                ..SampleStats::default()
-            }),
-        );
-    }
-}
-
 /// A streaming handle to one in-flight request.
 ///
 /// The handle is a blocking iterator over the request's outcomes **in index
@@ -875,9 +861,9 @@ fn leave_pool(shared: &Shared) {
 /// reference sequence. [`ResponseHandle::wait`] collects the whole response
 /// at once (including any outcomes already streamed).
 ///
-/// The handle owns its slice of the request state: it keeps working after
-/// the service is dropped (a dropped service drains admitted requests
-/// first).
+/// The handle owns its slice of the request state, prototype included: it
+/// keeps working after its service and pool are dropped (a dropped pool
+/// drains admitted requests first).
 #[derive(Debug)]
 #[must_use = "dropping the handle discards the request's outcomes"]
 pub struct ResponseHandle {
@@ -1045,7 +1031,7 @@ mod tests {
         .unwrap();
         let response = service.submit(SampleRequest::new(0, 1)).wait();
         assert!(response.outcomes.is_empty());
-        assert_eq!(service.pending_requests(), 0);
+        assert_eq!(service.pool().health().pending_requests, 0);
     }
 
     #[test]
@@ -1190,9 +1176,10 @@ mod tests {
         // The scheduler stole, and the per-sample counters surfaced it.
         let steals = response.aggregate_stats.steals;
         assert!(steals >= 4, "only {steals} items were stolen");
-        assert_eq!(service.steals(), steals as u64);
-        assert_eq!(service.worker_steals().iter().sum::<u64>(), steals as u64);
-        assert_eq!(service.worker_items().iter().sum::<u64>(), COUNT as u64);
+        let pool = service.pool();
+        assert_eq!(pool.steals(), steals as u64);
+        assert_eq!(pool.worker_steals().iter().sum::<u64>(), steals as u64);
+        assert_eq!(pool.worker_items().iter().sum::<u64>(), COUNT as u64);
 
         // Fairness: no single worker ran the lion's share of the expensive
         // chunk (static chunking pins all 16 to worker 0).
@@ -1266,19 +1253,21 @@ mod tests {
         assert_eq!(retried.unwrap().wait().outcomes.len(), 3);
     }
 
+    /// A sampler whose every `sample` call panics.
+    #[derive(Clone)]
+    struct Panicky;
+
+    impl WitnessSampler for Panicky {
+        fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
+            panic!("sampler exploded");
+        }
+        fn name(&self) -> &'static str {
+            "Panicky"
+        }
+    }
+
     #[test]
     fn panicking_sampler_never_strands_clients_and_shutdown_does_not_hang() {
-        #[derive(Clone)]
-        struct Panicky;
-        impl WitnessSampler for Panicky {
-            fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
-                panic!("sampler exploded");
-            }
-            fn name(&self) -> &'static str {
-                "Panicky"
-            }
-        }
-
         let service = SamplerService::try_new(
             Panicky,
             ServiceConfig::default()
@@ -1287,39 +1276,121 @@ mod tests {
                 .with_max_respawns(1),
         )
         .unwrap();
-        // The single worker panics on item 0, respawns once, panics again,
-        // completes the item as Faulted, and — being the last alive worker —
-        // drains items 1 and 2 as Faulted too. wait() must return, not hang.
+        // Each item panics, is retried once on a fresh clone, panics again
+        // and completes as Faulted; the worker stays in the pool and moves
+        // on to the next item. wait() must return, not hang.
         let response = service.submit(SampleRequest::new(3, 1)).wait();
         assert_eq!(response.outcomes.len(), 3);
         assert!(response
             .outcomes
             .iter()
-            .all(|o| !o.is_success() && o.kind == OutcomeKind::Faulted));
-        // The queue slot was released and the dead pool answers later
-        // requests immediately with all-Faulted responses.
-        assert_eq!(service.pending_requests(), 0);
+            .all(|o| o.kind == OutcomeKind::Faulted && o.stats.retries == 1));
+        // The queue slot was released, and a later request gets the same
+        // per-item treatment from the same, still-whole pool.
+        assert_eq!(service.pool().health().pending_requests, 0);
         let response = service.submit(SampleRequest::new(2, 9)).wait();
         assert_eq!(response.outcomes.len(), 2);
         assert!(response
             .outcomes
             .iter()
             .all(|o| !o.is_success() && o.kind == OutcomeKind::Faulted));
-        // The health snapshot records the carnage.
-        let health = service.health();
-        assert_eq!(health.alive_workers, 0);
-        assert!(!health.at_full_strength());
-        assert_eq!(health.worker_panics, 2);
-        assert_eq!(health.respawns, 1);
-        // Satellite regression: shutting down a service whose entire pool
-        // died must return cleanly — no hang, no re-raised panic at join.
+        // The health snapshot records the carnage: two panics per item.
+        let health = service.pool().health();
+        assert_eq!(health.configured_workers, 1);
+        assert_eq!(health.worker_panics, 10);
+        assert_eq!(health.respawns, 5);
         let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             service.shutdown();
         }));
         assert!(
             teardown.is_ok(),
-            "shutdown after total pool death must not panic or hang"
+            "shutdown after faulted items must not panic or hang"
         );
+    }
+
+    /// An always-panicking prototype faults only its own items: a healthy
+    /// prototype sharing the pool keeps streaming bit-identical batches.
+    #[test]
+    fn panicking_prototype_does_not_starve_a_healthy_one_on_the_same_pool() {
+        use crate::WitnessSampler;
+        let f = formula_with_count(9, 2);
+        let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
+        let serial = prepared.clone().sample_batch(8, 21);
+        let pool = WorkerPool::try_new(
+            ServiceConfig::default()
+                .with_workers(2)
+                .with_max_respawns(1),
+        )
+        .unwrap();
+        let doomed = pool.serve(Panicky);
+        let healthy = pool.serve(prepared);
+        for round in 0..3 {
+            let faulted = doomed.submit(SampleRequest::new(4, round));
+            let streamed: Vec<SampleOutcome> = healthy.submit(SampleRequest::new(8, 21)).collect();
+            assert_eq!(witnesses_of(&streamed), witnesses_of(&serial));
+            assert!(faulted
+                .wait()
+                .outcomes
+                .iter()
+                .all(|o| o.kind == OutcomeKind::Faulted));
+        }
+        assert_eq!(pool.health().configured_workers, 2);
+        assert_eq!(pool.health().worker_panics, 3 * 4 * 2);
+    }
+
+    /// Two prototypes of different formulas, submitted interleaved through
+    /// one pool: each request reproduces its own prototype's serial batch,
+    /// whatever its workers ran (and cached) before.
+    #[test]
+    fn two_prototypes_interleaved_on_one_pool_reproduce_their_serial_batches() {
+        use crate::WitnessSampler;
+        let a = UniGen::new(&formula_with_count(9, 2), UniGenConfig::default()).unwrap();
+        let b = UniGen::new(&formula_with_count(7, 3), UniGenConfig::default()).unwrap();
+        let serial_a = a.clone().sample_batch(7, 5);
+        let serial_b = b.clone().sample_batch(6, 5);
+        let pool = WorkerPool::try_new(
+            ServiceConfig::default()
+                .with_workers(3)
+                .with_queue_capacity(8),
+        )
+        .unwrap();
+        let (service_a, service_b) = (pool.serve(a), pool.serve(b));
+        let handles: Vec<(ResponseHandle, &Vec<SampleOutcome>)> = (0..3)
+            .flat_map(|_| {
+                [
+                    (service_a.submit(SampleRequest::new(7, 5)), &serial_a),
+                    (service_b.submit(SampleRequest::new(6, 5)), &serial_b),
+                ]
+            })
+            .collect();
+        for (handle, serial) in handles {
+            assert_eq!(witnesses_of(&handle.wait().outcomes), witnesses_of(serial));
+        }
+    }
+
+    /// Regression: a `count` too large to allocate panics in the caller
+    /// before the scheduler lock is taken, so the pool keeps answering
+    /// (it used to poison the scheduler and fail every later call).
+    #[test]
+    fn oversized_count_panics_only_its_caller() {
+        let f = formula_with_count(6, 1);
+        let service = SamplerService::try_new(
+            UniGen::new(&f, UniGenConfig::default()).unwrap(),
+            ServiceConfig::default().with_workers(2),
+        )
+        .unwrap();
+        for submit_oversized in [
+            |s: &SamplerService| drop(s.submit(SampleRequest::new(usize::MAX, 1))),
+            |s: &SamplerService| drop(s.try_submit(SampleRequest::new(usize::MAX, 1))),
+        ] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                submit_oversized(&service)
+            }));
+            assert!(caught.is_err(), "an unallocatable board must panic");
+            let response = service.submit(SampleRequest::new(3, 2)).wait();
+            assert_eq!(response.outcomes.len(), 3);
+            assert_eq!(service.pool().health().pending_requests, 0);
+        }
     }
 
     #[test]
@@ -1333,7 +1404,7 @@ mod tests {
         // One worker is the smallest valid pool.
         let service = SamplerService::try_new(sampler, ServiceConfig::default().with_workers(1))
             .expect("one worker is valid");
-        assert_eq!(service.health().configured_workers, 1);
+        assert_eq!(service.pool().health().configured_workers, 1);
     }
 
     #[test]
@@ -1347,23 +1418,21 @@ mod tests {
         // item could be stolen and executed elsewhere, and the panic would
         // never fire.
         let plan = Arc::new(FaultPlan::seeded(0x9).panic_worker_at(0, 3));
-        let service = SamplerService::try_with_fault_plan(
-            prepared,
+        let service = WorkerPool::try_with_fault_plan(
             ServiceConfig::default().with_workers(1),
             Some(Arc::clone(&plan)),
         )
-        .unwrap();
+        .unwrap()
+        .serve(prepared);
         let response = service.submit(SampleRequest::new(8, 0xfee1)).wait();
         // The respawned sampler re-derived item 3's stream, so the batch is
         // bit-identical to the undisturbed serial reference.
         assert_eq!(witnesses_of(&response.outcomes), witnesses_of(&serial));
-        let health = service.health();
+        let health = service.pool().health();
         assert_eq!(health.worker_panics, 1);
         assert_eq!(health.respawns, 1);
         assert_eq!(health.item_retries, 1);
         assert_eq!(health.faults_injected, 1);
-        assert_eq!(health.alive_workers, 1);
-        assert!(health.at_full_strength());
         assert_eq!(plan.faults_injected(), 1);
         // The retried item carries its retry count in the per-sample stats.
         assert_eq!(response.aggregate_stats.retries, 1);
@@ -1379,19 +1448,19 @@ mod tests {
         let plan = Arc::new(FaultPlan::seeded(7).fail_nth_bsat(1));
         let mut prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         prepared.install_fault_plan(Arc::clone(&plan));
-        let service = SamplerService::try_with_fault_plan(
-            prepared,
+        let service = WorkerPool::try_with_fault_plan(
             ServiceConfig::default().with_workers(1),
             Some(Arc::clone(&plan)),
         )
-        .unwrap();
+        .unwrap()
+        .serve(prepared);
         let response = service.submit(SampleRequest::new(4, 3)).wait();
         assert_eq!(response.outcomes.len(), 4);
         // The solver-level fault fired and was absorbed by the recovery
         // ladder; the service health surfaces it because both layers share
         // the one plan.
         assert_eq!(plan.faults_injected(), 1);
-        assert_eq!(service.health().faults_injected, 1);
+        assert_eq!(service.pool().health().faults_injected, 1);
         assert!(response.aggregate_stats.retries >= 1);
     }
 

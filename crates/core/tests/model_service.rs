@@ -18,7 +18,7 @@ use rand::RngCore;
 
 use unigen::{
     OutcomeKind, SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig,
-    WitnessSampler,
+    WitnessSampler, WorkerPool,
 };
 
 /// A sampler that immediately returns the paper's `⊥` — the cheapest
@@ -32,6 +32,20 @@ impl WitnessSampler for Stub {
     }
     fn name(&self) -> &'static str {
         "Stub"
+    }
+}
+
+/// A second cheap sampler whose outcomes are distinguishable from
+/// [`Stub`]'s, so a test can tell which prototype ran an item.
+#[derive(Clone)]
+struct OtherStub;
+
+impl WitnessSampler for OtherStub {
+    fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
+        SampleOutcome::interrupted(SampleStats::default())
+    }
+    fn name(&self) -> &'static str {
+        "OtherStub"
     }
 }
 
@@ -64,7 +78,7 @@ impl WitnessSampler for FlakyFirst {
     }
 }
 
-/// A sampler that always panics — used to kill the whole pool.
+/// A sampler that always panics — every item it gets ends `Faulted`.
 #[derive(Clone)]
 struct AlwaysPanics;
 
@@ -139,7 +153,7 @@ fn reintroduced_backpressure_race_is_found() {
                 .with_queue_capacity(1),
         )
         .unwrap();
-        service.debug_reintroduce_slot_release_race();
+        service.pool().debug_reintroduce_slot_release_race();
         let response = service.submit(SampleRequest::new(1, 7)).wait();
         assert_eq!(response.outcomes.len(), 1);
         service
@@ -229,11 +243,10 @@ fn worker_panic_respawn_retries_item() {
         .unwrap();
         let response = service.submit(SampleRequest::new(1, 3)).wait();
         assert_eq!(response.outcomes[0].kind, OutcomeKind::Bottom);
-        let health = service.health();
+        let health = service.pool().health();
         assert_eq!(health.worker_panics, 1);
         assert_eq!(health.respawns, 1);
         assert_eq!(health.item_retries, 1);
-        assert!(health.at_full_strength());
     });
     assert!(report.failure.is_none(), "{report}");
     assert_explored(&cfg, &report);
@@ -279,30 +292,58 @@ fn handle_dropped_mid_stream_is_clean() {
     assert_explored(&cfg, &report);
 }
 
-/// Protocol: when every worker exhausts its respawn budget the pool dies;
-/// queued items complete as `Faulted` (no waiter hangs) and shutdown joins
-/// the dead pool without panicking — on every explored schedule.
+/// Protocol: an item whose prototype keeps panicking past the per-item
+/// respawn budget completes as `Faulted` (no waiter hangs), the worker
+/// stays in the pool and serves the next prototype's items, and shutdown
+/// joins cleanly — on every explored schedule.
 #[test]
-fn shutdown_after_total_pool_death_is_clean() {
+fn shutdown_after_every_retry_faults_is_clean() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::try_new(
-            AlwaysPanics,
+        let pool = WorkerPool::try_new(
             ServiceConfig::default()
                 .with_workers(1)
                 .with_max_respawns(0),
         )
         .unwrap();
-        let response = service.submit(SampleRequest::new(2, 13)).wait();
+        let doomed = pool.serve(AlwaysPanics).submit(SampleRequest::new(2, 13));
+        let healthy = pool.serve(Stub).submit(SampleRequest::new(1, 14));
         assert!(
-            response
+            doomed
+                .wait()
                 .outcomes
                 .iter()
                 .all(|o| o.kind == OutcomeKind::Faulted),
-            "a dead pool must fault every admitted item"
+            "an item past its respawn budget must fault"
         );
-        assert_eq!(service.health().alive_workers, 0);
-        service.shutdown();
+        assert_eq!(healthy.wait().outcomes[0].kind, OutcomeKind::Bottom);
+        assert_eq!(pool.health().worker_panics, 2);
+        drop(pool);
+    });
+    assert!(report.failure.is_none(), "{report}");
+    assert_explored(&cfg, &report);
+}
+
+/// Protocol: one pool serves two prototypes on two workers. The workers'
+/// one-slot clone caches must run every item on a clone of *its own*
+/// request's prototype, and dropping a service handle (as a registry
+/// eviction does) while its request is in flight must not cut that
+/// request — on every explored schedule.
+#[test]
+fn two_prototypes_share_a_pool_and_an_evicted_handle_finishes_its_request() {
+    let cfg = protocol_config();
+    let report = check(cfg.clone(), || {
+        let pool = WorkerPool::try_new(ServiceConfig::default().with_workers(2)).unwrap();
+        let kept = pool.serve(Stub);
+        let evicted = pool.serve(OtherStub);
+        let in_flight = evicted.submit(SampleRequest::new(2, 1));
+        drop(evicted);
+        let other = kept.submit(SampleRequest::new(2, 2));
+        let kinds = |handle: unigen::ResponseHandle| -> Vec<OutcomeKind> {
+            handle.wait().outcomes.iter().map(|o| o.kind).collect()
+        };
+        assert_eq!(kinds(in_flight), [OutcomeKind::Interrupted; 2]);
+        assert_eq!(kinds(other), [OutcomeKind::Bottom; 2]);
     });
     assert!(report.failure.is_none(), "{report}");
     assert_explored(&cfg, &report);

@@ -25,9 +25,10 @@
 //! serve options (daemon mode; see `unigen_net::server`):
 //!   --listen ADDR    TCP listen address (e.g. 127.0.0.1:4171)
 //!   --unix PATH      unix-domain socket path
-//!   --jobs N         worker threads per prepared service
-//!   --queue N        request-queue capacity per prepared service
-//!   --max-formulas N prepared-formula registry capacity         [default: 64]
+//!   --jobs N         worker threads of the daemon's one shared pool
+//!   --queue N        request-queue capacity of that pool (all formulas)
+//!   --max-formulas N prepared formulas kept; past it the least recently
+//!                    used one is evicted (preloads never are) [default: 64]
 //!   --allow-shutdown honor wire Shutdown frames
 //!   --quiet          suppress serve log lines
 //!   positional FILE.cnf arguments are preloaded into the registry
@@ -126,7 +127,8 @@ fn usage() -> &'static str {
 fn serve_usage() -> &'static str {
     "usage: unigen_cli serve [--listen ADDR] [--unix PATH] [--jobs N] [--queue N] \
      [--max-formulas N] [--allow-shutdown] [--quiet] [FILE.cnf ...]\n\
-     at least one of --listen / --unix is required; positional files are preloaded"
+     at least one of --listen / --unix is required; positional files are preloaded\n\
+     and never evicted; --jobs and --queue size the one worker pool all formulas share"
 }
 
 fn client_usage() -> &'static str {
@@ -443,8 +445,8 @@ fn run_batch(
         .map_err(|e| format!("cannot start the sampler service: {e}"))?;
     eprintln!(
         "c service: {} worker thread(s), request queue capacity {}",
-        service.workers(),
-        service.queue_capacity()
+        service.pool().workers(),
+        service.pool().queue_capacity()
     );
 
     // Split the samples over the requests (first `remainder` requests get
@@ -521,15 +523,14 @@ fn run_batch(
     eprintln!(
         "c service totals: bsat_calls={} steals={} queue_wait_total={:?} worker_items={:?} worker_steals={:?}",
         totals.bsat_calls,
-        service.steals(),
+        service.pool().steals(),
         totals.queue_wait,
-        service.worker_items(),
-        service.worker_steals()
+        service.pool().worker_items(),
+        service.pool().worker_steals()
     );
-    let health = service.health();
+    let health = service.pool().health();
     eprintln!(
-        "c service health: workers {}/{} alive, panics={} respawns={} item_retries={} faults_injected={}",
-        health.alive_workers,
+        "c service health: workers={} panics={} respawns={} item_retries={} faults_injected={}",
         health.configured_workers,
         health.worker_panics,
         health.respawns,

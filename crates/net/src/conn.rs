@@ -80,10 +80,11 @@ impl Outbound {
     }
 
     /// Enqueue an encoded frame, blocking while the buffer is over
-    /// capacity. This is the backpressure edge: a slow client eventually
-    /// stalls its drainer threads here, which stalls their
-    /// `ResponseHandle` consumption, which keeps the service queue slot
-    /// occupied, which surfaces as `QueueFull` to new submissions.
+    /// capacity. This is the backpressure edge: a slow client stalls its
+    /// drainer threads here, so what one slow client can hold is bounded
+    /// by its outbound buffer and its drainer threads. It does not hold
+    /// the pool's queue slot: the workers finish the request regardless,
+    /// and the last outcome they post frees the slot.
     pub fn send(&self, frame: Vec<u8>) -> Result<(), Disconnected> {
         let mut state = lock_ok(&self.state);
         loop {
@@ -119,6 +120,13 @@ impl Outbound {
         drop(state);
         (self.waker)();
         Ok(())
+    }
+
+    /// Queue a typed `Error` frame for request `id` (0: the connection)
+    /// with [`Outbound::send_now`]; a peer that is already gone needs none.
+    pub fn send_error(&self, id: u64, code: ErrorCode, detail: impl Into<String>) {
+        let detail = detail.into();
+        let _ = self.send_now(Frame::Error { id, code, detail }.encode());
     }
 
     /// Dequeue the next encoded frame, waking one blocked producer.
@@ -268,23 +276,16 @@ pub fn run_request(
     let mut attempt = 0usize;
     let handle = loop {
         if cancel.load(Ordering::Acquire) {
-            let _ = outbound.send_now(cancelled_frame(job.id));
+            outbound.send_error(job.id, ErrorCode::Cancelled, "request cancelled");
             return RequestEnd::Cancelled;
         }
         match service.try_submit(request) {
             Ok(handle) => break handle,
             Err(TrySubmitError::QueueFull { request: rejected }) => {
                 if attempt >= retry_budget {
-                    let _ = outbound.send_now(
-                        Frame::Error {
-                            id: job.id,
-                            code: ErrorCode::Busy,
-                            detail: format!(
-                                "service queue full after {attempt} retries; resubmit later"
-                            ),
-                        }
-                        .encode(),
-                    );
+                    let detail =
+                        format!("service queue full after {attempt} retries; resubmit later");
+                    outbound.send_error(job.id, ErrorCode::Busy, detail);
                     return RequestEnd::Busy;
                 }
                 attempt += 1;
@@ -295,14 +296,7 @@ pub fn run_request(
             // `TrySubmitError` is non-exhaustive; surface any future
             // rejection kind as a retryable Busy rather than crashing.
             Err(other) => {
-                let _ = outbound.send_now(
-                    Frame::Error {
-                        id: job.id,
-                        code: ErrorCode::Busy,
-                        detail: other.to_string(),
-                    }
-                    .encode(),
-                );
+                outbound.send_error(job.id, ErrorCode::Busy, other.to_string());
                 return RequestEnd::Busy;
             }
         }
@@ -322,7 +316,7 @@ pub fn run_request(
     let mut stats = WireStats::default();
     for (index, outcome) in handle.enumerate() {
         if cancel.load(Ordering::Acquire) {
-            let _ = outbound.send_now(cancelled_frame(job.id));
+            outbound.send_error(job.id, ErrorCode::Cancelled, "request cancelled");
             return RequestEnd::Cancelled;
         }
         let kind = match outcome.kind {
@@ -368,15 +362,6 @@ pub fn run_request(
         return RequestEnd::Disconnected;
     }
     RequestEnd::Completed { successes }
-}
-
-fn cancelled_frame(id: u64) -> Vec<u8> {
-    Frame::Error {
-        id,
-        code: ErrorCode::Cancelled,
-        detail: "request cancelled".to_owned(),
-    }
-    .encode()
 }
 
 #[cfg(test)]

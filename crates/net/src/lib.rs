@@ -3,7 +3,7 @@
 //!
 //! The crate turns the in-process [`unigen::SamplerService`] into a
 //! daemon: a single epoll readiness loop ([`sys`]) multiplexes many TCP
-//! and unix-domain clients onto shared work-stealing pools, speaking a
+//! and unix-domain clients onto one shared work-stealing pool, speaking a
 //! versioned length-prefixed binary protocol ([`wire`]). Per-connection
 //! state (bounded write buffers with backpressure, cancellation flags,
 //! the dispatch protocol) lives in [`conn`] and is built exclusively on

@@ -1,5 +1,5 @@
 //! The sampler daemon: a readiness loop multiplexing many client
-//! connections onto shared [`SamplerService`] pools.
+//! connections onto one shared [`WorkerPool`].
 //!
 //! One event-loop thread owns every socket (listeners, a self-wake
 //! pipe, and all client connections, nonblocking throughout) via the
@@ -7,9 +7,16 @@
 //! drainer threads that stream `ResponseHandle` outcomes into bounded
 //! per-connection [`Outbound`] buffers; the loop drains those buffers
 //! round-robin across connections so one firehose client cannot starve
-//! the rest. Prepared formula+spec pairs live in a fingerprint-keyed
-//! registry, so repeat requests (and concurrent clients sampling the
-//! same formula) share a single prepared service.
+//! the rest.
+//!
+//! The daemon spawns one `--jobs`-sized worker pool, and every formula
+//! samples on it. Prepared formula+spec pairs live in a fingerprint-keyed
+//! registry of prototypes, so repeat requests (and concurrent clients
+//! sampling the same formula) share a single preparation. The registry is
+//! an LRU cache of [`ServeConfig::max_formulas`] entries: a new formula at
+//! capacity evicts the least recently used prepared (or failed) one.
+//! Entries still preparing and preloaded residents are never evicted, and
+//! an in-flight request holds its entry, so eviction never cuts a stream.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] (flag + wake-pipe nudge) from
 //! the embedding process, or a wire `Shutdown` frame when the daemon
@@ -30,7 +37,7 @@ use conc::sync::{Condvar, Mutex, MutexGuard};
 use conc::thread::JoinHandle;
 use unigen::{
     SampleRequest, SamplerError, SamplerService, ServiceConfig, UniGen, UniGenConfig, UniWit,
-    UniWitConfig, UniformSampler, WitnessSampler, XorSamplePrime, XorSamplePrimeConfig,
+    UniWitConfig, UniformSampler, WitnessSampler, WorkerPool, XorSamplePrime, XorSamplePrimeConfig,
 };
 use unigen_cnf::dimacs;
 use unigen_cnf::Var;
@@ -48,6 +55,12 @@ const TOKEN_CONN_BASE: u64 = 3;
 
 /// Bytes drained per connection per fairness round.
 const DRAIN_SLICE: usize = 16 * 1024;
+
+/// Largest `count` one wire request may ask for; a larger one is rejected
+/// as `Malformed` before the pool is touched. An admitted request
+/// allocates all its outcome slots up front and holds a queue slot until
+/// its last item completes: the cap bounds both for every other formula.
+pub const MAX_REQUEST_COUNT: u64 = 1 << 16;
 
 fn lock_ok<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match mutex.lock() {
@@ -89,20 +102,25 @@ pub struct ServeConfig {
     pub tcp: Option<String>,
     /// Unix-domain socket path; `None` to skip.
     pub unix: Option<PathBuf>,
-    /// Workers per prepared service; 0 uses the service default.
+    /// Worker threads of the daemon's one pool, shared by every
+    /// formula; 0 uses the [`ServiceConfig`] default.
     pub workers: usize,
-    /// Request-queue capacity per prepared service; 0 uses the default.
+    /// Request-queue capacity of the daemon's one pool, across every
+    /// formula; 0 uses the default.
     pub queue_capacity: usize,
     /// Byte capacity of each connection's outbound buffer.
     pub outbound_capacity: usize,
     /// `QueueFull` retries before a request is rejected as `Busy`.
     pub submit_retry_budget: usize,
-    /// Max prepared formula+spec entries in the registry.
+    /// LRU capacity of the registry, in formula+spec entries: a new
+    /// formula at capacity evicts the least recently used one that is
+    /// neither preloaded nor still preparing.
     pub max_formulas: usize,
     /// Honor wire `Shutdown` frames (the CLI's `--allow-shutdown`).
     pub allow_shutdown: bool,
     /// DIMACS texts to prepare (with the default UniGen spec) before
-    /// accepting connections; their fingerprints are logged.
+    /// accepting connections; their fingerprints are logged, and they are
+    /// pinned in the registry (never evicted).
     pub preload: Vec<String>,
     /// Suppress the serve log lines on stderr.
     pub quiet: bool,
@@ -139,10 +157,10 @@ pub fn default_spec() -> WireSpec {
 // Formula registry
 // ---------------------------------------------------------------------------
 
-/// A fully prepared formula+spec: the shared service plus everything a
-/// response stream needs to echo.
+/// A fully prepared formula+spec: its prototype served on the daemon's
+/// pool, plus everything a response stream needs to echo.
 pub struct PreparedEntry {
-    /// The shared sampling pool for this formula+spec.
+    /// The prepared sampler's handle on the daemon's shared pool.
     pub service: SamplerService,
     /// Canonical projected sampling set.
     pub sampling_set: Vec<Var>,
@@ -150,125 +168,121 @@ pub struct PreparedEntry {
     pub fingerprint: u64,
 }
 
-#[derive(Clone)]
+/// A typed rejection, as it goes out in an `Error` frame.
+type Rejection = (ErrorCode, String);
+
 enum EntryState {
     Preparing,
     Ready(Arc<PreparedEntry>),
     Failed(ErrorCode, String),
 }
 
+struct Slot {
+    state: EntryState,
+    /// Registry clock at the slot's latest resolve; the smallest is the
+    /// least recently used.
+    last_used: u64,
+    /// Preloaded residents are reached by fingerprint and never evicted.
+    pinned: bool,
+}
+
+#[derive(Default)]
+struct Slots {
+    map: HashMap<u64, Slot>,
+    /// Bumped once per resolve: recency without a wall clock.
+    clock: u64,
+}
+
+impl Slots {
+    /// Evicts the least recently used entry that is neither pinned nor
+    /// preparing; `false` when there is none.
+    fn evict_lru(&mut self) -> bool {
+        let victim = self
+            .map
+            .iter()
+            .filter(|(_, slot)| !slot.pinned && !matches!(slot.state, EntryState::Preparing))
+            .min_by_key(|(_, slot)| slot.last_used)
+            .map(|(&fingerprint, _)| fingerprint);
+        victim.is_some_and(|fingerprint| self.map.remove(&fingerprint).is_some())
+    }
+}
+
 struct Registry {
     max: usize,
-    service_config: ServiceConfig,
-    entries: Mutex<HashMap<u64, EntryState>>,
+    slots: Mutex<Slots>,
     ready: Condvar,
 }
 
 impl Registry {
-    fn new(max: usize, service_config: ServiceConfig) -> Registry {
+    fn new(max: usize) -> Registry {
         Registry {
             max: max.max(1),
-            service_config,
-            entries: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Slots::default()),
             ready: Condvar::new(),
         }
     }
 
-    /// Resolve an inline DIMACS request, preparing (and caching) the
-    /// sampler on first sight. Concurrent requests for the same
-    /// fingerprint wait for the single in-flight prepare.
-    fn resolve_inline(
-        &self,
-        dimacs_bytes: &[u8],
-        spec: &WireSpec,
-    ) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
-        let text = std::str::from_utf8(dimacs_bytes)
-            .map_err(|_| (ErrorCode::PrepareFailed, "DIMACS is not UTF-8".to_owned()))?;
-        let formula = dimacs::parse(text)
-            .map_err(|err| (ErrorCode::PrepareFailed, format!("DIMACS parse: {err}")))?;
-        let canonical = dimacs::to_dimacs_string(&formula);
-        let fingerprint = wire::fingerprint(canonical.as_bytes(), spec);
-
-        let mut entries = lock_ok(&self.entries);
-        loop {
-            match entries.get(&fingerprint).cloned() {
-                Some(EntryState::Ready(entry)) => return Ok(entry),
-                Some(EntryState::Failed(code, detail)) => return Err((code, detail)),
-                Some(EntryState::Preparing) => {
-                    entries = match self.ready.wait(entries) {
-                        Ok(guard) => guard,
-                        Err(_) => panic!("server mutex poisoned"),
-                    };
-                }
-                None => {
-                    if entries.len() >= self.max {
-                        return Err((
-                            ErrorCode::RegistryFull,
-                            format!("registry holds {} prepared formulas (max)", self.max),
-                        ));
-                    }
-                    entries.insert(fingerprint, EntryState::Preparing);
-                    drop(entries);
-                    let built = build_entry(&formula, spec, fingerprint, self.service_config);
-                    let state = match &built {
-                        Ok(entry) => EntryState::Ready(Arc::clone(entry)),
-                        Err((code, detail)) => EntryState::Failed(*code, detail.clone()),
-                    };
-                    let mut entries = lock_ok(&self.entries);
-                    entries.insert(fingerprint, state);
-                    self.ready.notify_all();
-                    drop(entries);
-                    return built;
-                }
-            }
-        }
-    }
-
-    /// Resolve a fingerprint-referenced request against already
-    /// prepared entries (waiting out an in-flight prepare).
-    fn resolve_fingerprint(
+    /// Resolves `fingerprint`, waiting out an in-flight prepare. An absent
+    /// entry is prepared once by `prepare` and cached (pinned if `pin`),
+    /// evicting the LRU entry at capacity; without `prepare` it is
+    /// `UnknownFingerprint`. A panicking `prepare` caches `PrepareFailed`
+    /// and wakes the waiters like any other failure.
+    fn resolve(
         &self,
         fingerprint: u64,
-    ) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
-        let mut entries = lock_ok(&self.entries);
-        loop {
-            match entries.get(&fingerprint).cloned() {
-                Some(EntryState::Ready(entry)) => return Ok(entry),
-                Some(EntryState::Failed(code, detail)) => return Err((code, detail)),
-                Some(EntryState::Preparing) => {
-                    entries = match self.ready.wait(entries) {
+        prepare: Option<&dyn Fn() -> Result<Arc<PreparedEntry>, Rejection>>,
+        pin: bool,
+    ) -> Result<Arc<PreparedEntry>, Rejection> {
+        let mut slots = lock_ok(&self.slots);
+        slots.clock += 1;
+        let now = slots.clock;
+        while let Some(slot) = slots.map.get_mut(&fingerprint) {
+            slot.last_used = now;
+            slot.pinned |= pin;
+            match &slot.state {
+                EntryState::Ready(entry) => return Ok(Arc::clone(entry)),
+                EntryState::Failed(code, detail) => return Err((*code, detail.clone())),
+                EntryState::Preparing => {
+                    slots = match self.ready.wait(slots) {
                         Ok(guard) => guard,
                         Err(_) => panic!("server mutex poisoned"),
                     };
                 }
-                None => {
-                    return Err((
-                        ErrorCode::UnknownFingerprint,
-                        format!("fingerprint {fingerprint:016x} is not registered"),
-                    ))
-                }
             }
         }
-    }
-
-    /// Aggregate `ServiceHealth` across every ready entry.
-    fn health(&self) -> WireHealth {
-        let mut agg = WireHealth::default();
-        for state in lock_ok(&self.entries).values() {
-            if let EntryState::Ready(entry) = state {
-                let h = entry.service.health();
-                agg.services += 1;
-                agg.configured_workers += h.configured_workers as u64;
-                agg.alive_workers += h.alive_workers as u64;
-                agg.worker_panics += h.worker_panics;
-                agg.respawns += h.respawns;
-                agg.item_retries += h.item_retries;
-                agg.faults_injected += h.faults_injected;
-                agg.pending_requests += h.pending_requests as u64;
-                agg.queued_items += h.queued_items as u64;
-            }
+        let Some(prepare) = prepare else {
+            return Err((
+                ErrorCode::UnknownFingerprint,
+                format!("fingerprint {fingerprint:016x} is not registered"),
+            ));
+        };
+        if slots.map.len() >= self.max && !slots.evict_lru() {
+            return Err((
+                ErrorCode::RegistryFull,
+                format!(
+                    "all {} registry slots hold preloaded or preparing formulas",
+                    self.max
+                ),
+            ));
         }
-        agg
+        let slot = Slot {
+            state: EntryState::Preparing,
+            last_used: now,
+            pinned: pin,
+        };
+        slots.map.insert(fingerprint, slot);
+        drop(slots);
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(prepare))
+            .unwrap_or_else(|_| Err((ErrorCode::PrepareFailed, "preparation panicked".to_owned())));
+        // A preparing entry is never evicted, so the slot is still there.
+        if let Some(slot) = lock_ok(&self.slots).map.get_mut(&fingerprint) {
+            slot.state = match &built {
+                Ok(entry) => EntryState::Ready(Arc::clone(entry)),
+                Err((code, detail)) => EntryState::Failed(*code, detail.clone()),
+            };
+        }
+        self.ready.notify_all();
+        built
     }
 }
 
@@ -276,8 +290,8 @@ fn build_entry(
     formula: &unigen_cnf::CnfFormula,
     spec: &WireSpec,
     fingerprint: u64,
-    service_config: ServiceConfig,
-) -> Result<Arc<PreparedEntry>, (ErrorCode, String)> {
+    pool: &WorkerPool,
+) -> Result<Arc<PreparedEntry>, Rejection> {
     let sampling_set = formula.sampling_set_or_all();
     let epsilon = spec.epsilon_bits.map(f64::from_bits);
     let service = match spec.family {
@@ -286,24 +300,20 @@ fn build_entry(
             if let Some(epsilon) = epsilon {
                 config = config.with_epsilon(epsilon);
             }
-            start_service(UniGen::new(formula, config), service_config)
+            serve_prepared(UniGen::new(formula, config), pool)
         }
         family if epsilon.is_some() => Err((
             ErrorCode::Unsupported,
             format!("option `epsilon` is not supported by the {family:?} family"),
         )),
-        Family::UniWit => start_service(
-            UniWit::new(formula, UniWitConfig::default()),
-            service_config,
-        ),
-        Family::XorSamplePrime => start_service(
+        Family::UniWit => serve_prepared(UniWit::new(formula, UniWitConfig::default()), pool),
+        Family::XorSamplePrime => serve_prepared(
             XorSamplePrime::new(formula, XorSamplePrimeConfig::default()),
-            service_config,
+            pool,
         ),
-        Family::Uniform => start_service(
-            UniformSampler::with_witnesses(formula, &sampling_set),
-            service_config,
-        ),
+        Family::Uniform => {
+            serve_prepared(UniformSampler::with_witnesses(formula, &sampling_set), pool)
+        }
     }?;
     Ok(Arc::new(PreparedEntry {
         service,
@@ -312,12 +322,12 @@ fn build_entry(
     }))
 }
 
-/// Starts a service over a freshly prepared sampler, mapping the prepare
-/// and service-config errors to their wire codes.
-fn start_service<S>(
+/// Serves a freshly prepared sampler on the daemon's pool, mapping a
+/// preparation error to its wire code.
+fn serve_prepared<S>(
     prepared: Result<S, SamplerError>,
-    config: ServiceConfig,
-) -> Result<SamplerService, (ErrorCode, String)>
+    pool: &WorkerPool,
+) -> Result<SamplerService, Rejection>
 where
     S: WitnessSampler + Clone + Send + Sync + 'static,
 {
@@ -328,12 +338,7 @@ where
         };
         (code, format!("preparation failed: {err}"))
     })?;
-    SamplerService::try_new(sampler, config).map_err(|err| {
-        (
-            ErrorCode::PrepareFailed,
-            format!("service configuration rejected: {err}"),
-        )
-    })
+    Ok(pool.serve(sampler))
 }
 
 // ---------------------------------------------------------------------------
@@ -393,6 +398,7 @@ impl Conn {
 
 struct Shared {
     registry: Registry,
+    pool: WorkerPool,
     stop: AtomicBool,
     allow_shutdown: bool,
     submit_retry_budget: usize,
@@ -403,6 +409,44 @@ impl Shared {
     fn log(&self, line: fmt::Arguments<'_>) {
         if !self.quiet {
             eprintln!("c serve: {line}");
+        }
+    }
+
+    /// Resolves an inline DIMACS request, preparing (and caching) the
+    /// sampler on the daemon's pool on first sight. Concurrent requests
+    /// for the same fingerprint wait for the single in-flight prepare.
+    fn resolve_inline(
+        &self,
+        dimacs_bytes: &[u8],
+        spec: &WireSpec,
+        pin: bool,
+    ) -> Result<Arc<PreparedEntry>, Rejection> {
+        let text = std::str::from_utf8(dimacs_bytes)
+            .map_err(|_| (ErrorCode::PrepareFailed, "DIMACS is not UTF-8".to_owned()))?;
+        let formula = dimacs::parse(text)
+            .map_err(|err| (ErrorCode::PrepareFailed, format!("DIMACS parse: {err}")))?;
+        let canonical = dimacs::to_dimacs_string(&formula);
+        let fingerprint = wire::fingerprint(canonical.as_bytes(), spec);
+        let prepare = || build_entry(&formula, spec, fingerprint, &self.pool);
+        self.registry.resolve(fingerprint, Some(&prepare), pin)
+    }
+
+    /// The daemon's health: its one pool's counters plus the number of
+    /// formulas in the registry (`connections` is the event loop's to
+    /// fill in).
+    fn health(&self) -> WireHealth {
+        let pool = self.pool.health();
+        WireHealth {
+            services: lock_ok(&self.registry.slots).map.len() as u64,
+            configured_workers: pool.configured_workers as u64,
+            alive_workers: pool.configured_workers as u64,
+            worker_panics: pool.worker_panics,
+            respawns: pool.respawns,
+            item_retries: pool.item_retries,
+            faults_injected: pool.faults_injected,
+            pending_requests: pool.pending_requests as u64,
+            queued_items: pool.queued_items as u64,
+            connections: 0,
         }
     }
 }
@@ -479,8 +523,11 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
         service_config = service_config.with_queue_capacity(config.queue_capacity);
     }
 
+    let pool = WorkerPool::try_new(service_config)
+        .map_err(|_| NetError::Config("worker pool configuration rejected"))?;
     let shared = Arc::new(Shared {
-        registry: Registry::new(config.max_formulas, service_config),
+        registry: Registry::new(config.max_formulas),
+        pool,
         stop: AtomicBool::new(false),
         allow_shutdown: config.allow_shutdown,
         submit_retry_budget: config.submit_retry_budget,
@@ -488,10 +535,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
     });
 
     for text in &config.preload {
-        match shared
-            .registry
-            .resolve_inline(text.as_bytes(), &default_spec())
-        {
+        match shared.resolve_inline(text.as_bytes(), &default_spec(), true) {
             Ok(entry) => shared.log(format_args!(
                 "preloaded formula fp={:016x} |S|={}",
                 entry.fingerprint,
@@ -770,14 +814,8 @@ impl EventLoop {
                 }
                 Ok(None) => return ConnFate::Alive,
                 Err(err) => {
-                    let _ = conn.outbound.send_now(
-                        Frame::Error {
-                            id: 0,
-                            code: ErrorCode::Malformed,
-                            detail: err.to_string(),
-                        }
-                        .encode(),
-                    );
+                    conn.outbound
+                        .send_error(0, ErrorCode::Malformed, err.to_string());
                     conn.closing = true;
                     self.shared
                         .log(format_args!("conn {token} protocol error: {err}"));
@@ -805,28 +843,17 @@ impl EventLoop {
                     ConnFate::Alive
                 }
                 Frame::Hello { version } => {
-                    let _ = conn.outbound.send_now(
-                        Frame::Error {
-                            id: 0,
-                            code: ErrorCode::UnsupportedVersion,
-                            detail: format!(
-                                "client speaks protocol {version}, server speaks {PROTOCOL_VERSION}"
-                            ),
-                        }
-                        .encode(),
+                    let detail = format!(
+                        "client speaks protocol {version}, server speaks {PROTOCOL_VERSION}"
                     );
+                    conn.outbound
+                        .send_error(0, ErrorCode::UnsupportedVersion, detail);
                     conn.closing = true;
                     ConnFate::Alive
                 }
                 _ => {
-                    let _ = conn.outbound.send_now(
-                        Frame::Error {
-                            id: 0,
-                            code: ErrorCode::Malformed,
-                            detail: "expected Hello before any other frame".to_owned(),
-                        }
-                        .encode(),
-                    );
+                    let detail = "expected Hello before any other frame";
+                    conn.outbound.send_error(0, ErrorCode::Malformed, detail);
                     conn.closing = true;
                     ConnFate::Alive
                 }
@@ -834,14 +861,8 @@ impl EventLoop {
         }
         match frame {
             Frame::Hello { .. } => {
-                let _ = conn.outbound.send_now(
-                    Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Malformed,
-                        detail: "duplicate Hello".to_owned(),
-                    }
-                    .encode(),
-                );
+                conn.outbound
+                    .send_error(0, ErrorCode::Malformed, "duplicate Hello");
                 conn.closing = true;
                 ConnFate::Alive
             }
@@ -861,7 +882,7 @@ impl EventLoop {
                 ConnFate::Alive
             }
             Frame::HealthReq => {
-                let mut health = self.shared.registry.health();
+                let mut health = self.shared.health();
                 health.connections = self.conns.len() as u64;
                 let conn = match self.conns.get_mut(&token) {
                     Some(conn) => conn,
@@ -876,14 +897,9 @@ impl EventLoop {
                         .log(format_args!("conn {token} requested shutdown"));
                     self.shared.stop.store(true, Ordering::Release);
                 } else {
-                    let _ = conn.outbound.send_now(
-                        Frame::Error {
-                            id: 0,
-                            code: ErrorCode::ShutdownDisabled,
-                            detail: "daemon was not started with --allow-shutdown".to_owned(),
-                        }
-                        .encode(),
-                    );
+                    let detail = "daemon was not started with --allow-shutdown";
+                    conn.outbound
+                        .send_error(0, ErrorCode::ShutdownDisabled, detail);
                 }
                 ConnFate::Alive
             }
@@ -895,14 +911,8 @@ impl EventLoop {
             | Frame::Done { .. }
             | Frame::Error { .. }
             | Frame::Health(_) => {
-                let _ = conn.outbound.send_now(
-                    Frame::Error {
-                        id: 0,
-                        code: ErrorCode::Malformed,
-                        detail: "response-direction frame sent by client".to_owned(),
-                    }
-                    .encode(),
-                );
+                let detail = "response-direction frame sent by client";
+                conn.outbound.send_error(0, ErrorCode::Malformed, detail);
                 conn.closing = true;
                 ConnFate::Alive
             }
@@ -927,14 +937,8 @@ impl EventLoop {
         let cancel = match conn.requests.begin(id) {
             Some(flag) => flag,
             None => {
-                let _ = conn.outbound.send_now(
-                    Frame::Error {
-                        id,
-                        code: ErrorCode::Malformed,
-                        detail: format!("request id {id} is already in flight"),
-                    }
-                    .encode(),
-                );
+                let detail = format!("request id {id} is already in flight");
+                conn.outbound.send_error(id, ErrorCode::Malformed, detail);
                 return;
             }
         };
@@ -944,19 +948,16 @@ impl EventLoop {
         let submit_retries = Arc::clone(&conn.submit_retries);
         let worker = conc::thread::spawn(move || {
             let resolved = match &formula {
-                FormulaRef::Inline(bytes) => shared.registry.resolve_inline(bytes, &spec),
-                FormulaRef::Fingerprint(fp) => shared.registry.resolve_fingerprint(*fp),
+                _ if count > MAX_REQUEST_COUNT => Err((
+                    ErrorCode::Malformed,
+                    format!("count {count} exceeds the per-request cap {MAX_REQUEST_COUNT}"),
+                )),
+                FormulaRef::Inline(bytes) => shared.resolve_inline(bytes, &spec, false),
+                FormulaRef::Fingerprint(fp) => shared.registry.resolve(*fp, None, false),
             };
             match resolved {
                 Err((code, detail)) => {
-                    let _ = outbound.send_now(
-                        Frame::Error {
-                            id,
-                            code,
-                            detail: detail.clone(),
-                        }
-                        .encode(),
-                    );
+                    outbound.send_error(id, code, detail.clone());
                     requests.finish(id);
                     shared.log(format_args!(
                         "conn {token} req {id}: rejected ({}) {detail}",
@@ -983,7 +984,7 @@ impl EventLoop {
                         shared.submit_retry_budget,
                     );
                     requests.finish(id);
-                    let health = entry.service.health();
+                    let health = shared.pool.health();
                     shared.log(format_args!(
                         "conn {token} req {id}: {end:?} fp={:016x} submit_retries={} \
                          outbound_bytes={} pending_requests={} queued_items={}",
@@ -1132,4 +1133,124 @@ enum FlushResult {
     Progress,
     Idle,
     Dead(&'static str),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conc::atomic::AtomicUsize;
+    use conc::model::{check, Config};
+
+    fn unsat() -> Result<Arc<PreparedEntry>, Rejection> {
+        Err((ErrorCode::Unsat, "unsat".to_owned()))
+    }
+
+    fn code(result: Result<Arc<PreparedEntry>, Rejection>) -> ErrorCode {
+        match result {
+            Ok(_) => panic!("no test prepare builds an entry"),
+            Err((code, _)) => code,
+        }
+    }
+
+    /// A prepare that panics becomes a cached typed `PrepareFailed`; it
+    /// used to leave the fingerprint `Preparing` forever, blocking every
+    /// later request for it.
+    #[test]
+    fn panicking_prepare_is_a_typed_failure() {
+        let registry = Registry::new(4);
+        let prepare = || -> Result<Arc<PreparedEntry>, Rejection> { panic!("prepare exploded") };
+        let first = registry.resolve(7, Some(&prepare), false);
+        assert_eq!(code(first), ErrorCode::PrepareFailed);
+        // Later lookups, with or without a prepare, see the cached failure.
+        assert_eq!(
+            code(registry.resolve(7, None, false)),
+            ErrorCode::PrepareFailed
+        );
+    }
+
+    /// At capacity the least recently used unpinned entry is evicted, and
+    /// `RegistryFull` is left only for a registry of pinned entries.
+    #[test]
+    fn lru_eviction_spares_pinned_entries() {
+        let registry = Registry::new(2);
+        assert_eq!(
+            code(registry.resolve(1, Some(&unsat), true)),
+            ErrorCode::Unsat
+        );
+        assert_eq!(
+            code(registry.resolve(2, Some(&unsat), false)),
+            ErrorCode::Unsat
+        );
+        // Touch 1, the pinned resident; 2 stays the eviction victim anyway.
+        assert_eq!(code(registry.resolve(1, None, false)), ErrorCode::Unsat);
+        assert_eq!(
+            code(registry.resolve(3, Some(&unsat), false)),
+            ErrorCode::Unsat
+        );
+        let unknown = code(registry.resolve(2, None, false));
+        assert_eq!(unknown, ErrorCode::UnknownFingerprint, "2 was evicted");
+        assert_eq!(code(registry.resolve(1, None, false)), ErrorCode::Unsat);
+        // Pin 3 too: nothing is evictable any more.
+        assert_eq!(
+            code(registry.resolve(3, Some(&unsat), true)),
+            ErrorCode::Unsat
+        );
+        let full = code(registry.resolve(4, Some(&unsat), false));
+        assert_eq!(full, ErrorCode::RegistryFull);
+    }
+
+    /// Two resolvers of fingerprint 1 race a resolver of fingerprint 2
+    /// whose insert must evict (the registry holds one pinned resident and
+    /// one free slot). On every explored schedule: no waiter is left
+    /// blocked (the checker reports lost wakeups and deadlocks), and a
+    /// `Preparing` entry is never evicted — if it were, the second resolver
+    /// of 1 would prepare it again while the first is still preparing.
+    #[test]
+    fn resolvers_racing_an_evicting_insert_never_evict_a_preparing_entry() {
+        let cfg = Config::from_env();
+        let report = check(cfg.clone(), || {
+            let registry = Arc::new(Registry::new(2));
+            assert_eq!(
+                code(registry.resolve(9, Some(&unsat), true)),
+                ErrorCode::Unsat
+            );
+            let preparing = Arc::new(AtomicUsize::new(0));
+            let overlapped = Arc::new(AtomicBool::new(false));
+            let resolver = |fingerprint: u64| {
+                let registry = Arc::clone(&registry);
+                let preparing = Arc::clone(&preparing);
+                let overlapped = Arc::clone(&overlapped);
+                conc::thread::spawn(move || {
+                    let prepare = || {
+                        if fingerprint == 1 && preparing.fetch_add(1, Ordering::SeqCst) > 0 {
+                            overlapped.store(true, Ordering::SeqCst);
+                        }
+                        conc::thread::yield_now();
+                        if fingerprint == 1 {
+                            preparing.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        unsat()
+                    };
+                    code(registry.resolve(fingerprint, Some(&prepare), false))
+                })
+            };
+            let threads = [resolver(1), resolver(1), resolver(2)];
+            for thread in threads {
+                let code = thread.join().expect("resolver thread");
+                assert!(
+                    matches!(code, ErrorCode::Unsat | ErrorCode::RegistryFull),
+                    "unexpected {code:?}"
+                );
+            }
+            assert!(
+                !overlapped.load(Ordering::SeqCst),
+                "fingerprint 1 was prepared twice at once: its Preparing entry was evicted"
+            );
+        });
+        assert!(report.failure.is_none(), "{report}");
+        assert!(
+            report.complete || report.distinct_schedules >= cfg.max_schedules.min(1000),
+            "exploration stopped early: {report}"
+        );
+    }
 }

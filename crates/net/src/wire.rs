@@ -351,21 +351,23 @@ pub struct WireStats {
     pub wall_micros: u64,
 }
 
-/// Service-wide health snapshot carried by [`Frame::Health`]
-/// (aggregates `unigen::ServiceHealth` across every registry service).
+/// Daemon-wide health snapshot carried by [`Frame::Health`]: the
+/// `unigen::ServiceHealth` of the daemon's one worker pool plus its
+/// registry and connection counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireHealth {
-    /// Prepared sampler services currently in the registry.
+    /// Formulas currently in the registry (prepared, preparing or failed).
     pub services: u64,
-    /// Sum of configured workers across services.
+    /// Worker threads of the daemon's pool.
     pub configured_workers: u64,
-    /// Sum of currently-alive workers.
+    /// Worker threads of the daemon's pool too: a worker never leaves the
+    /// pool (the field stays for wire compatibility).
     pub alive_workers: u64,
-    /// Total worker panics absorbed.
+    /// Total sampler panics absorbed.
     pub worker_panics: u64,
-    /// Total workers respawned after panics.
+    /// Total sampler clones respawned after panics.
     pub respawns: u64,
-    /// Total item retries after worker deaths.
+    /// Total item retries after sampler panics.
     pub item_retries: u64,
     /// Total faults injected by fault plans.
     pub faults_injected: u64,
@@ -398,7 +400,7 @@ pub enum Frame {
         formula: FormulaRef,
         /// Sampler family + knobs.
         spec: WireSpec,
-        /// Number of witnesses requested.
+        /// Number of witnesses requested (at most [`crate::server::MAX_REQUEST_COUNT`]).
         count: u64,
         /// Master seed for the deterministic per-index streams.
         master_seed: u64,
@@ -1006,7 +1008,9 @@ fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 /// `unigen_cnf::dimacs::to_dimacs_string`, which includes the `c ind`
 /// sampling-set lines) followed by the spec's canonical bytes (family
 /// byte, ε flag + bits, prepare seed). Two requests with the same
-/// fingerprint are guaranteed to share one prepared `SamplerService`.
+/// fingerprint share one prepared sampler while it is resident in the
+/// daemon's registry; one that arrives after an eviction re-prepares it
+/// under the same prepare seed, so its witnesses do not change.
 pub fn fingerprint(canonical_dimacs: &[u8], spec: &WireSpec) -> u64 {
     let hash = fnv1a_extend(FNV_OFFSET, canonical_dimacs);
     let mut tail = Vec::with_capacity(18);

@@ -19,8 +19,8 @@ use unigen::{
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
-use unigen_net::server::default_spec;
-use unigen_net::wire::{Family, WireOutcomeKind, WireSpec};
+use unigen_net::server::{default_spec, MAX_REQUEST_COUNT};
+use unigen_net::wire::{self, Family, WireOutcomeKind, WireSpec};
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
 const DIMACS: &str = "p cnf 5 3\n1 2 0\n-3 4 0\n2 5 0\n";
@@ -374,6 +374,96 @@ fn health_frame_reports_services_and_connections() {
     assert!(health.configured_workers >= 1);
     assert_eq!(health.connections, 1);
     assert_eq!(health.worker_panics, 0);
+
+    handle.shutdown();
+}
+
+/// Regression: a `count` above [`MAX_REQUEST_COUNT`] is a typed
+/// `Malformed` rejection before the pool is touched. A `u64::MAX` count
+/// used to panic inside the service's admission while it held the
+/// scheduler lock, hanging that request and every later one for the same
+/// formula.
+#[test]
+fn oversized_count_is_a_typed_malformed_error() {
+    let handle = serve(unix_config("oversized")).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let mut client = Client::connect_unix(&path).expect("client connects");
+    for count in [u64::MAX, MAX_REQUEST_COUNT + 1] {
+        match client.sample(&ClientRequest::inline(DIMACS, count, 1).with_spec(test_spec())) {
+            Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected a typed Malformed rejection of {count}, got {other:?}"),
+        }
+    }
+    let batch = client
+        .sample(&ClientRequest::inline(DIMACS, 4, 9).with_spec(test_spec()))
+        .expect("the same formula still streams");
+    assert_batch_matches_reference(&batch, 4, 9);
+
+    handle.shutdown();
+}
+
+/// Formula `i` of a family of distinct 6-variable formulas: one clause
+/// whose literal signs spell `i` in binary.
+fn distinct_formula(i: usize) -> String {
+    let clause: Vec<String> = (1..=6)
+        .map(|v| if i >> (v - 1) & 1 == 1 { v } else { -v }.to_string())
+        .collect();
+    format!("p cnf 6 1\n{} 0\n", clause.join(" "))
+}
+
+/// The registry is an LRU cache over one worker pool: with
+/// `max_formulas` 2 and one preloaded resident, the daemon keeps answering
+/// new formulas (it used to answer `registry-full` for the rest of its
+/// life), re-prepares an evicted formula bit-identically under the same
+/// `prepare_seed`, never evicts the resident, and runs everything on one
+/// `--jobs`-sized pool.
+#[test]
+fn lru_registry_keeps_answering_new_formulas_on_one_pool() {
+    const JOBS: u64 = 2;
+    let mut config = unix_config("lru");
+    config.max_formulas = 2;
+    config.workers = JOBS as usize;
+    config.preload = vec![DIMACS.to_string()];
+    let handle = serve(config).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+    let canonical = dimacs::to_dimacs_string(&dimacs::parse(DIMACS).expect("parses"));
+    let resident = wire::fingerprint(canonical.as_bytes(), &default_spec());
+
+    let mut client = Client::connect_unix(&path).expect("client connects");
+    let mut first = None;
+    for i in 0..20 {
+        let batch = client
+            .sample(&ClientRequest::inline(&distinct_formula(i), 6, 3))
+            .unwrap_or_else(|err| panic!("formula {i} was not answered: {err}"));
+        assert_eq!(batch.outcomes.len(), 6);
+        first.get_or_insert(batch);
+        let health = client.health().expect("health round-trips");
+        assert_eq!(health.configured_workers, JOBS);
+        assert_eq!(health.alive_workers, JOBS);
+        assert!(health.services <= 2, "registry over capacity: {health:?}");
+    }
+
+    let first = first.expect("formula 0 streamed");
+    match client.sample(&ClientRequest::by_fingerprint(first.fingerprint, 1, 3)) {
+        Err(ClientError::Rejected { code, .. }) => {
+            assert_eq!(code, ErrorCode::UnknownFingerprint, "formula 0 was evicted")
+        }
+        other => panic!("expected formula 0 to be evicted, got {other:?}"),
+    }
+    let again = client
+        .sample(&ClientRequest::inline(&distinct_formula(0), 6, 3))
+        .expect("an evicted formula is prepared again");
+    assert_eq!(again.fingerprint, first.fingerprint);
+    assert_eq!(again.outcomes, first.outcomes, "re-preparation diverged");
+
+    let by_fingerprint = client
+        .sample(&ClientRequest::by_fingerprint(resident, 4, 5))
+        .expect("the preloaded resident is never evicted");
+    assert_eq!(by_fingerprint.fingerprint, resident);
+    assert_eq!(by_fingerprint.outcomes.len(), 4);
+    let health = client.health().expect("health round-trips");
+    assert_eq!((health.services, health.configured_workers), (2, JOBS));
 
     handle.shutdown();
 }
