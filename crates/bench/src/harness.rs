@@ -122,6 +122,8 @@ fn read_env_usize(name: &str) -> Option<usize> {
 }
 
 /// Runs a sampler `count` times and aggregates the outcome statistics.
+/// Samplers do not time themselves, so the loop's own wall-clock time is
+/// the totals' `wall_time`.
 pub fn measure_sampler<S: WitnessSampler>(
     sampler: &mut S,
     count: usize,
@@ -129,6 +131,7 @@ pub fn measure_sampler<S: WitnessSampler>(
 ) -> (usize, SampleStats) {
     let mut totals = SampleStats::default();
     let mut successes = 0usize;
+    let started = Instant::now();
     for _ in 0..count {
         let outcome = sampler.sample(rng);
         if outcome.is_success() {
@@ -136,6 +139,7 @@ pub fn measure_sampler<S: WitnessSampler>(
         }
         totals.accumulate(&outcome.stats);
     }
+    totals.wall_time = started.elapsed();
     (successes, totals)
 }
 

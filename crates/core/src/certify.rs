@@ -69,8 +69,8 @@ impl Certifier {
 
     /// Feeds every proof byte the solver has logged since the last call into
     /// the checker, folding the byte/check counters into `stats` when given.
-    /// (Check *time* is stamped by the caller, which owns the sanctioned
-    /// wall-clock path.)
+    /// Check time is not split out: it is part of the sample's `wall_time`,
+    /// which the worker pool stamps around the whole `sample` call.
     ///
     /// # Errors
     ///

@@ -4,14 +4,22 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use unigen_cnf::{Model, Var};
-use unigen_satsolver::InterruptReason;
+use unigen_cnf::{Model, Var, XorClause};
+use unigen_satsolver::{enumerate_cell, Budget, EnumerationOutcome, InterruptReason, Solver};
 
 /// Statistics describing the work a single sample cost.
 ///
 /// These are the quantities the paper's tables report per benchmark: the
 /// average generation time, the average xor-clause length, and (implicitly,
 /// through the success probability) how often the generator returns `⊥`.
+///
+/// Samplers only *count*: every field a sampler fills is a deterministic
+/// tally of work (solver calls, xor clauses, retries, proof bytes). The
+/// scheduling fields — `wall_time`, `queue_wait` and `steals` — are stamped
+/// by the [`crate::WorkerPool`] around each work item, so they are zero on
+/// an outcome from a bare [`WitnessSampler::sample`] or
+/// [`WitnessSampler::sample_batch`] call; a caller that wants the time of a
+/// serial call measures it itself.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SampleStats {
     /// Number of bounded-enumeration (`BSAT`) calls issued.
@@ -21,7 +29,10 @@ pub struct SampleStats {
     /// Total number of variables across those xor clauses (so the average
     /// xor length is `xor_vars_total / xor_clauses_added`).
     pub xor_vars_total: usize,
-    /// Wall-clock time spent producing this sample.
+    /// Wall-clock time the worker spent in this sample's
+    /// [`WitnessSampler::sample`] call (not in cloning the prototype first).
+    /// Only the [`crate::WorkerPool`] sets this; serial sampling leaves it
+    /// zero.
     pub wall_time: Duration,
     /// Unit propagations the solver performed for this sample (CNF + xor).
     pub solver_propagations: u64,
@@ -41,8 +52,7 @@ pub struct SampleStats {
     pub steals: usize,
     /// Time this sample's work item spent queued in the service scheduler
     /// between request submission and execution start. Only the
-    /// [`crate::SamplerService`] scheduler sets this; serial sampling leaves
-    /// it zero.
+    /// [`crate::WorkerPool`] sets this; serial sampling leaves it zero.
     pub queue_wait: Duration,
     /// Number of cell enumerations that were *interrupted* (budget fired or
     /// fault injected) while producing this sample. Distinct from a genuine
@@ -67,8 +77,6 @@ pub struct SampleStats {
     /// Number of incremental certification checks run while producing this
     /// sample (one per cell enumeration when certify mode is on).
     pub cert_checks: usize,
-    /// Wall-clock time spent verifying proof steps for this sample.
-    pub cert_time: Duration,
 }
 
 impl SampleStats {
@@ -100,8 +108,64 @@ impl SampleStats {
         self.faults_injected += other.faults_injected;
         self.proof_bytes += other.proof_bytes;
         self.cert_checks += other.cert_checks;
-        self.cert_time += other.cert_time;
     }
+}
+
+/// Prints `name=value` for every non-zero field, separated by spaces (and
+/// nothing at all for an all-zero record), in declaration order; durations
+/// use their `Debug` form.
+impl std::fmt::Display for SampleStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let counters: [(&str, u64); 13] = [
+            ("bsat_calls", self.bsat_calls as u64),
+            ("xor_clauses_added", self.xor_clauses_added as u64),
+            ("xor_vars_total", self.xor_vars_total as u64),
+            ("solver_propagations", self.solver_propagations),
+            ("solver_conflicts", self.solver_conflicts),
+            ("width_window_clamped", self.width_window_clamped as u64),
+            ("steals", self.steals as u64),
+            ("interrupted_cells", self.interrupted_cells as u64),
+            ("retries", self.retries as u64),
+            ("degradations", self.degradations as u64),
+            ("faults_injected", self.faults_injected as u64),
+            ("proof_bytes", self.proof_bytes as u64),
+            ("cert_checks", self.cert_checks as u64),
+        ];
+        let times = [
+            ("wall_time", self.wall_time),
+            ("queue_wait", self.queue_wait),
+        ];
+        let mut separator = "";
+        for (name, value) in counters.into_iter().filter(|&(_, v)| v > 0) {
+            write!(f, "{separator}{name}={value}")?;
+            separator = " ";
+        }
+        for (name, value) in times.into_iter().filter(|(_, v)| !v.is_zero()) {
+            write!(f, "{separator}{name}={value:?}")?;
+            separator = " ";
+        }
+        Ok(())
+    }
+}
+
+/// Runs one `BSAT` cell enumeration ([`enumerate_cell`]) on `solver` and
+/// charges the solver work it cost to `stats`: one `bsat_calls`, plus the
+/// propagations and conflicts the call added to the solver's counters.
+pub(crate) fn enumerate_charged(
+    solver: &mut Solver,
+    sampling_set: &[Var],
+    clauses: &[XorClause],
+    bound: usize,
+    budget: &Budget,
+    stats: &mut SampleStats,
+) -> EnumerationOutcome {
+    let before = *solver.stats();
+    let outcome = enumerate_cell(solver, sampling_set, clauses, bound, budget);
+    let after = solver.stats();
+    stats.solver_propagations += after.propagations - before.propagations;
+    stats.solver_conflicts += after.conflicts - before.conflicts;
+    stats.bsat_calls += 1;
+    outcome
 }
 
 /// Returns the dedicated RNG stream for sample `index` of a batch seeded
@@ -335,7 +399,6 @@ mod tests {
             faults_injected: 1,
             proof_bytes: 100,
             cert_checks: 1,
-            cert_time: Duration::from_millis(1),
         };
         let b = SampleStats {
             bsat_calls: 3,
@@ -353,7 +416,6 @@ mod tests {
             faults_injected: 2,
             proof_bytes: 11,
             cert_checks: 2,
-            cert_time: Duration::from_millis(4),
         };
         a.accumulate(&b);
         assert_eq!(a.bsat_calls, 4);
@@ -371,7 +433,18 @@ mod tests {
         assert_eq!(a.faults_injected, 3);
         assert_eq!(a.proof_bytes, 111);
         assert_eq!(a.cert_checks, 3);
-        assert_eq!(a.cert_time, Duration::from_millis(5));
+    }
+
+    #[test]
+    fn display_prints_only_nonzero_fields() {
+        assert_eq!(SampleStats::default().to_string(), "");
+        let stats = SampleStats {
+            bsat_calls: 2,
+            retries: 1,
+            queue_wait: Duration::from_millis(3),
+            ..SampleStats::default()
+        };
+        assert_eq!(stats.to_string(), "bsat_calls=2 retries=1 queue_wait=3ms");
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //!   with a blocking [`SamplerService::submit`] and a non-blocking
 //!   [`SamplerService::try_submit`] that hands a rejected request back to
 //!   the caller for a free idempotent retry.
+//! * **One timing point.** Samplers only count work; the pool stamps each
+//!   outcome's scheduling fields of [`SampleStats`]: `wall_time` around the
+//!   `sample` call (not around a cache-miss clone), `queue_wait` from
+//!   submission to execution start, and `steals`.
 //!
 //! # Determinism contract
 //!
@@ -208,7 +212,7 @@ impl ServiceConfig {
 /// its checker). A cell whose proof fails to check comes back as a
 /// [`crate::OutcomeKind::Faulted`] outcome in the response, and the
 /// per-outcome [`crate::SampleStats`] carry the `proof_bytes` /
-/// `cert_checks` / `cert_time` counters.
+/// `cert_checks` counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleRequest {
     /// Number of witnesses requested.
@@ -265,8 +269,8 @@ pub struct SampleResponse {
     /// clone of the service's prototype, at any worker count.
     pub outcomes: Vec<SampleOutcome>,
     /// Every outcome's statistics folded together with
-    /// [`SampleStats::accumulate`] — including the scheduler-side `steals`
-    /// and `queue_wait` counters.
+    /// [`SampleStats::accumulate`] — including the pool-stamped `wall_time`,
+    /// `queue_wait` and `steals`.
     pub aggregate_stats: SampleStats,
     /// Wall-clock time from submission to the last outcome's completion.
     pub round_trip: Duration,
@@ -337,8 +341,6 @@ struct Shared {
     /// The installed chaos schedule, if any: consulted per item for the
     /// worker-panic primitive and surfaced through [`ServiceHealth`].
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Lifetime count of stolen items, pool-wide.
-    steals: AtomicU64,
     /// Lifetime count of caught sampler panics, pool-wide.
     worker_panics: AtomicU64,
     /// Lifetime count of sampler respawns from a prototype, pool-wide.
@@ -447,7 +449,6 @@ impl WorkerPool {
             queue_capacity: config.queue_capacity.max(1),
             max_respawns: config.max_respawns,
             fault_plan,
-            steals: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             item_retries: AtomicU64::new(0),
@@ -494,12 +495,6 @@ impl WorkerPool {
         self.shared().queue_capacity
     }
 
-    /// Lifetime count of work items an idle worker stole from another
-    /// worker's deque.
-    pub fn steals(&self) -> u64 {
-        self.shared().steals.load(Ordering::Relaxed)
-    }
-
     /// Lifetime count of work items executed per worker (indexed by worker
     /// id). Under skewed per-sample cost the *item* counts are legitimately
     /// unbalanced — fast workers execute more items; that is the scheduler
@@ -513,7 +508,8 @@ impl WorkerPool {
     }
 
     /// Lifetime count of *stolen* items executed per worker (indexed by
-    /// worker id).
+    /// worker id): an idle worker steals from the back of another worker's
+    /// deque. Their sum is the pool's lifetime steal count.
     pub fn worker_steals(&self) -> Vec<u64> {
         self.shared()
             .worker_steals
@@ -735,7 +731,6 @@ fn run_worker(shared: Arc<Shared>, me: usize) {
 
         shared.worker_items[me].fetch_add(1, Ordering::Relaxed);
         if stolen {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
             shared.worker_steals[me].fetch_add(1, Ordering::Relaxed);
         }
         let outcome = execute(&mut cached, &shared, &item, stolen, me);
@@ -786,7 +781,13 @@ fn execute(
                         .1
                 }
             };
-            sampler.sample(&mut stream_for_index(state.request.master_seed, item.index))
+            let mut rng = stream_for_index(state.request.master_seed, item.index);
+            // The one timing point of a sample: around `sample` only, so a
+            // cache-miss clone is not charged to the sample.
+            let sampling = Instant::now();
+            let mut outcome = sampler.sample(&mut rng);
+            outcome.stats.wall_time = sampling.elapsed();
+            outcome
         });
         match std::panic::catch_unwind(run) {
             Ok(mut outcome) => {
@@ -1064,6 +1065,42 @@ mod tests {
         assert!(response.round_trip >= response.outcomes[0].stats.queue_wait);
     }
 
+    /// A sampler that sleeps in `sample` and reads no clock of its own.
+    #[derive(Clone)]
+    struct Sleepy(Duration);
+
+    impl WitnessSampler for Sleepy {
+        fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
+            std::thread::sleep(self.0);
+            SampleOutcome::bottom(SampleStats::default())
+        }
+        fn name(&self) -> &'static str {
+            "Sleepy"
+        }
+    }
+
+    /// The pool is the one place a sample is timed: its outcomes carry at
+    /// least the time spent in `sample`, while a bare serial batch of the
+    /// same sampler reports no time at all.
+    #[test]
+    fn the_pool_stamps_wall_time_and_serial_sampling_leaves_it_zero() {
+        use crate::WitnessSampler;
+        let nap = Duration::from_millis(2);
+        let service =
+            SamplerService::try_new(Sleepy(nap), ServiceConfig::default().with_workers(2)).unwrap();
+        let response = service.submit(SampleRequest::new(4, 1)).wait();
+        assert!(
+            response.outcomes.iter().all(|o| o.stats.wall_time >= nap),
+            "{:?}",
+            response.outcomes
+        );
+        assert!(response.aggregate_stats.wall_time >= 4 * nap);
+        assert!(Sleepy(nap)
+            .sample_batch(4, 1)
+            .iter()
+            .all(|o| o.stats.wall_time.is_zero()));
+    }
+
     #[test]
     fn expired_request_budget_yields_typed_interrupted_outcomes() {
         let f = formula_with_count(9, 1);
@@ -1177,7 +1214,6 @@ mod tests {
         let steals = response.aggregate_stats.steals;
         assert!(steals >= 4, "only {steals} items were stolen");
         let pool = service.pool();
-        assert_eq!(pool.steals(), steals as u64);
         assert_eq!(pool.worker_steals().iter().sum::<u64>(), steals as u64);
         assert_eq!(pool.worker_items().iter().sum::<u64>(), COUNT as u64);
 
@@ -1365,6 +1401,48 @@ mod tests {
             .collect();
         for (handle, serial) in handles {
             assert_eq!(witnesses_of(&handle.wait().outcomes), witnesses_of(serial));
+        }
+    }
+
+    /// Two *certified* prototypes alternating on a one-worker pool: the
+    /// worker runs the requests in submission order, so each request after
+    /// the first re-clones its prototype (solver, proof stream and checker)
+    /// on a cache miss. Every cell must still check, and each stream must
+    /// equal its serial batch.
+    #[test]
+    fn certified_prototypes_recloned_on_every_switch_keep_checking_their_proofs() {
+        use crate::{PreparedMode, WitnessSampler};
+        let config = UniGenConfig::default().with_certify(true);
+        let a = UniGen::new(&formula_with_count(9, 2), config.clone()).unwrap();
+        let b = UniGen::new(&formula_with_count(8, 3), config).unwrap();
+        for prototype in [&a, &b] {
+            assert!(matches!(
+                prototype.prepared_mode(),
+                PreparedMode::Hashed { .. }
+            ));
+        }
+        let serial_a = a.clone().sample_batch(4, 17);
+        let serial_b = b.clone().sample_batch(3, 17);
+        let pool = WorkerPool::try_new(
+            ServiceConfig::default()
+                .with_workers(1)
+                .with_queue_capacity(8),
+        )
+        .unwrap();
+        let (service_a, service_b) = (pool.serve(a), pool.serve(b));
+        let handles: Vec<(ResponseHandle, &Vec<SampleOutcome>)> = (0..3)
+            .flat_map(|_| {
+                [
+                    (service_a.submit(SampleRequest::new(4, 17)), &serial_a),
+                    (service_b.submit(SampleRequest::new(3, 17)), &serial_b),
+                ]
+            })
+            .collect();
+        for (handle, serial) in handles {
+            let outcomes = handle.wait().outcomes;
+            assert!(outcomes.iter().all(|o| o.kind != OutcomeKind::Faulted));
+            assert!(outcomes.iter().all(|o| o.stats.cert_checks > 0));
+            assert_eq!(witnesses_of(&outcomes), witnesses_of(serial));
         }
     }
 

@@ -1,7 +1,6 @@
 //! The UniGen algorithm (Algorithm 1 of the paper).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::{Rng, RngCore};
 
@@ -18,7 +17,9 @@ use crate::config::UniGenConfig;
 use crate::error::SamplerError;
 use crate::fault::FaultPlan;
 use crate::kappa_pivot::{compute_kappa_pivot, KappaPivot};
-use crate::sampler::{failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
+use crate::sampler::{
+    enumerate_charged, failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
+};
 
 /// What the one-off preparation phase (lines 1–11 of Algorithm 1) concluded
 /// about the formula.
@@ -268,12 +269,7 @@ impl UniGen {
     /// checker (a no-op when certify mode is off).
     fn certify_progress(&mut self, stats: &mut SampleStats) -> Result<(), unigen_cert::CheckError> {
         match self.certifier.as_mut() {
-            Some(certifier) => {
-                let started = Instant::now();
-                let result = certifier.absorb(&mut self.solver, Some(stats));
-                stats.cert_time += started.elapsed();
-                result
-            }
+            Some(certifier) => certifier.absorb(&mut self.solver, Some(stats)),
             None => Ok(()),
         }
     }
@@ -289,29 +285,6 @@ impl UniGen {
             }
             _ => failed_outcome(failure, stats),
         }
-    }
-
-    /// Issues one `BSAT` call on the persistent solver and folds the solver
-    /// work into `stats`.
-    fn run_bsat(
-        &mut self,
-        clauses: &[XorClause],
-        bound: usize,
-        stats: &mut SampleStats,
-    ) -> EnumerationOutcome {
-        let before = *self.solver.stats();
-        let outcome = enumerate_cell(
-            &mut self.solver,
-            &self.sampling_set,
-            clauses,
-            bound,
-            &self.config.bsat_budget,
-        );
-        let after = self.solver.stats();
-        stats.solver_propagations += after.propagations - before.propagations;
-        stats.solver_conflicts += after.conflicts - before.conflicts;
-        stats.bsat_calls += 1;
-        outcome
     }
 
     /// One cell enumeration behind the graceful-degradation ladder.
@@ -339,19 +312,23 @@ impl UniGen {
         if let Some(plan) = &self.fault_plan {
             plan.begin_bsat();
         }
-        let mut outcome = self.run_bsat(clauses, bound, stats);
+        let run = |solver: &mut Solver, stats: &mut SampleStats| {
+            let budget = &self.config.bsat_budget;
+            enumerate_charged(solver, &self.sampling_set, clauses, bound, budget, stats)
+        };
+        let mut outcome = run(&mut self.solver, stats);
         if outcome.interrupted == Some(InterruptReason::GaussPoisoned) {
             stats.faults_injected += 1;
             stats.degradations += 1;
             let saved = self.solver.gauss_mode();
             self.solver.set_gauss_mode(GaussMode::Off);
-            outcome = self.run_bsat(clauses, bound, stats);
+            outcome = run(&mut self.solver, stats);
             self.solver.set_gauss_mode(saved);
         }
         if outcome.interrupted == Some(InterruptReason::FaultInjected) {
             stats.faults_injected += 1;
             stats.retries += 1;
-            outcome = self.run_bsat(clauses, bound, stats);
+            outcome = run(&mut self.solver, stats);
         }
         if matches!(outcome.interrupted, Some(reason) if reason.is_fault()) {
             if let Some(pristine) = &self.pristine {
@@ -364,7 +341,7 @@ impl UniGen {
                 if let Some(certifier) = self.certifier.as_mut() {
                     certifier.reset();
                 }
-                outcome = self.run_bsat(clauses, bound, stats);
+                outcome = run(&mut self.solver, stats);
             }
         }
         outcome
@@ -388,7 +365,6 @@ impl UniGen {
         q: usize,
         rng: &mut dyn RngCore,
     ) -> (Option<Vec<Model>>, SampleStats, OutcomeKind) {
-        let started = Instant::now();
         let mut stats = SampleStats::default();
         let lo = self.kappa_pivot.lo_thresh();
         let hi_count = self.kappa_pivot.hi_thresh_count();
@@ -460,7 +436,6 @@ impl UniGen {
         if let Some(cell) = chosen.as_mut() {
             crate::sampler::sort_witnesses_canonically(cell, &self.sampling_set);
         }
-        stats.wall_time = started.elapsed();
         (chosen, stats, failure)
     }
 }
@@ -469,16 +444,8 @@ impl WitnessSampler for UniGen {
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
         match &self.mode {
             PreparedMode::Enumerated { witnesses } => {
-                let started = Instant::now();
                 let index = rng.gen_range(0..witnesses.len());
-                let witness = witnesses[index].clone();
-                SampleOutcome::of_witness(
-                    witness,
-                    SampleStats {
-                        wall_time: started.elapsed(),
-                        ..SampleStats::default()
-                    },
-                )
+                SampleOutcome::of_witness(witnesses[index].clone(), SampleStats::default())
             }
             PreparedMode::Hashed { q, .. } => {
                 let q = *q;

@@ -21,16 +21,17 @@
 //! per-sample search cost), which is what Tables 1 and 2 measure.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Var};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{enumerate_cell, Budget, Solver};
+use unigen_satsolver::{Budget, Solver};
 
 use crate::error::SamplerError;
-use crate::sampler::{failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
+use crate::sampler::{
+    enumerate_charged, failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
+};
 
 /// Configuration of [`UniWit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,6 @@ impl UniWit {
 
 impl WitnessSampler for UniWit {
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
-        let started = Instant::now();
         let mut stats = SampleStats::default();
         let pivot = self.config.pivot as usize;
         // Clamp the width window into the representable range `1..=|X|`.
@@ -136,24 +136,20 @@ impl WitnessSampler for UniWit {
         // First check whether the formula itself already has few enough
         // witnesses (the degenerate case every hashing sampler handles
         // first). Guard-scoped, so the blocking clauses vanish afterwards.
-        let before = *self.solver.stats();
-        let base = enumerate_cell(
+        let base = enumerate_charged(
             &mut self.solver,
             &self.support,
             &[],
             pivot + 1,
             &self.config.bsat_budget,
+            &mut stats,
         );
-        stats.solver_propagations += self.solver.stats().propagations - before.propagations;
-        stats.solver_conflicts += self.solver.stats().conflicts - before.conflicts;
-        stats.bsat_calls += 1;
         if base.interrupted.is_some() {
             // An interrupted probe says nothing about the formula's size;
             // fall through to the width search rather than misreading the
             // partial enumeration as "small".
             stats.interrupted_cells += 1;
         } else if base.len() <= pivot {
-            stats.wall_time = started.elapsed();
             if base.is_empty() {
                 // The formula is unsatisfiable: a *definite* ⊥.
                 return SampleOutcome::bottom(stats);
@@ -176,17 +172,14 @@ impl WitnessSampler for UniWit {
             stats.xor_clauses_added += clauses.len();
             stats.xor_vars_total += clauses.iter().map(|c| c.len()).sum::<usize>();
 
-            let before = *self.solver.stats();
-            let outcome = enumerate_cell(
+            let outcome = enumerate_charged(
                 &mut self.solver,
                 &self.support,
                 &clauses,
                 pivot + 1,
                 &self.config.bsat_budget,
+                &mut stats,
             );
-            stats.solver_propagations += self.solver.stats().propagations - before.propagations;
-            stats.solver_conflicts += self.solver.stats().conflicts - before.conflicts;
-            stats.bsat_calls += 1;
             if let Some(reason) = outcome.interrupted {
                 // An interrupted BSAT call fails this sample, as in the
                 // paper's UniWit runs that produced "—" table entries — but
@@ -201,7 +194,6 @@ impl WitnessSampler for UniWit {
                 // First accepted width ends the search (audited against the
                 // UniGen overshoot bug: this loop already returns here rather
                 // than scanning on and overwriting the accepted cell).
-                stats.wall_time = started.elapsed();
                 let mut cell = outcome.witnesses;
                 crate::sampler::sort_witnesses_canonically(&mut cell, &self.support);
                 let witness = cell[rng.gen_range(0..size)].clone();
@@ -213,7 +205,6 @@ impl WitnessSampler for UniWit {
             }
         }
 
-        stats.wall_time = started.elapsed();
         failed_outcome(failure, stats)
     }
 

@@ -11,7 +11,6 @@
 //! harness as UniGen.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::{Rng, RngCore};
 
@@ -124,27 +123,16 @@ impl UniformSampler {
 }
 
 impl WitnessSampler for UniformSampler {
-    /// Returns a uniformly chosen witness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sampler was built with [`UniformSampler::new`] (no
+    /// Returns a uniformly chosen witness, or a [`SampleOutcome::faulted`]
+    /// outcome if the sampler was built with [`UniformSampler::new`] (no
     /// materialised witnesses); use [`UniformSampler::with_witnesses`] when
     /// concrete models are required.
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
-        let started = Instant::now();
-        let witnesses = self
-            .witnesses
-            .as_ref()
-            .expect("UniformSampler::with_witnesses is required for model sampling");
+        let Some(witnesses) = self.witnesses.as_ref() else {
+            return SampleOutcome::faulted(SampleStats::default());
+        };
         let index = rng.gen_range(0..witnesses.len());
-        SampleOutcome::of_witness(
-            witnesses[index].clone(),
-            SampleStats {
-                wall_time: started.elapsed(),
-                ..SampleStats::default()
-            },
-        )
+        SampleOutcome::of_witness(witnesses[index].clone(), SampleStats::default())
     }
 
     fn name(&self) -> &'static str {
@@ -155,6 +143,7 @@ impl WitnessSampler for UniformSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OutcomeKind;
     use rand::SeedableRng;
     use unigen_cnf::Lit;
 
@@ -215,11 +204,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn model_sampling_without_witnesses_panics() {
+    fn model_sampling_without_witnesses_is_faulted() {
         let f = or_formula();
         let mut sampler = UniformSampler::new(&f).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let _ = sampler.sample(&mut rng);
+        let outcome = sampler.sample(&mut rng);
+        assert_eq!(outcome.kind, OutcomeKind::Faulted);
+        assert!(outcome.witness.is_none());
     }
 }

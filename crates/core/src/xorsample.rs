@@ -11,16 +11,17 @@
 //! the ablation benchmarks and for completeness of the historical lineage.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Var};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{enumerate_cell, Budget, Solver};
+use unigen_satsolver::{Budget, Solver};
 
 use crate::error::SamplerError;
-use crate::sampler::{failed_outcome, SampleOutcome, SampleStats, WitnessSampler};
+use crate::sampler::{
+    enumerate_charged, failed_outcome, SampleOutcome, SampleStats, WitnessSampler,
+};
 
 /// Configuration of [`XorSamplePrime`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +104,6 @@ impl XorSamplePrime {
 
 impl WitnessSampler for XorSamplePrime {
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
-        let started = Instant::now();
         let mut stats = SampleStats::default();
 
         // Audit note (first-acceptance / empty-window): XORSample′ tries a
@@ -116,18 +116,14 @@ impl WitnessSampler for XorSamplePrime {
         stats.xor_clauses_added += clauses.len();
         stats.xor_vars_total += clauses.iter().map(|c| c.len()).sum::<usize>();
 
-        let before = *self.solver.stats();
-        let outcome = enumerate_cell(
+        let outcome = enumerate_charged(
             &mut self.solver,
             &self.support,
             &clauses,
             self.config.cell_cap + 1,
             &self.config.bsat_budget,
+            &mut stats,
         );
-        stats.solver_propagations += self.solver.stats().propagations - before.propagations;
-        stats.solver_conflicts += self.solver.stats().conflicts - before.conflicts;
-        stats.bsat_calls += 1;
-        stats.wall_time = started.elapsed();
 
         // An interruption fails the sample but is reported as such: unlike
         // an empty or oversized cell it says nothing about whether the

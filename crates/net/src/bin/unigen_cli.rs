@@ -40,7 +40,7 @@
 //!   --seed S         master seed for the batch                  [default: 1]
 //!   --epsilon E      tolerance ε sent in the spec               [default: 6.0]
 //!   --prepare-seed S prepare-phase seed sent in the spec
-//!   --timeout SECS   per-item budget in seconds
+//!   --timeout SECS   soft budget for the whole request, in seconds
 //!   --fingerprint H  request by 16-hex-digit registry fingerprint
 //!   --health         print the daemon's health snapshot
 //!   --selftest       also run the same batch in-process and assert the wire
@@ -54,13 +54,12 @@
 //! persistent work-stealing pool once, splits `--samples` over
 //! `--requests` typed [`SampleRequest`]s (request `r` uses master seed
 //! `seed + r`), streams each response's witnesses as its index-ordered
-//! prefix completes, and prints the per-request round-trip statistics
-//! (round-trip time, total queue wait, stolen work items, submission
-//! retries, and the robustness counters — interrupted cells, fault-recovery
-//! retries, degradations, injected faults). A `QueueFull` rejection from
-//! the bounded request queue is absorbed by a bounded deterministic
-//! backoff (exponential base plus seeded SplitMix64 jitter) before falling
-//! back to the blocking submit path. The run ends with a
+//! prefix completes, and prints each request's round-trip time, submission
+//! retries and aggregate [`unigen::SampleStats`] (every non-zero counter,
+//! including the pool-stamped wall time, queue wait and steals). A
+//! `QueueFull` rejection from the bounded request queue is absorbed by a
+//! bounded deterministic backoff (exponential base plus seeded SplitMix64
+//! jitter) before falling back to the blocking submit path. The run ends with a
 //! [`unigen::ServiceHealth`] summary.
 //!
 //! In `batch`, sample `i` of request `r` draws its randomness from a
@@ -85,13 +84,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use unigen::{
-    OutcomeKind, PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig,
-    TrySubmitError, UniGen, UniGenConfig, WitnessSampler,
+    PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig, TrySubmitError,
+    UniGen, UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::{default_spec, ServeConfig};
-use unigen_net::wire::{ErrorCode, WireOutcomeKind};
+use unigen_net::wire::ErrorCode;
 use unigen_satsolver::Budget;
 
 #[derive(Debug, Clone)]
@@ -305,31 +304,13 @@ fn run(options: &CliOptions) -> Result<(), String> {
                 // The typed failure taxonomy: a genuine ⊥ (the algorithm's
                 // own reject), a budget interruption (retryable), or an
                 // injected/unrecovered fault.
-                println!("c sample {i} failed ({})", kind_name(outcome.kind));
+                println!("c sample {i} failed ({})", outcome.kind);
                 false
             }
         };
         if options.verbose {
-            eprintln!(
-                "c sample {i}: kind={} bsat_calls={} avg_xor_len={:.1} time={:?} steals={} \
-                 queue_wait={:?} interrupted_cells={} retries={} degradations={} faults={}",
-                kind_name(outcome.kind),
-                outcome.stats.bsat_calls,
-                outcome.stats.average_xor_length(),
-                outcome.stats.wall_time,
-                outcome.stats.steals,
-                outcome.stats.queue_wait,
-                outcome.stats.interrupted_cells,
-                outcome.stats.retries,
-                outcome.stats.degradations,
-                outcome.stats.faults_injected
-            );
-            if outcome.stats.cert_checks > 0 {
-                eprintln!(
-                    "c sample {i}: cert_checks={} proof_bytes={} cert_time={:?}",
-                    outcome.stats.cert_checks, outcome.stats.proof_bytes, outcome.stats.cert_time
-                );
-            }
+            let line = format!("c sample {i}: kind={} {}", outcome.kind, outcome.stats);
+            eprintln!("{}", line.trim_end());
         }
         success
     };
@@ -371,37 +352,9 @@ fn run(options: &CliOptions) -> Result<(), String> {
         // The persistent incremental solver's lifetime counters: how many
         // per-cell guards were cycled and how much learned knowledge was
         // scoped to cells (retired) versus kept across them (retained).
-        let stats = sampler.solver_stats();
-        eprintln!("c solver: {stats}");
-        eprintln!(
-            "c incremental: guards created={} retired={} guarded learned clauses retired={} learned clauses retained={}",
-            stats.guards_created,
-            stats.guards_retired,
-            stats.guarded_learned_retired,
-            stats.learned_retained
-        );
-        // Gauss–Jordan matrix propagation over the guarded hash layers:
-        // how many layers were compiled to matrices and what they did.
-        eprintln!(
-            "c gauss: matrices={} rows={} propagations={} conflicts={} row xors={}",
-            stats.gauss_matrices,
-            stats.gauss_rows,
-            stats.gauss_propagations,
-            stats.gauss_conflicts,
-            stats.gauss_row_ops
-        );
+        eprintln!("c solver: {}", sampler.solver_stats());
     }
     Ok(())
-}
-
-/// Stable lowercase label for an [`OutcomeKind`] in CLI output.
-fn kind_name(kind: OutcomeKind) -> &'static str {
-    match kind {
-        OutcomeKind::Witness => "witness",
-        OutcomeKind::Bottom => "bottom",
-        OutcomeKind::Interrupted => "interrupted",
-        OutcomeKind::Faulted => "faulted",
-    }
 }
 
 /// One SplitMix64 mixing step — the same generator family the samplers use
@@ -499,19 +452,13 @@ fn run_batch(
         let response = handle.wait();
         totals.accumulate(&response.aggregate_stats);
         eprintln!(
-            "c request {r}: seed={} witnesses={}/{} round_trip={:?} queue_wait_total={:?} \
-             steals={} submit_retries={submit_retries} interrupted_cells={} retries={} \
-             degradations={} faults={}",
+            "c request {r}: seed={} witnesses={}/{} round_trip={:?} \
+             submit_retries={submit_retries} {}",
             request.master_seed,
             response.successes(),
             request.count,
             response.round_trip,
-            response.aggregate_stats.queue_wait,
-            response.aggregate_stats.steals,
-            response.aggregate_stats.interrupted_cells,
-            response.aggregate_stats.retries,
-            response.aggregate_stats.degradations,
-            response.aggregate_stats.faults_injected
+            response.aggregate_stats
         );
     }
 
@@ -521,10 +468,7 @@ fn run_batch(
         produced as f64 / options.samples.max(1) as f64
     );
     eprintln!(
-        "c service totals: bsat_calls={} steals={} queue_wait_total={:?} worker_items={:?} worker_steals={:?}",
-        totals.bsat_calls,
-        service.pool().steals(),
-        totals.queue_wait,
+        "c service totals: {totals} worker_items={:?} worker_steals={:?}",
         service.pool().worker_items(),
         service.pool().worker_steals()
     );
@@ -630,7 +574,8 @@ struct ClientOptions {
     epsilon: f64,
     /// Prepare-phase seed sent in the spec (`None` = server default).
     prepare_seed: Option<u64>,
-    /// Per-item budget in seconds (0 on the wire = unbounded).
+    /// Soft budget for the whole request in seconds (0 on the wire =
+    /// unbounded).
     timeout: Option<u64>,
     health: bool,
     /// Re-run the batch in-process and assert wire bit-identity.
@@ -780,15 +725,6 @@ fn print_wire_witness(sampling_set: &[u32], bits: &[bool]) {
     println!("v {} 0", lits.join(" "));
 }
 
-fn wire_kind_name(kind: WireOutcomeKind) -> &'static str {
-    match kind {
-        WireOutcomeKind::Witness => "witness",
-        WireOutcomeKind::Bottom => "bottom",
-        WireOutcomeKind::Interrupted => "interrupted",
-        WireOutcomeKind::Faulted => "faulted",
-    }
-}
-
 /// Re-run the batch in-process with the same spec and assert the wire
 /// outcomes are bit-identical — the end-to-end determinism contract.
 fn run_selftest(
@@ -823,17 +759,10 @@ fn run_selftest(
         ));
     }
     for (i, (wire, local)) in batch.outcomes.iter().zip(&reference).enumerate() {
-        let local_kind = match local.kind {
-            OutcomeKind::Witness => WireOutcomeKind::Witness,
-            OutcomeKind::Bottom => WireOutcomeKind::Bottom,
-            OutcomeKind::Interrupted => WireOutcomeKind::Interrupted,
-            OutcomeKind::Faulted => WireOutcomeKind::Faulted,
-        };
-        if wire.kind != local_kind {
+        if wire.kind != local.kind {
             return Err(format!(
                 "selftest: outcome {i} kind mismatch: wire {} vs in-process {}",
-                wire_kind_name(wire.kind),
-                kind_name(local.kind)
+                wire.kind, local.kind
             ));
         }
         let local_bits: Option<Vec<bool>> = local
@@ -908,11 +837,7 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
         for outcome in &batch.outcomes {
             match &outcome.witness {
                 Some(bits) => print_wire_witness(&batch.sampling_set, bits),
-                None => println!(
-                    "c sample {} failed ({})",
-                    outcome.index,
-                    wire_kind_name(outcome.kind)
-                ),
+                None => println!("c sample {} failed ({})", outcome.index, outcome.kind),
             }
         }
         eprintln!(

@@ -85,7 +85,8 @@ pub struct ClientRequest {
     pub count: u64,
     /// Master seed for the deterministic batch.
     pub master_seed: u64,
-    /// Per-item budget in microseconds (0 = unbounded).
+    /// Soft wall-clock budget for the whole request in microseconds
+    /// (0 = unbounded); see [`Frame::Request`].
     pub budget_micros: u64,
 }
 
@@ -119,7 +120,7 @@ impl ClientRequest {
         self
     }
 
-    /// Set the per-item budget in microseconds.
+    /// Set the whole-request soft budget in microseconds.
     pub fn with_budget_micros(mut self, budget_micros: u64) -> ClientRequest {
         self.budget_micros = budget_micros;
         self

@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 use conc::atomic::{AtomicBool, AtomicU64, Ordering};
 use conc::sync::{Condvar, Mutex, MutexGuard};
-use unigen::{OutcomeKind, SampleRequest, SamplerService, TrySubmitError};
+use unigen::{SampleRequest, SamplerService, TrySubmitError};
 use unigen_cnf::Var;
 
-use crate::wire::{self, ErrorCode, Frame, WireOutcomeKind, WireStats};
+use crate::wire::{self, ErrorCode, Frame, WireStats};
 
 /// Acquire a connection-layer mutex, treating poisoning as fatal: a
 /// panic inside one of these short critical sections means the
@@ -319,12 +319,6 @@ pub fn run_request(
             outbound.send_error(job.id, ErrorCode::Cancelled, "request cancelled");
             return RequestEnd::Cancelled;
         }
-        let kind = match outcome.kind {
-            OutcomeKind::Witness => WireOutcomeKind::Witness,
-            OutcomeKind::Bottom => WireOutcomeKind::Bottom,
-            OutcomeKind::Interrupted => WireOutcomeKind::Interrupted,
-            OutcomeKind::Faulted => WireOutcomeKind::Faulted,
-        };
         let bits = match &outcome.witness {
             Some(model) => {
                 successes += 1;
@@ -343,7 +337,7 @@ pub fn run_request(
         let chunk = Frame::Chunk {
             id: job.id,
             index: index as u64,
-            kind,
+            kind: outcome.kind,
             bits,
         }
         .encode();

@@ -13,8 +13,8 @@
 //! [`FrameError`]: crate::wire::FrameError
 
 use crate::wire::{
-    put_varint, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireOutcomeKind,
-    WireSpec, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    outcome_from_byte, put_varint, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth,
+    WireOutcomeKind, WireSpec, WireStats, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// SplitMix64 step (same generator the fuzz harnesses use).
@@ -80,8 +80,7 @@ fn random_frame(rng: &mut u64) -> Frame {
         7 => Frame::Chunk {
             id: splitmix64(rng) % 100,
             index: splitmix64(rng) % 1000,
-            kind: WireOutcomeKind::from_u8((splitmix64(rng) % 4) as u8)
-                .unwrap_or(WireOutcomeKind::Bottom),
+            kind: outcome_from_byte((splitmix64(rng) % 4) as u8).unwrap_or(WireOutcomeKind::Bottom),
             bits: {
                 let n = (splitmix64(rng) % 16) as usize;
                 (0..n).map(|_| (splitmix64(rng) & 0xff) as u8).collect()

@@ -56,6 +56,12 @@ const TOKEN_CONN_BASE: u64 = 3;
 /// Bytes drained per connection per fairness round.
 const DRAIN_SLICE: usize = 16 * 1024;
 
+/// Byte capacity of each connection's outbound buffer.
+const OUTBOUND_CAPACITY: usize = 256 * 1024;
+
+/// `QueueFull` retries before a request is rejected as `Busy`.
+const SUBMIT_RETRY_BUDGET: usize = 64;
+
 /// Largest `count` one wire request may ask for; a larger one is rejected
 /// as `Malformed` before the pool is touched. An admitted request
 /// allocates all its outcome slots up front and holds a queue slot until
@@ -108,10 +114,6 @@ pub struct ServeConfig {
     /// Request-queue capacity of the daemon's one pool, across every
     /// formula; 0 uses the default.
     pub queue_capacity: usize,
-    /// Byte capacity of each connection's outbound buffer.
-    pub outbound_capacity: usize,
-    /// `QueueFull` retries before a request is rejected as `Busy`.
-    pub submit_retry_budget: usize,
     /// LRU capacity of the registry, in formula+spec entries: a new
     /// formula at capacity evicts the least recently used one that is
     /// neither preloaded nor still preparing.
@@ -133,8 +135,6 @@ impl Default for ServeConfig {
             unix: None,
             workers: 0,
             queue_capacity: 0,
-            outbound_capacity: 256 * 1024,
-            submit_retry_budget: 64,
             max_formulas: 64,
             allow_shutdown: false,
             preload: Vec::new(),
@@ -401,7 +401,6 @@ struct Shared {
     pool: WorkerPool,
     stop: AtomicBool,
     allow_shutdown: bool,
-    submit_retry_budget: usize,
     quiet: bool,
 }
 
@@ -530,7 +529,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
         pool,
         stop: AtomicBool::new(false),
         allow_shutdown: config.allow_shutdown,
-        submit_retry_budget: config.submit_retry_budget,
         quiet: config.quiet,
     });
 
@@ -603,7 +601,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
             next_token: TOKEN_CONN_BASE,
             rr_cursor: 0,
             workers: Vec::new(),
-            outbound_capacity: config.outbound_capacity,
         };
         event_loop.run();
     });
@@ -628,7 +625,6 @@ struct EventLoop {
     next_token: u64,
     rr_cursor: usize,
     workers: Vec<JoinHandle<()>>,
-    outbound_capacity: usize,
 }
 
 impl EventLoop {
@@ -738,7 +734,7 @@ impl EventLoop {
             transport,
             peer,
             decoder: Decoder::new(),
-            outbound: Arc::new(Outbound::new(self.outbound_capacity, waker)),
+            outbound: Arc::new(Outbound::new(OUTBOUND_CAPACITY, waker)),
             requests: Arc::new(ConnRequests::new()),
             submit_retries: Arc::new(AtomicU64::new(0)),
             wbuf: Vec::new(),
@@ -981,7 +977,7 @@ impl EventLoop {
                         &outbound,
                         &cancel,
                         &submit_retries,
-                        shared.submit_retry_budget,
+                        SUBMIT_RETRY_BUDGET,
                     );
                     requests.finish(id);
                     let health = shared.pool.health();

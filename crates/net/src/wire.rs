@@ -25,7 +25,7 @@
 //! |-----|---------------|------|
 //! | 1   | `Hello`       | magic `b"UGNW"`, varint protocol version |
 //! | 2   | `HelloAck`    | varint protocol version |
-//! | 3   | `Request`     | varint id, u8 formula-ref kind (0 = inline: varint len + DIMACS bytes; 1 = 8-byte LE fingerprint), u8 family, u8 epsilon flag (+ 8-byte LE `f64::to_bits` when 1), 8-byte LE prepare seed, varint count, 8-byte LE master seed, varint budget in microseconds (0 = unbounded) |
+//! | 3   | `Request`     | varint id, u8 formula-ref kind (0 = inline: varint len + DIMACS bytes; 1 = 8-byte LE fingerprint), u8 family, u8 epsilon flag (+ 8-byte LE `f64::to_bits` when 1), 8-byte LE prepare seed, varint count, 8-byte LE master seed, varint whole-request soft budget in microseconds (0 = unbounded) |
 //! | 4   | `Cancel`      | varint id |
 //! | 5   | `HealthReq`   | empty |
 //! | 6   | `StreamBegin` | varint id, 8-byte LE fingerprint, varint set size, that many varint variable indices |
@@ -56,6 +56,8 @@
 //! two concurrent requests interleave arbitrarily on the shared pool.
 
 use std::fmt;
+
+use unigen::OutcomeKind;
 
 /// Connection magic carried in the `Hello` frame.
 pub const MAGIC: [u8; 4] = *b"UGNW";
@@ -193,39 +195,28 @@ impl Family {
     }
 }
 
-/// Outcome kind of a streamed chunk (mirrors `unigen::OutcomeKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireOutcomeKind {
-    /// A sampled witness; the chunk carries packed projection bits.
-    Witness,
-    /// The sampler returned bottom (gave up within its budget).
-    Bottom,
-    /// The per-item budget interrupted the solve.
-    Interrupted,
-    /// An injected or real fault consumed the item.
-    Faulted,
+/// Outcome kind of a streamed chunk: the sampler's own [`OutcomeKind`],
+/// under the name the wire API has always exported.
+pub use unigen::OutcomeKind as WireOutcomeKind;
+
+/// Wire byte of an outcome kind (pinned by the golden vectors).
+pub(crate) fn outcome_byte(kind: OutcomeKind) -> u8 {
+    match kind {
+        OutcomeKind::Witness => 0,
+        OutcomeKind::Bottom => 1,
+        OutcomeKind::Interrupted => 2,
+        OutcomeKind::Faulted => 3,
+    }
 }
 
-impl WireOutcomeKind {
-    /// Wire byte for this outcome kind.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            WireOutcomeKind::Witness => 0,
-            WireOutcomeKind::Bottom => 1,
-            WireOutcomeKind::Interrupted => 2,
-            WireOutcomeKind::Faulted => 3,
-        }
-    }
-
-    /// Decode a wire byte; `None` for unknown values.
-    pub fn from_u8(byte: u8) -> Option<WireOutcomeKind> {
-        match byte {
-            0 => Some(WireOutcomeKind::Witness),
-            1 => Some(WireOutcomeKind::Bottom),
-            2 => Some(WireOutcomeKind::Interrupted),
-            3 => Some(WireOutcomeKind::Faulted),
-            _ => None,
-        }
+/// Decodes an outcome-kind wire byte; `None` for unknown values.
+pub(crate) fn outcome_from_byte(byte: u8) -> Option<OutcomeKind> {
+    match byte {
+        0 => Some(OutcomeKind::Witness),
+        1 => Some(OutcomeKind::Bottom),
+        2 => Some(OutcomeKind::Interrupted),
+        3 => Some(OutcomeKind::Faulted),
+        _ => None,
     }
 }
 
@@ -339,7 +330,8 @@ pub struct WireStats {
     pub bsat_calls: u64,
     /// Work-stealing steals while the request ran.
     pub steals: u64,
-    /// Degradation-ladder retries.
+    /// Retries: cell retries inside the samplers plus item retries after
+    /// worker panics.
     pub retries: u64,
     /// Degradation rungs taken.
     pub degradations: u64,
@@ -373,7 +365,8 @@ pub struct WireHealth {
     pub faults_injected: u64,
     /// Requests currently occupying queue slots.
     pub pending_requests: u64,
-    /// Items currently queued or running.
+    /// Work items waiting in the pool's deques (running items are not
+    /// counted).
     pub queued_items: u64,
     /// Open client connections.
     pub connections: u64,
@@ -404,7 +397,10 @@ pub enum Frame {
         count: u64,
         /// Master seed for the deterministic per-index streams.
         master_seed: u64,
-        /// Per-item budget in microseconds; 0 means unbounded.
+        /// Soft wall-clock budget for the whole request, in microseconds
+        /// from admission (`unigen::SampleRequest::budget`): items that
+        /// start after it expires complete as `Interrupted`. 0 means
+        /// unbounded.
         budget_micros: u64,
     },
     /// Cancel an in-flight request on this connection.
@@ -603,7 +599,7 @@ impl Frame {
                 p.push(tag::CHUNK);
                 put_varint(&mut p, *id);
                 put_varint(&mut p, *index);
-                p.push(kind.as_u8());
+                p.push(outcome_byte(*kind));
                 put_varint(&mut p, bits.len() as u64);
                 p.extend_from_slice(bits);
             }
@@ -827,7 +823,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FrameError> {
         tag::CHUNK => {
             let id = r.varint()?;
             let index = r.varint()?;
-            let kind = WireOutcomeKind::from_u8(r.u8()?).ok_or(FrameError::BadValue {
+            let kind = outcome_from_byte(r.u8()?).ok_or(FrameError::BadValue {
                 context: "outcome kind",
             })?;
             let len = r.varint()?;

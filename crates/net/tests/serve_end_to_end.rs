@@ -20,7 +20,7 @@ use unigen::{
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
 use unigen_net::server::{default_spec, MAX_REQUEST_COUNT};
-use unigen_net::wire::{self, Family, WireOutcomeKind, WireSpec};
+use unigen_net::wire::{self, Family, WireSpec};
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
 const DIMACS: &str = "p cnf 5 3\n1 2 0\n-3 4 0\n2 5 0\n";
@@ -46,7 +46,7 @@ fn test_spec() -> WireSpec {
     spec
 }
 
-type ProjectedBatch = Vec<(WireOutcomeKind, Option<Vec<bool>>)>;
+type ProjectedBatch = Vec<(OutcomeKind, Option<Vec<bool>>)>;
 
 /// In-process reference batch with the same spec: the projected bits
 /// every wire stream must reproduce exactly.
@@ -71,17 +71,11 @@ fn projected_batch(
         .sample_batch(count, master_seed)
         .into_iter()
         .map(|outcome| {
-            let kind = match outcome.kind {
-                OutcomeKind::Witness => WireOutcomeKind::Witness,
-                OutcomeKind::Bottom => WireOutcomeKind::Bottom,
-                OutcomeKind::Interrupted => WireOutcomeKind::Interrupted,
-                OutcomeKind::Faulted => WireOutcomeKind::Faulted,
-            };
             let bits = outcome
                 .witness
                 .as_ref()
                 .map(|model| sampling_set.iter().map(|&v| model.value(v)).collect());
-            (kind, bits)
+            (outcome.kind, bits)
         })
         .collect()
 }
