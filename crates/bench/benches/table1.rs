@@ -45,7 +45,6 @@ fn per_witness_cost(c: &mut Criterion) {
         // UniWit: every sample carries the full search cost.
         let config = UniWitConfig {
             bsat_budget: Budget::new().with_time_limit(Duration::from_secs(10)),
-            ..UniWitConfig::default()
         };
         if let Ok(mut sampler) = UniWit::new(&benchmark.formula, config) {
             let mut rng = StdRng::seed_from_u64(2);

@@ -11,7 +11,9 @@
 //!                     disagree (CI gate)
 //!   --check BASELINE  re-run the full suite (best of three) and exit
 //!                     non-zero if the geometric-mean speedup regressed more
-//!                     than the tolerance below the committed baseline
+//!                     than the tolerance below the committed baseline, or
+//!                     if any instance's per-mode witness count differs
+//!                     from the baseline's
 //!   --tolerance FRAC  allowed relative regression for --check [default: 0.15]
 //!   --out PATH        where to write the JSON report [default: BENCH_incremental.json]
 //! ```
@@ -19,8 +21,8 @@
 use std::process::ExitCode;
 
 use unigen_bench::harness::{
-    incremental_bench_suite, parse_baseline_geomean, render_incremental_json,
-    run_incremental_bench, IncrementalBenchConfig, IncrementalReport,
+    incremental_bench_suite, parse_baseline_geomean, parse_baseline_witnesses,
+    render_incremental_json, run_incremental_bench, IncrementalBenchConfig, IncrementalReport,
 };
 use unigen_circuit::benchmarks;
 
@@ -85,7 +87,10 @@ fn best_of(runs: usize) -> Result<IncrementalReport, String> {
 }
 
 /// The perf-trajectory gate: compares a fresh best-of-three run against the
-/// committed baseline and fails on a regression beyond the tolerance.
+/// committed baseline and fails on a regression beyond the tolerance, or on
+/// any witness count that differs from the baseline's. The three modes
+/// agreeing within one run cannot catch an enumeration bug they share; the
+/// committed counts can.
 fn check_against(baseline_path: &str, tolerance: f64) -> ExitCode {
     let baseline_json = match std::fs::read_to_string(baseline_path) {
         Ok(text) => text,
@@ -98,6 +103,10 @@ fn check_against(baseline_path: &str, tolerance: f64) -> ExitCode {
         eprintln!("error: no geometric_mean_speedup in {baseline_path}");
         return ExitCode::FAILURE;
     };
+    let Some(baseline_witnesses) = parse_baseline_witnesses(&baseline_json) else {
+        eprintln!("error: no per-instance witness counts in {baseline_path}");
+        return ExitCode::FAILURE;
+    };
     let report = match best_of(3) {
         Ok(report) => report,
         Err(message) => {
@@ -106,6 +115,14 @@ fn check_against(baseline_path: &str, tolerance: f64) -> ExitCode {
         }
     };
     print_summary(&report);
+    let witnesses = report.witness_counts();
+    if witnesses != baseline_witnesses {
+        eprintln!(
+            "error: witness counts (scratch, incremental, no-Gauss) differ from {baseline_path}:\n  \
+             baseline {baseline_witnesses:?}\n  current  {witnesses:?}"
+        );
+        return ExitCode::FAILURE;
+    }
     let current = report.geometric_mean_speedup();
     let floor = baseline * (1.0 - tolerance);
     eprintln!(

@@ -171,7 +171,6 @@ pub fn measure_unigen(benchmark: &Benchmark, run: &TableRunConfig) -> SamplerSum
 pub fn measure_uniwit(benchmark: &Benchmark, run: &TableRunConfig) -> SamplerSummary {
     let config = UniWitConfig {
         bsat_budget: run.uniwit_budget,
-        ..UniWitConfig::default()
     };
     let prep_start = Instant::now();
     let sampler = UniWit::new(&benchmark.formula, config);
@@ -414,6 +413,23 @@ pub struct IncrementalReport {
 }
 
 impl IncrementalReport {
+    /// Each instance's witness counts per mode — scratch, incremental,
+    /// incremental without Gauss — in the order
+    /// [`parse_baseline_witnesses`] reads them back.
+    pub fn witness_counts(&self) -> Vec<(String, [usize; 3])> {
+        self.instances
+            .iter()
+            .map(|i| {
+                let counts = [
+                    i.scratch.witnesses,
+                    i.incremental.witnesses,
+                    i.incremental_nogauss.witnesses,
+                ];
+                (i.name.clone(), counts)
+            })
+            .collect()
+    }
+
     /// Geometric mean of the per-instance speedups.
     pub fn geometric_mean_speedup(&self) -> f64 {
         if self.instances.is_empty() {
@@ -751,6 +767,34 @@ pub fn parse_baseline_geomean(json: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Extracts each instance's per-mode `witnesses` counts — scratch,
+/// incremental, incremental without Gauss — from a previously written
+/// `BENCH_incremental.json` document, in file order. A count is a pure
+/// function of formula, seeded hash and bound, independent of solver
+/// heuristics, so the perf gate pins it against the baseline too.
+pub fn parse_baseline_witnesses(json: &str) -> Option<Vec<(String, [usize; 3])>> {
+    let key = "\"witnesses\":";
+    let mut rows = Vec::new();
+    for row in json.split("{\"name\": \"").skip(1) {
+        let name = &row[..row.find('"')?];
+        let mut counts = [0; 3];
+        for (count, mode) in counts.iter_mut().zip([
+            "\"scratch\":",
+            "\"incremental\":",
+            "\"incremental_nogauss\":",
+        ]) {
+            let rest = &row[row.find(mode)?..];
+            let rest = rest[rest.find(key)? + key.len()..].trim_start();
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            *count = rest[..end].parse().ok()?;
+        }
+        rows.push((name.to_string(), counts));
+    }
+    (!rows.is_empty()).then_some(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,6 +891,14 @@ mod tests {
         // The perf gate reads its baseline back out of exactly this format.
         let geomean = parse_baseline_geomean(&json).expect("geomean parses back");
         assert!((geomean - report.geometric_mean_speedup()).abs() < 0.001);
+        let witnesses = parse_baseline_witnesses(&json).expect("witness counts parse back");
+        assert_eq!(witnesses, report.witness_counts());
+        assert_eq!(parse_baseline_witnesses("{}"), None);
+        assert_eq!(
+            parse_baseline_witnesses("{\"name\": \"a\", \"scratch\": {\"witnesses\": 3}}"),
+            None,
+            "a row missing a mode is rejected"
+        );
     }
 
     #[test]

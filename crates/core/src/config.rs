@@ -28,10 +28,6 @@ pub struct UniGenConfig {
     pub bsat_budget: Budget,
     /// Configuration of the approximate model counter used in line 9.
     pub approxmc: ApproxMcConfig,
-    /// How many times a failed (budget-exhausted) `BSAT` call on line 16 is
-    /// retried with fresh randomness without advancing the hash width — the
-    /// paper repeats lines 14–16 when a call times out.
-    pub bsat_retries: usize,
     /// Certified enumeration: when `true` the persistent solver logs a
     /// DRAT-style proof of every cell enumeration and an independent
     /// [`unigen_cert`] checker verifies it online. A cell whose proof fails
@@ -50,7 +46,6 @@ impl Default for UniGenConfig {
             seed: 0xdac2_0140,
             bsat_budget: Budget::new(),
             approxmc: ApproxMcConfig::default(),
-            bsat_retries: 2,
             certify: false,
         }
     }

@@ -21,6 +21,11 @@ use crate::sampler::{
     enumerate_charged, failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
 };
 
+/// How many times a failed (budget-exhausted) `BSAT` call on line 16 is
+/// retried with fresh randomness without advancing the hash width — the
+/// paper repeats lines 14–16 when a call times out.
+const BSAT_RETRIES: usize = 2;
+
 /// What the one-off preparation phase (lines 1–11 of Algorithm 1) concluded
 /// about the formula.
 #[derive(Debug, Clone)]
@@ -409,10 +414,10 @@ impl UniGen {
                     // A budget fired (or a fault survived the whole ladder):
                     // the call says nothing about the cell. Paper: repeat
                     // lines 14–16 with fresh randomness without advancing i
-                    // (bounded here by `bsat_retries`).
+                    // (bounded here by `BSAT_RETRIES`).
                     stats.interrupted_cells += 1;
                     attempts += 1;
-                    if attempts > self.config.bsat_retries {
+                    if attempts > BSAT_RETRIES {
                         failure = reason.into();
                         break 'widths;
                     }

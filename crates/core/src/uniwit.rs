@@ -25,6 +25,7 @@ use std::sync::Arc;
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Var};
+use unigen_counting::ApproxMcConfig;
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{Budget, Solver};
 
@@ -33,27 +34,14 @@ use crate::sampler::{
     enumerate_charged, failed_outcome, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
 };
 
-/// Configuration of [`UniWit`].
-#[derive(Debug, Clone, PartialEq)]
+/// Configuration of [`UniWit`]. The accepted cell size is ApproxMC's
+/// pivot ([`ApproxMcConfig::pivot`] at the default tolerance), and the
+/// width search runs up to `|X|`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UniWitConfig {
-    /// Largest cell size accepted when searching for a hash width.
-    pub pivot: u64,
     /// Budget for each underlying solver call (the per-`BSAT` timeout of the
     /// paper's experiments).
     pub bsat_budget: Budget,
-    /// Cap on the number of hash widths tried per sample; `None` means "up
-    /// to the size of the support".
-    pub max_width: Option<usize>,
-}
-
-impl Default for UniWitConfig {
-    fn default() -> Self {
-        UniWitConfig {
-            pivot: 46,
-            bsat_budget: Budget::new(),
-            max_width: None,
-        }
-    }
 }
 
 /// The UniWit near-uniform witness generator.
@@ -118,20 +106,8 @@ impl UniWit {
 impl WitnessSampler for UniWit {
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
         let mut stats = SampleStats::default();
-        let pivot = self.config.pivot as usize;
-        // Clamp the width window into the representable range `1..=|X|`.
-        // `max_width: Some(0)` would otherwise make `1..=0` empty and the
-        // sampler would report `⊥` with zero hashing work — the same silent
-        // empty-window failure mode fixed in UniGen's `collect_cell`.
-        let configured = self
-            .config
-            .max_width
-            .unwrap_or(self.support.len())
-            .min(self.support.len());
-        let max_width = configured.max(1);
-        if configured == 0 {
-            stats.width_window_clamped += 1;
-        }
+        // Largest cell size accepted when searching for a hash width.
+        let pivot = ApproxMcConfig::default().pivot() as usize;
 
         // First check whether the formula itself already has few enough
         // witnesses (the degenerate case every hashing sampler handles
@@ -166,7 +142,7 @@ impl WitnessSampler for UniWit {
 
         // Sequential search over hash widths, afresh for every sample.
         let mut failure = OutcomeKind::Bottom;
-        for width in 1..=max_width {
+        for width in 1..=self.support.len() {
             let hash = self.family.sample(width, rng);
             let clauses = hash.to_xor_clauses();
             stats.xor_clauses_added += clauses.len();
@@ -303,7 +279,6 @@ mod tests {
         let f = formula_with_count(8, 4);
         let config = UniWitConfig {
             bsat_budget: Budget::new().with_step_limit(0),
-            ..UniWitConfig::default()
         };
         let mut sampler = UniWit::new(&f, config).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -312,28 +287,5 @@ mod tests {
         assert!(outcome.witness.is_none());
         // Both the base probe and the first width's call were interrupted.
         assert_eq!(outcome.stats.interrupted_cells, 2);
-    }
-
-    #[test]
-    fn zero_max_width_is_clamped_not_silently_empty() {
-        // 2^10·0.75 witnesses, far above the pivot, so the base short-circuit
-        // does not fire and the sampler must enter the width search. With
-        // `max_width: Some(0)` the search window used to be the empty range
-        // `1..=0`: no hash was ever drawn and the sampler failed silently.
-        let mut f = CnfFormula::new(10);
-        f.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2)])
-            .unwrap();
-        let config = UniWitConfig {
-            max_width: Some(0),
-            ..UniWitConfig::default()
-        };
-        let mut sampler = UniWit::new(&f, config).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let outcome = sampler.sample(&mut rng);
-        assert_eq!(outcome.stats.width_window_clamped, 1);
-        assert!(
-            outcome.stats.xor_clauses_added >= 1,
-            "the clamped window must still draw at least one hash"
-        );
     }
 }

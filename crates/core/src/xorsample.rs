@@ -23,16 +23,16 @@ use crate::sampler::{
     enumerate_charged, failed_outcome, SampleOutcome, SampleStats, WitnessSampler,
 };
 
+/// Upper bound on the number of witnesses enumerated from the surviving cell
+/// before giving up (protects against a hopelessly small `num_constraints`).
+const CELL_CAP: usize = 256;
+
 /// Configuration of [`XorSamplePrime`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct XorSamplePrimeConfig {
     /// Number of xor constraints to add — the "difficult-to-estimate input
     /// parameter" the paper refers to. Should be close to `log2 |R_F|`.
     pub num_constraints: usize,
-    /// Upper bound on the number of witnesses enumerated from the surviving
-    /// cell before giving up (protects against a hopelessly small
-    /// `num_constraints`).
-    pub cell_cap: usize,
     /// Budget for each underlying solver call.
     pub bsat_budget: Budget,
 }
@@ -41,7 +41,6 @@ impl Default for XorSamplePrimeConfig {
     fn default() -> Self {
         XorSamplePrimeConfig {
             num_constraints: 8,
-            cell_cap: 256,
             bsat_budget: Budget::new(),
         }
     }
@@ -120,7 +119,7 @@ impl WitnessSampler for XorSamplePrime {
             &mut self.solver,
             &self.support,
             &clauses,
-            self.config.cell_cap + 1,
+            CELL_CAP + 1,
             &self.config.bsat_budget,
             &mut stats,
         );
@@ -135,7 +134,7 @@ impl WitnessSampler for XorSamplePrime {
         // Empty and oversized cells are definite ⊥ outcomes: without an
         // estimate of |R_F| there is no way to tell whether the chosen width
         // was sensible.
-        if outcome.is_empty() || outcome.len() > self.config.cell_cap {
+        if outcome.is_empty() || outcome.len() > CELL_CAP {
             return SampleOutcome::bottom(stats);
         }
         // Canonical order first, so the uniform pick is independent of solver

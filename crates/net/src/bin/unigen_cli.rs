@@ -19,14 +19,11 @@
 //!
 //! batch-only options:
 //!   --jobs N         service worker threads (0 = all cores)     [default: 0]
-//!   --requests R     split the samples over R service requests  [default: 1]
-//!   --queue N        bounded request-queue capacity             [default: 16]
 //!
 //! serve options (daemon mode; see `unigen_net::server`):
 //!   --listen ADDR    TCP listen address (e.g. 127.0.0.1:4171)
 //!   --unix PATH      unix-domain socket path
 //!   --jobs N         worker threads of the daemon's one shared pool
-//!   --queue N        request-queue capacity of that pool (all formulas)
 //!   --max-formulas N prepared formulas kept; past it the least recently
 //!                    used one is evicted (preloads never are) [default: 64]
 //!   --allow-shutdown honor wire Shutdown frames
@@ -51,23 +48,20 @@
 //!
 //! The `batch` subcommand drives the request/response [`SamplerService`]:
 //! it prepares one UniGen sampler with [`UniGen::new`], spawns the
-//! persistent work-stealing pool once, splits `--samples` over
-//! `--requests` typed [`SampleRequest`]s (request `r` uses master seed
-//! `seed + r`), streams each response's witnesses as its index-ordered
-//! prefix completes, and prints each request's round-trip time, submission
-//! retries and aggregate [`unigen::SampleStats`] (every non-zero counter,
-//! including the pool-stamped wall time, queue wait and steals). A
-//! `QueueFull` rejection from the bounded request queue is absorbed by a
-//! bounded deterministic backoff (exponential base plus seeded SplitMix64
-//! jitter) before falling back to the blocking submit path. The run ends with a
-//! [`unigen::ServiceHealth`] summary.
+//! persistent work-stealing pool once, submits one typed [`SampleRequest`]
+//! for `--samples` witnesses with master seed `--seed`, streams the
+//! response's witnesses as its index-ordered prefix completes, and prints
+//! the request's round-trip time and aggregate [`unigen::SampleStats`]
+//! (every non-zero counter, including the pool-stamped wall time, queue
+//! wait and steals). The run ends with the per-worker item and steal
+//! counts and a [`unigen::ServiceHealth`] summary.
 //!
-//! In `batch`, sample `i` of request `r` draws its randomness from a
-//! dedicated stream derived from `(seed + r, i)`, so the emitted witness
-//! sequence is identical for every `--jobs` value — unless `--timeout` is
-//! also given: a per-`BSAT` cutoff fires based on each worker solver's
-//! private accumulated state, which can make different samples fail at
-//! different worker counts (the CLI warns when the two flags are combined).
+//! In `batch`, sample `i` draws its randomness from a dedicated stream
+//! derived from `(seed, i)`, so the emitted witness sequence is identical
+//! for every `--jobs` value — unless `--timeout` is also given: a
+//! per-`BSAT` cutoff fires based on each worker solver's private
+//! accumulated state, which can make different samples fail at different
+//! worker counts (the CLI warns when the two flags are combined).
 //! Without `batch`, sampling is serial: one RNG seeded with `--seed` is
 //! consumed across all samples, each witness streamed out as it is
 //! produced.
@@ -84,8 +78,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use unigen::{
-    PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig, TrySubmitError,
-    UniGen, UniGenConfig, WitnessSampler,
+    PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig, UniGen,
+    UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
@@ -111,23 +105,19 @@ struct CliOptions {
     verbose: bool,
     /// `batch` subcommand: drive the request/response service.
     batch: bool,
-    /// Number of service requests the samples are split over (batch only).
-    requests: usize,
-    /// Request-queue capacity of the service (batch only).
-    queue: usize,
 }
 
 fn usage() -> &'static str {
     "usage: unigen_cli [batch] [--samples N] [--epsilon E] [--seed S] [--timeout SECS] \
-     [--jobs N] [--requests R] [--queue N] [--certify] [--proof-dump FILE] [--verbose] <FILE.cnf>\n\
+     [--jobs N] [--certify] [--proof-dump FILE] [--verbose] <FILE.cnf>\n\
      (daemon mode: `unigen_cli serve --help`; remote sampling: `unigen_cli client --help`)"
 }
 
 fn serve_usage() -> &'static str {
-    "usage: unigen_cli serve [--listen ADDR] [--unix PATH] [--jobs N] [--queue N] \
+    "usage: unigen_cli serve [--listen ADDR] [--unix PATH] [--jobs N] \
      [--max-formulas N] [--allow-shutdown] [--quiet] [FILE.cnf ...]\n\
      at least one of --listen / --unix is required; positional files are preloaded\n\
-     and never evicted; --jobs and --queue size the one worker pool all formulas share"
+     and never evicted; --jobs sizes the one worker pool all formulas share"
 }
 
 fn client_usage() -> &'static str {
@@ -148,8 +138,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         proof_dump: None,
         verbose: false,
         batch: false,
-        requests: 1,
-        queue: 16,
     };
     let mut args = args;
     if args.first().map(String::as_str) == Some("batch") {
@@ -191,26 +179,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     .ok_or("--jobs needs an unsigned integer (0 = all cores)")?;
                 if !options.batch {
                     return Err(format!("--jobs is a `batch` option\n{}", usage()));
-                }
-            }
-            "--requests" => {
-                options.requests = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r: &usize| r > 0)
-                    .ok_or("--requests needs a positive integer")?;
-                if !options.batch {
-                    return Err(format!("--requests is a `batch` option\n{}", usage()));
-                }
-            }
-            "--queue" => {
-                options.queue = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&q: &usize| q > 0)
-                    .ok_or("--queue needs a positive integer")?;
-                if !options.batch {
-                    return Err(format!("--queue is a `batch` option\n{}", usage()));
                 }
             }
             "--certify" => options.certify = true,
@@ -357,26 +325,6 @@ fn run(options: &CliOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// One SplitMix64 mixing step — the same generator family the samplers use
-/// for their per-index streams, reused here to derive deterministic
-/// backoff jitter from the seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-/// Bounded deterministic backoff for a `QueueFull` rejection: exponential
-/// base doubling from 250µs (capped at attempt 6) plus a seeded SplitMix64
-/// jitter of up to 1ms, so concurrent submitters with different seeds
-/// desynchronise instead of retrying in lockstep.
-fn backoff_delay(seed: u64, request_index: usize, attempt: usize) -> Duration {
-    let base = 250u64 << attempt.min(6) as u32;
-    let jitter = splitmix64(seed ^ ((request_index as u64) << 32) ^ attempt as u64) % 1000;
-    Duration::from_micros(base + jitter)
-}
-
 /// The `batch` subcommand: drive the persistent request/response service and
 /// report the round-trip statistics of every request.
 fn run_batch(
@@ -390,7 +338,7 @@ fn run_batch(
              so the witness sequence may differ between --jobs values"
         );
     }
-    let mut config = ServiceConfig::default().with_queue_capacity(options.queue);
+    let mut config = ServiceConfig::default();
     if options.jobs > 0 {
         config = config.with_workers(options.jobs);
     }
@@ -402,65 +350,21 @@ fn run_batch(
         service.pool().queue_capacity()
     );
 
-    // Split the samples over the requests (first `remainder` requests get
-    // one extra); request r draws from master seed `seed + r`, so distinct
-    // requests use provably disjoint RNG stream sets.
-    let base = options.samples / options.requests;
-    let remainder = options.samples % options.requests;
-    let requests: Vec<SampleRequest> = (0..options.requests)
-        .map(|r| {
-            let count = base + usize::from(r < remainder);
-            SampleRequest::new(count, options.seed.wrapping_add(r as u64))
-        })
-        .filter(|request| request.count > 0)
-        .collect();
-
-    // Submit everything up front, absorbing `QueueFull` rejections with a
-    // bounded deterministic backoff (seeded jitter, exponential base): the
-    // determinism contract makes the retry idempotent, and after the retry
-    // budget is spent the submission falls back to the blocking path, so no
-    // request is ever dropped.
-    const SUBMIT_RETRY_BUDGET: usize = 10;
-    let mut handles = Vec::with_capacity(requests.len());
-    for (r, &request) in requests.iter().enumerate() {
-        let mut submit_retries = 0usize;
-        let handle = loop {
-            match service.try_submit(request) {
-                Ok(handle) => break handle,
-                Err(TrySubmitError::QueueFull { request })
-                    if submit_retries < SUBMIT_RETRY_BUDGET =>
-                {
-                    std::thread::sleep(backoff_delay(options.seed, r, submit_retries));
-                    submit_retries += 1;
-                    debug_assert_eq!(request.count, base + usize::from(r < remainder));
-                }
-                Err(_) => break service.submit(request),
-            }
-        };
-        handles.push((handle, submit_retries));
-    }
-
+    let mut handle = service.submit(SampleRequest::new(options.samples, options.seed));
     let mut produced = 0usize;
-    let mut emitted = 0usize;
-    let mut totals = unigen::SampleStats::default();
-    for (r, (mut handle, submit_retries)) in handles.into_iter().enumerate() {
-        let request = handle.request();
-        for outcome in handle.by_ref() {
-            produced += usize::from(emit(emitted, &outcome));
-            emitted += 1;
-        }
-        let response = handle.wait();
-        totals.accumulate(&response.aggregate_stats);
-        eprintln!(
-            "c request {r}: seed={} witnesses={}/{} round_trip={:?} \
-             submit_retries={submit_retries} {}",
-            request.master_seed,
-            response.successes(),
-            request.count,
-            response.round_trip,
-            response.aggregate_stats
-        );
+    for (i, outcome) in handle.by_ref().enumerate() {
+        produced += usize::from(emit(i, &outcome));
     }
+    let request = handle.request();
+    let response = handle.wait();
+    eprintln!(
+        "c request 0: seed={} witnesses={}/{} round_trip={:?} {}",
+        request.master_seed,
+        response.successes(),
+        request.count,
+        response.round_trip,
+        response.aggregate_stats
+    );
 
     eprintln!(
         "c produced {produced}/{} witnesses (observed success probability {:.2})",
@@ -468,7 +372,7 @@ fn run_batch(
         produced as f64 / options.samples.max(1) as f64
     );
     eprintln!(
-        "c service totals: {totals} worker_items={:?} worker_steals={:?}",
+        "c service totals: worker_items={:?} worker_steals={:?}",
         service.pool().worker_items(),
         service.pool().worker_steals()
     );
@@ -510,12 +414,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--jobs needs an unsigned integer (0 = service default)")?;
-            }
-            "--queue" => {
-                config.queue_capacity = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--queue needs an unsigned integer (0 = service default)")?;
             }
             "--max-formulas" => {
                 config.max_formulas = iter
@@ -884,10 +782,9 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
     if options.health {
         let health = client.health().map_err(|e| e.to_string())?;
         eprintln!(
-            "c health: services={} workers={}/{} panics={} respawns={} item_retries={} \
+            "c health: services={} workers={} panics={} respawns={} item_retries={} \
              faults={} pending_requests={} queued_items={} connections={}",
             health.services,
-            health.alive_workers,
             health.configured_workers,
             health.worker_panics,
             health.respawns,
@@ -1005,31 +902,34 @@ mod tests {
 
     #[test]
     fn batch_subcommand_parses_its_options() {
-        let options = parse_args(&args(&[
-            "batch",
-            "--samples",
-            "40",
-            "--requests",
-            "4",
-            "--queue",
-            "2",
-            "--jobs",
-            "3",
-            "a.cnf",
-        ]))
-        .unwrap();
+        let options =
+            parse_args(&args(&["batch", "--samples", "40", "--jobs", "3", "a.cnf"])).unwrap();
         assert!(options.batch);
         assert_eq!(options.samples, 40);
-        assert_eq!(options.requests, 4);
-        assert_eq!(options.queue, 2);
         assert_eq!(options.jobs, 3);
-        // Batch-only options are rejected on the legacy path, and zero
-        // requests/queue are rejected outright.
         assert!(!parse_args(&args(&["a.cnf"])).unwrap().batch);
-        assert!(parse_args(&args(&["--requests", "4", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["--queue", "2", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["batch", "--requests", "0", "a.cnf"])).is_err());
-        assert!(parse_args(&args(&["batch", "--queue", "0", "a.cnf"])).is_err());
+    }
+
+    #[test]
+    fn batch_rejects_request_splitting_and_queue_options() {
+        for argv in [
+            &["batch", "--requests", "2", "a.cnf"][..],
+            &["batch", "--queue", "2", "a.cnf"][..],
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.starts_with("unknown option `--"), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_rejects_a_queue_option() {
+        let Err(err) = parse_serve_args(&args(&["--queue", "4", "--unix", "s"])) else {
+            panic!("serve accepted --queue");
+        };
+        assert!(
+            err.starts_with("unknown serve option `--queue`"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -1072,8 +972,6 @@ mod tests {
             proof_dump: None,
             verbose: true,
             batch: false,
-            requests: 1,
-            queue: 16,
         };
         run(&options).unwrap();
         // Certified serial run with a proof dump, re-checked offline.
@@ -1089,13 +987,11 @@ mod tests {
         assert!(!bytes.is_empty());
         unigen_cert::Checker::check(&unigen::cert_formula(&formula), &bytes).unwrap();
         let _ = std::fs::remove_file(&dump);
-        // The service-backed batch subcommand path, multiple requests.
+        // The service-backed batch subcommand path.
         let options = CliOptions {
             batch: true,
             jobs: 2,
             samples: 5,
-            requests: 2,
-            queue: 1,
             ..options
         };
         run(&options).unwrap();

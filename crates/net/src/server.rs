@@ -111,9 +111,6 @@ pub struct ServeConfig {
     /// Worker threads of the daemon's one pool, shared by every
     /// formula; 0 uses the [`ServiceConfig`] default.
     pub workers: usize,
-    /// Request-queue capacity of the daemon's one pool, across every
-    /// formula; 0 uses the default.
-    pub queue_capacity: usize,
     /// LRU capacity of the registry, in formula+spec entries: a new
     /// formula at capacity evicts the least recently used one that is
     /// neither preloaded nor still preparing.
@@ -134,7 +131,6 @@ impl Default for ServeConfig {
             tcp: None,
             unix: None,
             workers: 0,
-            queue_capacity: 0,
             max_formulas: 64,
             allow_shutdown: false,
             preload: Vec::new(),
@@ -517,9 +513,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
     let mut service_config = ServiceConfig::default();
     if config.workers > 0 {
         service_config = service_config.with_workers(config.workers);
-    }
-    if config.queue_capacity > 0 {
-        service_config = service_config.with_queue_capacity(config.queue_capacity);
     }
 
     let pool = WorkerPool::try_new(service_config)

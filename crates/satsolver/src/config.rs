@@ -18,58 +18,65 @@ pub enum GaussMode {
     Off,
     /// Build a matrix for every guarded layer, regardless of size.
     On,
-    /// Build a matrix only for layers with at least
-    /// [`SolverConfig::gauss_auto_threshold`] rows — wide hash layers are
-    /// where cross-row reasoning pays for itself, while tiny layers stay
-    /// on the cheaper watched engine.
+    /// Build a matrix only for layers with at least two rows — wide hash
+    /// layers are where cross-row reasoning pays for itself, while
+    /// single-row layers stay on the cheaper watched engine.
     #[default]
     Auto,
 }
 
-/// Tunable parameters of the CDCL search.
+/// Base number of conflicts between Luby restarts.
+pub(crate) const RESTART_INTERVAL: u64 = 100;
+/// Multiplicative decay applied to variable activities after each conflict
+/// (VSIDS).
+pub(crate) const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to learned-clause activities after each
+/// conflict.
+pub(crate) const CLAUSE_DECAY: f64 = 0.999;
+/// Initial number of learned clauses tolerated before the first
+/// clause-database reduction.
+pub(crate) const LEARNED_CLAUSE_LIMIT: usize = 4000;
+/// Growth factor applied to the learned-clause limit after each reduction.
+pub(crate) const LEARNED_CLAUSE_GROWTH: f64 = 1.3;
+/// Polarity assigned to a variable the first time it is decided (phase
+/// saving takes over afterwards).
+pub(crate) const DEFAULT_POLARITY: bool = false;
+/// Seed of the tie-breaking noise injected into initial variable
+/// activities; two solvers given the same formula explore the same search
+/// tree.
+pub(crate) const SEED: u64 = 0x5eed_cafe;
+/// Minimum number of rows a guarded layer needs before [`GaussMode::Auto`]
+/// compiles it into a matrix.
+pub(crate) const GAUSS_AUTO_THRESHOLD: usize = 2;
+
+const _: () = assert!(VAR_DECAY > 0.0 && VAR_DECAY < 1.0);
+const _: () = assert!(CLAUSE_DECAY > 0.0 && CLAUSE_DECAY < 1.0);
+const _: () = assert!(RESTART_INTERVAL > 0);
+const _: () = assert!(LEARNED_CLAUSE_GROWTH > 1.0);
+const _: () = assert!(GAUSS_AUTO_THRESHOLD >= 1);
+
+/// Per-solver settings that callers vary: the Gauss–Jordan policy, fault
+/// injection and certify mode.
 ///
-/// The defaults follow MiniSat-style folklore values and are what every
-/// experiment in this repository uses; they are exposed so that the ablation
-/// benches (and curious users) can vary them.
+/// The CDCL search parameters (restart interval, activity decays,
+/// learned-clause limits, default polarity, the tie-breaking seed and the
+/// Auto threshold) are MiniSat-style folklore values fixed as constants:
+/// every experiment in this repository uses them.
 ///
 /// # Example
 ///
 /// ```
-/// use unigen_satsolver::SolverConfig;
+/// use unigen_satsolver::{GaussMode, SolverConfig};
 /// let config = SolverConfig {
-///     restart_interval: 64,
+///     gauss: GaussMode::Off,
 ///     ..SolverConfig::default()
 /// };
-/// assert_eq!(config.restart_interval, 64);
+/// assert_eq!(config.gauss, GaussMode::Off);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
-    /// Base number of conflicts between Luby restarts.
-    pub restart_interval: u64,
-    /// Multiplicative decay applied to variable activities after each
-    /// conflict (VSIDS).
-    pub var_decay: f64,
-    /// Multiplicative decay applied to learned-clause activities after each
-    /// conflict.
-    pub clause_decay: f64,
-    /// Initial number of learned clauses tolerated before the first
-    /// clause-database reduction.
-    pub learned_clause_limit: usize,
-    /// Growth factor applied to the learned-clause limit after each
-    /// reduction.
-    pub learned_clause_growth: f64,
-    /// Default polarity assigned to a variable the first time it is decided
-    /// (phase saving takes over afterwards).
-    pub default_polarity: bool,
-    /// Random seed controlling tie-breaking noise injected into initial
-    /// variable activities; two solvers built with the same seed and the same
-    /// formula explore the same search tree.
-    pub seed: u64,
     /// Gauss–Jordan elimination policy for guarded xor layers.
     pub gauss: GaussMode,
-    /// Minimum number of rows a guarded layer needs before
-    /// [`GaussMode::Auto`] compiles it into a matrix.
-    pub gauss_auto_threshold: usize,
     /// Injectable fault oracle consulted at solve/search/seal boundaries
     /// (see [`FaultHook`]); `None` — the default — costs one pointer test
     /// per search-loop iteration and injects nothing.
@@ -100,33 +107,7 @@ impl PartialEq for SolverConfig {
             // Proof logs diverge by construction (each solver's stream is
             // its own); configs agree when certify mode is on in both.
             && self.proof.is_some() == other.proof.is_some()
-            && self.restart_interval == other.restart_interval
-            && self.var_decay == other.var_decay
-            && self.clause_decay == other.clause_decay
-            && self.learned_clause_limit == other.learned_clause_limit
-            && self.learned_clause_growth == other.learned_clause_growth
-            && self.default_polarity == other.default_polarity
-            && self.seed == other.seed
             && self.gauss == other.gauss
-            && self.gauss_auto_threshold == other.gauss_auto_threshold
-    }
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            restart_interval: 100,
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            learned_clause_limit: 4000,
-            learned_clause_growth: 1.3,
-            default_polarity: false,
-            seed: 0x5eed_cafe,
-            gauss: GaussMode::Auto,
-            gauss_auto_threshold: 2,
-            fault_hook: None,
-            proof: None,
-        }
     }
 }
 
@@ -136,13 +117,10 @@ mod tests {
 
     #[test]
     fn defaults_are_sensible() {
+        // The range checks on the search constants are compile-time
+        // assertions next to their definitions.
         let c = SolverConfig::default();
-        assert!(c.var_decay > 0.0 && c.var_decay < 1.0);
-        assert!(c.clause_decay > 0.0 && c.clause_decay < 1.0);
-        assert!(c.restart_interval > 0);
-        assert!(c.learned_clause_growth > 1.0);
         assert_eq!(c.gauss, GaussMode::Auto);
-        assert!(c.gauss_auto_threshold >= 1);
         assert!(c.fault_hook.is_none());
         assert!(c.proof.is_none());
     }

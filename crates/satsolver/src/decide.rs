@@ -119,9 +119,7 @@ impl Vsids {
     where
         F: Fn(Var) -> bool,
     {
-        while let Some(&top) = self.heap.first() {
-            let var = Var::new(top as usize);
-            self.remove_top();
+        while let Some(var) = self.pop_top() {
             if !is_assigned(var) {
                 return Some(var);
             }
@@ -129,15 +127,18 @@ impl Vsids {
         None
     }
 
-    fn remove_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let removed = self.heap.pop().expect("heap is non-empty");
-        self.position[removed as usize] = ABSENT;
+    /// Removes and returns the variable with the highest activity, or
+    /// `None` when the heap is empty.
+    fn pop_top(&mut self) -> Option<Var> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop()?;
+        self.position[top as usize] = ABSENT;
         if !self.heap.is_empty() {
-            self.position[self.heap[0] as usize] = 0;
+            self.heap[0] = last;
+            self.position[last as usize] = 0;
             self.sift_down(0);
         }
+        Some(Var::new(top as usize))
     }
 
     fn sift_up(&mut self, mut pos: usize) {

@@ -478,7 +478,6 @@ mod tests {
         for gauss in [GaussMode::Off, GaussMode::Auto, GaussMode::On] {
             let config = SolverConfig {
                 gauss,
-                gauss_auto_threshold: 2,
                 ..SolverConfig::default()
             };
             let mut solver = Solver::from_formula_with_config(&f, config);

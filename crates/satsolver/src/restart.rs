@@ -3,7 +3,7 @@
 /// Returns the `i`-th element (1-based) of the Luby sequence
 /// `1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …`.
 ///
-/// The solver restarts after `luby(i) * restart_interval` conflicts in its
+/// The solver restarts after `luby(i) * RESTART_INTERVAL` conflicts in its
 /// `i`-th restart period, the schedule shown by Luby, Sinclair and Zuckerman
 /// to be universally optimal for Las Vegas algorithms and used by MiniSat
 /// and CryptoMiniSAT alike.

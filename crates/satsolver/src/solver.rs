@@ -13,7 +13,10 @@ use std::sync::Arc;
 
 use crate::budget::Budget;
 use crate::clause_db::{ClauseDb, ClauseRef, Watcher};
-use crate::config::{GaussMode, SolverConfig};
+use crate::config::{
+    GaussMode, SolverConfig, CLAUSE_DECAY, DEFAULT_POLARITY, GAUSS_AUTO_THRESHOLD,
+    LEARNED_CLAUSE_GROWTH, LEARNED_CLAUSE_LIMIT, RESTART_INTERVAL, SEED, VAR_DECAY,
+};
 use crate::decide::Vsids;
 use crate::fault::{FaultHook, FaultSite, InterruptReason};
 use crate::gauss::{BuildOutcome, GaussEngine, GaussResult};
@@ -149,8 +152,9 @@ enum ConflictSource {
 /// an incremental interface (assumptions + guarded constraint layers).
 ///
 /// See the crate-level documentation for an overview and an example. The
-/// solver is deterministic for a fixed [`SolverConfig::seed`] and input
-/// formula, which keeps every experiment in this repository reproducible.
+/// solver is deterministic for a given input formula (its tie-breaking
+/// noise comes from a fixed seed), which keeps every experiment in this
+/// repository reproducible.
 ///
 /// The solver is `Clone + Send`: every field is owned plain data (the clause
 /// arena, the xor engine, the trail, VSIDS state — no `Rc`, no interior
@@ -219,12 +223,12 @@ impl Solver {
     /// Creates an empty solver with an explicit configuration.
     pub fn with_config(num_vars: usize, config: SolverConfig) -> Self {
         CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let noise: Vec<f64> = (0..num_vars).map(|_| rng.gen_range(0.0..1e-6)).collect();
         let mut solver = Solver {
             num_vars,
             num_base_vars: num_vars,
-            clauses: ClauseDb::new(num_vars, config.clause_decay),
+            clauses: ClauseDb::new(num_vars, CLAUSE_DECAY),
             xors: XorEngine::new(num_vars),
             assign: vec![None; num_vars],
             level: vec![0; num_vars],
@@ -232,9 +236,9 @@ impl Solver {
             trail: Vec::with_capacity(num_vars),
             trail_lim: Vec::new(),
             qhead: 0,
-            vsids: Vsids::new(num_vars, config.var_decay, config.default_polarity, &noise),
-            restarts: LubyRestarts::new(config.restart_interval),
-            learned_limit: config.learned_clause_limit as f64,
+            vsids: Vsids::new(num_vars, VAR_DECAY, DEFAULT_POLARITY, &noise),
+            restarts: LubyRestarts::new(RESTART_INTERVAL),
+            learned_limit: LEARNED_CLAUSE_LIMIT as f64,
             config,
             ok: true,
             stats: SolverStats::default(),
@@ -388,7 +392,7 @@ impl Solver {
         self.minimise_marked.resize(num_vars, false);
         self.clauses.grow_to(num_vars);
         self.xors.grow_to(num_vars);
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ num_vars as u64);
+        let mut rng = StdRng::seed_from_u64(SEED ^ num_vars as u64);
         let noise: Vec<f64> = (old..num_vars).map(|_| rng.gen_range(0.0..1e-6)).collect();
         self.vsids.grow_to(num_vars, &noise);
     }
@@ -670,8 +674,7 @@ impl Solver {
             let use_matrix = match self.config.gauss {
                 GaussMode::On => true,
                 GaussMode::Auto => {
-                    existing > 0
-                        || rows.len() + existing + watched >= self.config.gauss_auto_threshold
+                    existing > 0 || rows.len() + existing + watched >= GAUSS_AUTO_THRESHOLD
                 }
                 GaussMode::Off => false,
             };
@@ -1498,7 +1501,7 @@ impl Solver {
         self.log_deletions(&deleted);
         self.stats.deleted_clauses += deleted.len() as u64;
         self.stats.learned_clauses = self.clauses.num_learned() as u64;
-        self.learned_limit *= self.config.learned_clause_growth;
+        self.learned_limit *= LEARNED_CLAUSE_GROWTH;
     }
 
     /// Logs a `Delete` step for each just-tombstoned clause (their literals
@@ -1670,18 +1673,14 @@ mod tests {
     fn step_limit_interrupts_at_the_same_point_everywhere() {
         let f = dimacs::parse("p cnf 6 4\n1 2 3 0\n-1 4 0\n-2 5 0\nx 4 5 6 0\n").unwrap();
         let budget = Budget::new().with_step_limit(1);
-        let run = |seed: u64| {
-            let config = SolverConfig {
-                seed,
-                ..SolverConfig::default()
-            };
-            let mut solver = Solver::from_formula_with_config(&f, config);
+        let run = || {
+            let mut solver = Solver::from_formula_with_config(&f, SolverConfig::default());
             let result = solver.solve_with_budget(&budget);
             let steps = solver.stats().propagations + solver.stats().decisions;
             (result, steps, solver)
         };
-        let (r1, s1, mut solver) = run(7);
-        let (r2, s2, _) = run(7);
+        let (r1, s1, mut solver) = run();
+        let (r2, s2, _) = run();
         assert_eq!(r1.interrupt_reason(), Some(InterruptReason::StepLimit));
         assert_eq!(r1, r2);
         assert_eq!(s1, s2, "step metering must be host-independent");
@@ -2058,12 +2057,7 @@ mod tests {
         // second seal must compile a matrix rather than leaving the layer
         // permanently on the watched engine.
         let f = dimacs::parse("p cnf 3 0\n").unwrap();
-        let config = SolverConfig {
-            gauss: GaussMode::Auto,
-            gauss_auto_threshold: 2,
-            ..SolverConfig::default()
-        };
-        let mut solver = Solver::from_formula_with_config(&f, config);
+        let mut solver = Solver::from_formula_with_config(&f, SolverConfig::default());
         let guard = solver.new_guard();
         solver.add_xor_under(XorClause::from_dimacs([1, 2], true), guard);
         assert!(solver

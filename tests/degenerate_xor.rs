@@ -25,10 +25,10 @@ use unigen_satsolver::{
 };
 
 fn config(gauss: GaussMode) -> SolverConfig {
+    // On builds a matrix for every guarded layer, however small; Off
+    // keeps every row on the watched engine.
     SolverConfig {
         gauss,
-        // Force the matrix path for arbitrarily small layers in On mode.
-        gauss_auto_threshold: 1,
         ..SolverConfig::default()
     }
 }

@@ -122,7 +122,6 @@ proptest! {
         let budget = Budget::new();
         let on = SolverConfig {
             gauss: GaussMode::On,
-            gauss_auto_threshold: 1,
             ..SolverConfig::default()
         };
         let off = SolverConfig {

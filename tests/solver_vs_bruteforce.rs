@@ -111,27 +111,24 @@ fn solver_handles_xor_heavy_formula() {
 
 #[test]
 fn solver_agrees_with_itself_across_seeds() {
-    // Different decision orders must not change the verdict.
-    use unigen_satsolver::SolverConfig;
-    let mut f = CnfFormula::new(12);
-    for i in 0..11 {
-        f.add_clause([
-            Lit::new(Var::new(i), i % 2 == 0),
-            Lit::new(Var::new(i + 1), i % 3 == 0),
-        ])
-        .unwrap();
-    }
-    f.add_xor_clause(XorClause::new((0..12).map(Var::new), true))
-        .unwrap();
+    // Different decision orders must not change the verdict. The solver's
+    // tie-breaking seed is fixed, so each rotation of the variable
+    // numbering stands in for a seed: it renames the same formula and
+    // changes which variable the noisy initial activities favour.
     let verdicts: Vec<bool> = (0..5)
-        .map(|seed| {
-            let config = SolverConfig {
-                seed,
-                ..SolverConfig::default()
-            };
-            Solver::from_formula_with_config(&f, config)
-                .solve()
-                .is_sat()
+        .map(|rotation| {
+            let var = |i: usize| Var::new((i + rotation) % 12);
+            let mut f = CnfFormula::new(12);
+            for i in 0..11 {
+                f.add_clause([
+                    Lit::new(var(i), i % 2 == 0),
+                    Lit::new(var(i + 1), i % 3 == 0),
+                ])
+                .unwrap();
+            }
+            f.add_xor_clause(XorClause::new((0..12).map(var), true))
+                .unwrap();
+            Solver::from_formula(&f).solve().is_sat()
         })
         .collect();
     assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
