@@ -2,198 +2,28 @@
 //! engine, emitting the machine-readable `BENCH_parallel.json` baseline.
 //!
 //! ```text
-//! bench_parallel [--smoke] [--check BASELINE] [--tolerance FRAC] [--out PATH]
-//!
-//!   --smoke           run one tiny instance and exit non-zero if any thread
-//!                     count diverges from the serial witness sequence
-//!   --check BASELINE  re-run the full suite (best of three) and exit
-//!                     non-zero if parallel efficiency at the max thread
-//!                     count (pool samples/sec over the same run's serial
-//!                     samples/sec — a host-portable ratio) regressed more
-//!                     than the tolerance below the committed baseline, or
-//!                     if any run breaks serial equivalence
-//!   --tolerance FRAC  allowed relative regression for --check [default: 0.15]
-//!   --out PATH        where to write the JSON report [default: BENCH_parallel.json]
+//! bench_parallel [--check BASELINE | --out PATH]
 //! ```
 //!
-//! Serial equivalence (identical witness sequence at every thread count) is
-//! checked on **every** run of every mode; it is the correctness half of the
-//! gate and is never best-of-three'd away.
+//! The gate number is parallel efficiency at the max thread count: pool
+//! samples/sec over the same run's serial samples/sec, a host-portable
+//! ratio. Serial equivalence (identical witness sequence at every thread
+//! count) is checked on every run; when the baseline was recorded on a host
+//! with a different CPU count, `--check` skips only the numeric half. The
+//! policy (best of three, the 15% floor, the flags) is
+//! [`unigen_bench::gate`]'s.
 
 use std::process::ExitCode;
 
+use unigen_bench::gate;
 use unigen_bench::parallel::{
-    parallel_bench_suite, parse_baseline_efficiency, parse_baseline_host_cpus,
-    render_parallel_json, run_parallel_bench, ParallelBenchConfig, ParallelReport,
+    parallel_bench_suite, run_parallel_bench, ParallelBenchConfig, ParallelReport,
 };
-use unigen_circuit::benchmarks;
 
-fn print_summary(report: &ParallelReport) {
-    let max = report.max_threads();
-    eprint!("{:<20} {:>8} {:>12}", "instance", "samples", "serial(sm/s)");
-    for t in &report.config.thread_counts {
-        eprint!(" {:>9}", format!("x{t}(sm/s)"));
-    }
-    eprintln!(" {:>6}", "det");
-    for i in &report.instances {
-        eprint!(
-            "{:<20} {:>8} {:>12.1}",
-            i.name, report.config.samples, i.serial.samples_per_sec
-        );
-        for p in &i.points {
-            eprint!(" {:>9.1}", p.samples_per_sec);
-        }
-        eprintln!(" {:>6}", if i.deterministic() { "ok" } else { "FAIL" });
-    }
-    eprintln!(
-        "host cpus: {}; geomean samples/sec at x{}: {:.1}; geomean efficiency at x{}: {:.3}; geomean speedup at x4: {:.2}",
-        report.host_cpus,
-        max,
-        report.geomean_samples_per_sec_at_max(),
-        max,
-        report.geomean_parallel_efficiency_at_max(),
-        report.geomean_speedup_at(4)
-    );
-}
-
-/// Runs the full suite `runs` times and keeps the best (by the gate number,
-/// parallel efficiency at the max thread count) report; serial equivalence
-/// is checked on every run.
-fn best_of(runs: usize) -> Result<ParallelReport, String> {
-    let suite = parallel_bench_suite();
-    let config = ParallelBenchConfig::default();
-    let mut best: Option<ParallelReport> = None;
-    for _ in 0..runs {
-        let report = run_parallel_bench(&suite, &config);
-        if !report.deterministic() {
-            print_summary(&report);
-            return Err("a thread count diverged from the serial witness sequence".into());
-        }
-        let better = best
-            .as_ref()
-            .map(|b| {
-                report.geomean_parallel_efficiency_at_max() > b.geomean_parallel_efficiency_at_max()
-            })
-            .unwrap_or(true);
-        if better {
-            best = Some(report);
-        }
-    }
-    Ok(best.expect("at least one run"))
-}
-
-/// The throughput-trajectory gate: compares a fresh best-of-three run against
-/// the committed baseline and fails on a regression beyond the tolerance.
-fn check_against(baseline_path: &str, tolerance: f64) -> ExitCode {
-    let baseline_json = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(baseline) = parse_baseline_efficiency(&baseline_json) else {
-        eprintln!("error: no geomean_parallel_efficiency_at_max_threads in {baseline_path}");
-        return ExitCode::FAILURE;
-    };
-    let report = match best_of(3) {
-        Ok(report) => report,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_summary(&report);
-    // Parallel efficiency is only comparable between hosts with the same
-    // core count: a baseline recorded on a multicore machine carries real
-    // speedup (≫ 1) that a single-core runner can never reach, and vice
-    // versa. On mismatched hardware the determinism half of the gate (above,
-    // checked on every run) still stands; the numeric half is skipped
-    // rather than failing every push on a hardware change.
-    if let Some(baseline_cpus) = parse_baseline_host_cpus(&baseline_json) {
-        if baseline_cpus != report.host_cpus {
-            eprintln!(
-                "note: baseline was recorded on a {baseline_cpus}-cpu host, this host has {}; \
-                 skipping the efficiency comparison (determinism was still enforced) — \
-                 regenerate {baseline_path} on this hardware to re-arm the numeric gate",
-                report.host_cpus
-            );
-            return ExitCode::SUCCESS;
-        }
-    }
-    let current = report.geomean_parallel_efficiency_at_max();
-    let floor = baseline * (1.0 - tolerance);
-    eprintln!(
-        "throughput trajectory: current efficiency {current:.3} vs baseline {baseline:.3} at x{} (floor {floor:.3}; both normalised to the measuring host's own serial run)",
-        report.max_threads()
-    );
-    if current < floor {
-        eprintln!(
-            "error: parallel efficiency at the max thread count regressed more than {:.0}% below the committed baseline",
-            tolerance * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+fn full() -> ParallelReport {
+    run_parallel_bench(&parallel_bench_suite(), &ParallelBenchConfig::default())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
-    let tolerance = args
-        .iter()
-        .position(|a| a == "--tolerance")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.15);
-    if let Some(baseline) = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-    {
-        return check_against(baseline, tolerance);
-    }
-
-    if smoke {
-        let suite = vec![benchmarks::iscas_like("smoke", 14, 180, 11, 0x0526)];
-        let config = ParallelBenchConfig {
-            samples: 16,
-            thread_counts: vec![1, 2, 8],
-            master_seed: 0xdac2014,
-        };
-        let report = run_parallel_bench(&suite, &config);
-        print_summary(&report);
-        if !report.deterministic() {
-            eprintln!("error: a thread count diverged from the serial witness sequence");
-            return ExitCode::FAILURE;
-        }
-        println!("{}", render_parallel_json(&report));
-        return ExitCode::SUCCESS;
-    }
-
-    let report = match best_of(3) {
-        Ok(report) => report,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_summary(&report);
-    let json = render_parallel_json(&report);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => {
-            eprintln!("wrote {out_path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {out_path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    gate::main(full, None)
 }

@@ -11,6 +11,8 @@ use unigen_cnf::{CnfFormula, Var, XorClause};
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{enumerate_cell, Budget, GaussMode, Solver, SolverConfig};
 
+use crate::gate::{geomean, json_number, Comparison, GateReport};
+
 /// Aggregate statistics for one sampler on one benchmark — one half of a
 /// table row.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,11 +434,77 @@ impl IncrementalReport {
 
     /// Geometric mean of the per-instance speedups.
     pub fn geometric_mean_speedup(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 1.0;
+        geomean(self.instances.iter().map(IncrementalComparison::speedup))
+    }
+}
+
+impl GateReport for IncrementalReport {
+    const FILE: &'static str = "BENCH_incremental.json";
+    const KEY: &'static str = "geometric_mean_speedup";
+
+    fn score(&self) -> f64 {
+        self.geometric_mean_speedup()
+    }
+
+    fn unsound(&self) -> Option<&'static str> {
+        self.instances
+            .iter()
+            .any(|i| !i.witnesses_match())
+            .then_some("incremental and scratch enumerations disagree")
+    }
+
+    /// The witness-count gate: the three modes agreeing within one run
+    /// cannot catch an enumeration bug they share; the committed counts
+    /// can.
+    fn compare(&self, baseline_json: &str) -> Result<Comparison, String> {
+        let baseline = parse_baseline_witnesses(baseline_json)
+            .ok_or("no per-instance witness counts in the baseline")?;
+        let current = self.witness_counts();
+        if current != baseline {
+            return Err(format!(
+                "witness counts (scratch, incremental, no-Gauss) differ from the baseline:\n  \
+                 baseline {baseline:?}\n  current  {current:?}"
+            ));
         }
-        let log_sum: f64 = self.instances.iter().map(|i| i.speedup().ln()).sum();
-        (log_sum / self.instances.len() as f64).exp()
+        Ok(Comparison::Numeric)
+    }
+
+    fn summary(&self) -> String {
+        let mut out = format!(
+            "{:<20} {:>6} {:>9} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}\n",
+            "instance",
+            "cells",
+            "witnesses",
+            "scratch(s)",
+            "increm.(s)",
+            "nogauss(s)",
+            "speedup",
+            "conf/call",
+            "ng-conf"
+        );
+        for i in &self.instances {
+            out.push_str(&format!(
+                "{:<20} {:>6} {:>9} {:>12.3} {:>12.3} {:>12.3} {:>7.2}x {:>10.1} {:>10.1}\n",
+                i.name,
+                i.cells,
+                i.incremental.witnesses,
+                i.scratch.seconds,
+                i.incremental.seconds,
+                i.incremental_nogauss.seconds,
+                i.speedup(),
+                i.incremental.conflicts_per_call,
+                i.incremental_nogauss.conflicts_per_call
+            ));
+        }
+        out.push_str(&format!(
+            "geometric-mean speedup: {:.2}x",
+            self.geometric_mean_speedup()
+        ));
+        out
+    }
+
+    fn render_json(&self) -> String {
+        render_incremental_json(self)
     }
 }
 
@@ -639,8 +707,7 @@ pub fn measure_incremental_comparison(
                     exhausted = true;
                     break;
                 }
-                unigen_satsolver::SolveResult::Unknown
-                | unigen_satsolver::SolveResult::Interrupted(_) => break,
+                unigen_satsolver::SolveResult::Interrupted(_) => break,
             }
         }
         scratch_witnesses += cell_witnesses.len();
@@ -689,18 +756,6 @@ pub fn run_incremental_bench(
     }
 }
 
-/// Formats a ratio for the hand-rolled JSON: division by a zero denominator
-/// yields `f64::INFINITY` (e.g. zero conflicts in the gauss-on loop), which
-/// `{:.3}` would render as the invalid JSON token `inf` — emit `null`
-/// instead so the document stays machine-readable.
-fn json_ratio(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_measurement(m: &CellLoopMeasurement) -> String {
     format!(
         "{{\"seconds\": {:.6}, \"seconds_per_cell\": {:.6}, \"propagations_per_call\": {:.1}, \"conflicts_per_call\": {:.1}, \"witnesses\": {}}}",
@@ -722,7 +777,7 @@ pub fn render_incremental_json(report: &IncrementalReport) -> String {
     ));
     out.push_str(&format!(
         "  \"geometric_mean_speedup\": {},\n",
-        json_ratio(report.geometric_mean_speedup())
+        json_number(report.geometric_mean_speedup(), 3)
     ));
     out.push_str("  \"instances\": [\n");
     for (i, instance) in report.instances.iter().enumerate() {
@@ -732,9 +787,9 @@ pub fn render_incremental_json(report: &IncrementalReport) -> String {
             instance.num_vars,
             instance.sampling_set_size,
             instance.cells,
-            json_ratio(instance.speedup()),
-            json_ratio(instance.nogauss_speedup()),
-            json_ratio(instance.gauss_conflict_reduction()),
+            json_number(instance.speedup(), 3),
+            json_number(instance.nogauss_speedup(), 3),
+            json_number(instance.gauss_conflict_reduction(), 3),
             instance.witnesses_match()
         ));
         out.push_str(&format!(
@@ -751,20 +806,6 @@ pub fn render_incremental_json(report: &IncrementalReport) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Extracts the committed `geometric_mean_speedup` from a previously written
-/// `BENCH_incremental.json` document (the perf-trajectory baseline the CI
-/// gate compares against). Hand-rolled to match the hand-rolled writer; the
-/// workspace deliberately has no JSON dependency.
-pub fn parse_baseline_geomean(json: &str) -> Option<f64> {
-    let key = "\"geometric_mean_speedup\":";
-    let start = json.find(key)? + key.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Extracts each instance's per-mode `witnesses` counts — scratch,
@@ -798,6 +839,7 @@ pub fn parse_baseline_witnesses(json: &str) -> Option<Vec<(String, [usize; 3])>>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::baseline_number;
     use unigen_circuit::benchmarks;
 
     #[test]
@@ -889,7 +931,7 @@ mod tests {
             "unbalanced braces in {json}"
         );
         // The perf gate reads its baseline back out of exactly this format.
-        let geomean = parse_baseline_geomean(&json).expect("geomean parses back");
+        let geomean = baseline_number(&json, IncrementalReport::KEY).expect("geomean parses back");
         assert!((geomean - report.geometric_mean_speedup()).abs() < 0.001);
         let witnesses = parse_baseline_witnesses(&json).expect("witness counts parse back");
         assert_eq!(witnesses, report.witness_counts());
@@ -903,9 +945,9 @@ mod tests {
 
     #[test]
     fn infinite_ratios_render_as_null_not_inf() {
-        assert_eq!(json_ratio(2.5), "2.500");
-        assert_eq!(json_ratio(f64::INFINITY), "null");
-        assert_eq!(json_ratio(f64::NAN), "null");
+        assert_eq!(json_number(2.5, 3), "2.500");
+        assert_eq!(json_number(f64::INFINITY, 3), "null");
+        assert_eq!(json_number(f64::NAN, 3), "null");
 
         // A gauss-on loop with zero conflicts (the matrices' best case)
         // must not corrupt the machine-readable report.
@@ -943,17 +985,55 @@ mod tests {
     #[test]
     fn baseline_geomean_parsing_is_robust() {
         assert_eq!(
-            parse_baseline_geomean("{\"geometric_mean_speedup\": 2.337,\n"),
+            baseline_number(
+                "{\"geometric_mean_speedup\": 2.337,\n",
+                "geometric_mean_speedup"
+            ),
             Some(2.337)
         );
         assert_eq!(
-            parse_baseline_geomean("{ \"geometric_mean_speedup\":1.0}"),
+            baseline_number(
+                "{ \"geometric_mean_speedup\":1.0}",
+                "geometric_mean_speedup"
+            ),
             Some(1.0)
         );
-        assert_eq!(parse_baseline_geomean("{}"), None);
+        assert_eq!(baseline_number("{}", "geometric_mean_speedup"), None);
         assert_eq!(
-            parse_baseline_geomean("\"geometric_mean_speedup\": x"),
+            baseline_number("\"geometric_mean_speedup\": x", "geometric_mean_speedup"),
             None
         );
+    }
+
+    #[test]
+    fn a_witness_count_mismatch_fails_the_check() {
+        let measured = CellLoopMeasurement {
+            seconds: 1.0,
+            seconds_per_cell: 0.5,
+            propagations_per_call: 10.0,
+            conflicts_per_call: 2.0,
+            witnesses: 4,
+            witness_fingerprint: 1,
+        };
+        let report = IncrementalReport {
+            config: IncrementalBenchConfig::default(),
+            instances: vec![IncrementalComparison {
+                name: "fixed".into(),
+                num_vars: 4,
+                sampling_set_size: 4,
+                cells: 2,
+                scratch: CellLoopMeasurement {
+                    seconds: 2.0,
+                    ..measured
+                },
+                incremental: measured,
+                incremental_nogauss: measured,
+            }],
+        };
+        let baseline = render_incremental_json(&report);
+        assert!(crate::gate::check(&baseline, || report.clone()).is_ok());
+        let drifted = baseline.replace("\"witnesses\": 4", "\"witnesses\": 5");
+        let err = crate::gate::check(&drifted, || report.clone()).unwrap_err();
+        assert!(err.contains("witness counts"), "{err}");
     }
 }

@@ -9,15 +9,16 @@
 //! * `figure1` — the count-of-counts uniformity comparison of UniGen against
 //!   the ideal sampler US (Figure 1), plus summary distances,
 //!
-//! while the Criterion benches under `benches/` time the individual steps
-//! (per-sample cost, ApproxMC, and the two ablations discussed in
-//! EXPERIMENTS.md). The [`harness`] module holds the shared measurement and
-//! formatting code, and the [`parallel`] module the thread-scaling
-//! throughput benchmark behind `BENCH_parallel.json`.
+//! and two gate binaries, `bench_incremental` and `bench_parallel`, measure
+//! against the committed `BENCH_*.json` baselines. The [`harness`] module
+//! holds the shared measurement and formatting code and the incremental
+//! solver benchmark, the [`parallel`] module the thread-scaling throughput
+//! benchmark, and the [`gate`] module the one gate policy both gates use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corpus;
+pub mod gate;
 pub mod harness;
 pub mod parallel;

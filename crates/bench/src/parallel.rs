@@ -22,6 +22,8 @@ use unigen::{
 use unigen_circuit::benchmarks::{self, Benchmark};
 use unigen_cnf::Var;
 
+use crate::gate::{baseline_number, geomean, json_number, Comparison, GateReport};
+
 /// Parameters of a thread-scaling run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelBenchConfig {
@@ -166,14 +168,70 @@ impl ParallelReport {
     }
 }
 
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = values
-        .filter(|v| *v > 0.0 && v.is_finite())
-        .fold((0.0f64, 0usize), |(s, n), v| (s + v.ln(), n + 1));
-    if n == 0 {
-        return 0.0;
+impl GateReport for ParallelReport {
+    const FILE: &'static str = "BENCH_parallel.json";
+    const KEY: &'static str = "geomean_parallel_efficiency_at_max_threads";
+
+    fn score(&self) -> f64 {
+        self.geomean_parallel_efficiency_at_max()
     }
-    (sum / n as f64).exp()
+
+    fn unsound(&self) -> Option<&'static str> {
+        (!self.deterministic())
+            .then_some("a thread count diverged from the serial witness sequence")
+    }
+
+    /// Parallel efficiency is only comparable between hosts with the same
+    /// core count: a baseline recorded on a multicore machine carries real
+    /// speedup (≫ 1) that a single-core runner can never reach, and vice
+    /// versa. On mismatched hardware the determinism half of the gate
+    /// (checked on every run) still stands; the numeric half is skipped
+    /// rather than failing every push on a hardware change.
+    fn compare(&self, baseline_json: &str) -> Result<Comparison, String> {
+        match baseline_number(baseline_json, "host_cpus") {
+            Some(cpus) if cpus as usize != self.host_cpus => Ok(Comparison::SkipNumeric(format!(
+                "baseline was recorded on a {cpus}-cpu host, this host has {}; \
+                 skipping the efficiency comparison (determinism was still enforced) — \
+                 regenerate the baseline on this hardware to re-arm the numeric gate",
+                self.host_cpus
+            ))),
+            _ => Ok(Comparison::Numeric),
+        }
+    }
+
+    fn summary(&self) -> String {
+        let max = self.max_threads();
+        let mut out = format!("{:<20} {:>8} {:>12}", "instance", "samples", "serial(sm/s)");
+        for t in &self.config.thread_counts {
+            out.push_str(&format!(" {:>9}", format!("x{t}(sm/s)")));
+        }
+        out.push_str(&format!(" {:>6}\n", "det"));
+        for i in &self.instances {
+            out.push_str(&format!(
+                "{:<20} {:>8} {:>12.1}",
+                i.name, self.config.samples, i.serial.samples_per_sec
+            ));
+            for p in &i.points {
+                out.push_str(&format!(" {:>9.1}", p.samples_per_sec));
+            }
+            out.push_str(&format!(
+                " {:>6}\n",
+                if i.deterministic() { "ok" } else { "FAIL" }
+            ));
+        }
+        out.push_str(&format!(
+            "host cpus: {}; geomean samples/sec at x{max}: {:.1}; geomean efficiency at x{max}: {:.3}; geomean speedup at x4: {:.2}",
+            self.host_cpus,
+            self.geomean_samples_per_sec_at_max(),
+            self.geomean_parallel_efficiency_at_max(),
+            self.geomean_speedup_at(4)
+        ));
+        out
+    }
+
+    fn render_json(&self) -> String {
+        render_parallel_json(self)
+    }
 }
 
 /// Order-sensitive fingerprint of a batch's witness sequence: each position
@@ -304,20 +362,12 @@ pub fn parallel_bench_suite() -> Vec<Benchmark> {
     .collect()
 }
 
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_point(point: &ThroughputPoint) -> String {
     format!(
         "{{\"threads\": {}, \"seconds\": {}, \"samples_per_sec\": {}, \"successes\": {}, \"fingerprint\": {}}}",
         point.threads,
-        json_number(point.seconds),
-        json_number(point.samples_per_sec),
+        json_number(point.seconds, 6),
+        json_number(point.samples_per_sec, 6),
         point.successes,
         point.fingerprint
     )
@@ -347,15 +397,15 @@ pub fn render_parallel_json(report: &ParallelReport) -> String {
     ));
     out.push_str(&format!(
         "  \"geomean_samples_per_sec_at_max_threads\": {},\n",
-        json_number(report.geomean_samples_per_sec_at_max())
+        json_number(report.geomean_samples_per_sec_at_max(), 6)
     ));
     out.push_str(&format!(
         "  \"geomean_parallel_efficiency_at_max_threads\": {},\n",
-        json_number(report.geomean_parallel_efficiency_at_max())
+        json_number(report.geomean_parallel_efficiency_at_max(), 6)
     ));
     out.push_str(&format!(
         "  \"geomean_speedup_at_4_threads\": {},\n",
-        json_number(report.geomean_speedup_at(4))
+        json_number(report.geomean_speedup_at(4), 6)
     ));
     out.push_str("  \"instances\": [\n");
     for (i, instance) in report.instances.iter().enumerate() {
@@ -364,7 +414,7 @@ pub fn render_parallel_json(report: &ParallelReport) -> String {
             instance.name,
             instance.num_vars,
             instance.sampling_set_size,
-            json_number(instance.prep_seconds),
+            json_number(instance.prep_seconds, 6),
             instance.deterministic()
         ));
         out.push_str(&format!(
@@ -389,40 +439,6 @@ pub fn render_parallel_json(report: &ParallelReport) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Extracts one of the top-level numbers from a previously written
-/// `BENCH_parallel.json`. Hand-rolled to match the hand-rolled writer; the
-/// workspace deliberately has no JSON dependency.
-fn parse_baseline_number(json: &str, key: &str) -> Option<f64> {
-    let start = json.find(key)? + key.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the committed `geomean_parallel_efficiency_at_max_threads` — the
-/// machine-portable baseline the CI gate compares a fresh run against.
-pub fn parse_baseline_efficiency(json: &str) -> Option<f64> {
-    parse_baseline_number(json, "\"geomean_parallel_efficiency_at_max_threads\":")
-}
-
-/// Extracts the committed `geomean_samples_per_sec_at_max_threads`
-/// (informational: absolute throughput on the host that recorded the
-/// baseline, whose CPU count is in `host_cpus`).
-pub fn parse_baseline_throughput(json: &str) -> Option<f64> {
-    parse_baseline_number(json, "\"geomean_samples_per_sec_at_max_threads\":")
-}
-
-/// Extracts the committed `host_cpus` — the CPU count of the machine that
-/// recorded the baseline. Parallel efficiency is only comparable between
-/// hosts with the same core count (a multicore baseline records real
-/// speedup a single-core CI runner can never reach), so the gate compares
-/// numerically only when this matches the measuring host.
-pub fn parse_baseline_host_cpus(json: &str) -> Option<usize> {
-    parse_baseline_number(json, "\"host_cpus\":").map(|v| v as usize)
 }
 
 #[cfg(test)]
@@ -463,10 +479,8 @@ mod tests {
             json.matches('}').count(),
             "unbalanced braces in {json}"
         );
-        let gate = parse_baseline_efficiency(&json).expect("gate number parses back");
+        let gate = baseline_number(&json, ParallelReport::KEY).expect("gate number parses back");
         assert!((gate - report.geomean_parallel_efficiency_at_max()).abs() < 1e-3);
-        let throughput = parse_baseline_throughput(&json).expect("absolute number parses back");
-        assert!((throughput - report.geomean_samples_per_sec_at_max()).abs() < 1e-3);
     }
 
     #[test]
@@ -492,25 +506,63 @@ mod tests {
     #[test]
     fn baseline_parsing_is_robust() {
         assert_eq!(
-            parse_baseline_throughput("{\"geomean_samples_per_sec_at_max_threads\": 123.5,\n"),
-            Some(123.5)
-        );
-        assert_eq!(
-            parse_baseline_efficiency("{\"geomean_parallel_efficiency_at_max_threads\": 0.953,\n"),
+            baseline_number(
+                "{\"geomean_parallel_efficiency_at_max_threads\": 0.953,\n",
+                ParallelReport::KEY
+            ),
             Some(0.953)
         );
-        assert_eq!(parse_baseline_host_cpus("\"host_cpus\": 8,\n"), Some(8));
-        assert_eq!(parse_baseline_throughput("{}"), None);
-        assert_eq!(parse_baseline_efficiency("{}"), None);
-        assert_eq!(parse_baseline_host_cpus("{}"), None);
+        assert_eq!(
+            baseline_number("\"host_cpus\": 8,\n", "host_cpus"),
+            Some(8.0)
+        );
+        assert_eq!(baseline_number("{}", ParallelReport::KEY), None);
+        assert_eq!(baseline_number("{}", "host_cpus"), None);
+    }
+
+    /// A one-instance report on a `host_cpus`-cpu host whose pool runs at
+    /// half the serial rate; `deterministic` picks whether the pool
+    /// reproduced the serial witness sequence.
+    fn fixed_report(host_cpus: usize, deterministic: bool) -> ParallelReport {
+        let serial = ThroughputPoint {
+            threads: 0,
+            seconds: 1.0,
+            samples_per_sec: 6.0,
+            successes: 6,
+            fingerprint: 42,
+        };
+        ParallelReport {
+            config: tiny_config(),
+            host_cpus,
+            instances: vec![ParallelComparison {
+                name: "fixed".into(),
+                num_vars: 8,
+                sampling_set_size: 4,
+                prep_seconds: 0.25,
+                serial,
+                points: vec![ThroughputPoint {
+                    threads: 2,
+                    seconds: 2.0,
+                    samples_per_sec: 3.0,
+                    fingerprint: if deterministic { 42 } else { 43 },
+                    ..serial
+                }],
+            }],
+        }
     }
 
     #[test]
-    fn geomean_ignores_non_positive_values() {
-        assert_eq!(geomean([].into_iter()), 0.0);
-        let g = geomean([2.0, 8.0].into_iter());
-        assert!((g - 4.0).abs() < 1e-9);
-        let g = geomean([4.0, 0.0, f64::INFINITY].into_iter());
-        assert!((g - 4.0).abs() < 1e-9);
+    fn a_host_cpus_mismatch_skips_only_the_numeric_half() {
+        // The baseline's efficiency is far above this run's 0.5.
+        let baseline =
+            "{\"host_cpus\": 8,\n \"geomean_parallel_efficiency_at_max_threads\": 2.0,\n";
+        let slow = fixed_report(2, true);
+        let verdict = crate::gate::check(baseline, || slow.clone()).expect("numeric half skipped");
+        assert!(verdict.contains("8-cpu host"), "{verdict}");
+        let same_host = fixed_report(8, true);
+        assert!(crate::gate::check(baseline, || same_host.clone()).is_err());
+        let unsound = fixed_report(2, false);
+        let err = crate::gate::check(baseline, || unsound.clone()).unwrap_err();
+        assert!(err.contains("diverged"), "{err}");
     }
 }

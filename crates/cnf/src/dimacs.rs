@@ -36,6 +36,22 @@ use std::path::Path;
 
 use crate::{CnfError, CnfFormula, Lit, Var, XorClause};
 
+/// The largest DIMACS variable id: [`Var`] holds indices up to
+/// `u32::MAX / 2`, and DIMACS ids are one-based.
+const MAX_DIMACS_VAR: usize = (u32::MAX / 2) as usize + 1;
+
+/// Rejects a variable id (or a literal's magnitude) beyond [`Var`]'s range
+/// before it reaches the panicking constructors.
+fn check_id(id: u64, line: usize) -> Result<(), CnfError> {
+    if id > MAX_DIMACS_VAR as u64 {
+        return Err(CnfError::ParseDimacs {
+            line,
+            message: format!("variable {id} exceeds the largest supported id {MAX_DIMACS_VAR}"),
+        });
+    }
+    Ok(())
+}
+
 /// Parses a DIMACS CNF document from a string.
 ///
 /// # Errors
@@ -48,7 +64,6 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
     let mut sampling: Vec<Var> = Vec::new();
     let mut pending_clauses: Vec<Vec<Lit>> = Vec::new();
     let mut pending_xors: Vec<XorClause> = Vec::new();
-    let mut declared_clauses: Option<usize> = None;
 
     for (line_no, raw_line) in input.lines().enumerate() {
         let line_no = line_no + 1;
@@ -74,6 +89,7 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
                             message: "sampling-set variables must be positive".to_string(),
                         });
                     }
+                    check_id(value.unsigned_abs(), line_no)?;
                     sampling.push(Var::from_dimacs(value as usize));
                 }
             }
@@ -101,13 +117,16 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
                     message: "missing or invalid variable count".to_string(),
                 }
             })?;
-            let clauses: usize = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
+            check_id(vars as u64, line_no)?;
+            // The clause count must be present but is advisory: many real
+            // benchmark files get it wrong (picosat and CryptoMiniSAT accept
+            // them too).
+            let _clauses: usize = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
                 CnfError::ParseDimacs {
                     line: line_no,
                     message: "missing or invalid clause count".to_string(),
                 }
             })?;
-            declared_clauses = Some(clauses);
             formula = Some(CnfFormula::new(vars));
             continue;
         }
@@ -128,6 +147,7 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
                 terminated = true;
                 break;
             }
+            check_id(value.unsigned_abs(), line_no)?;
             values.push(value);
         }
         if !terminated {
@@ -158,17 +178,6 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
         line: 0,
         message: "missing `p cnf` problem line".to_string(),
     })?;
-
-    if let Some(declared) = declared_clauses {
-        let found = pending_clauses.len() + pending_xors.len();
-        // Many real-world benchmark files get the count slightly wrong, so we
-        // only reject when the body has *more* clauses than declared space
-        // for; a smaller count is accepted silently (matching picosat and
-        // CryptoMiniSAT behaviour).
-        if found > declared && declared != 0 {
-            // Accept anyway: the declared count is advisory in practice.
-        }
-    }
 
     for lits in pending_clauses {
         formula.add_clause(lits)?;
@@ -385,6 +394,31 @@ mod tests {
     fn parse_rejects_out_of_range_sampling_variable() {
         let err = parse("c ind 9 0\np cnf 2 1\n1 0\n").unwrap_err();
         assert!(matches!(err, CnfError::SamplingVarOutOfRange { .. }));
+    }
+
+    #[test]
+    fn parse_rejects_ids_beyond_the_variable_range() {
+        // `Var` holds DIMACS ids up to 2^31; one past it is a typed error
+        // on its own line in each of the four places an id appears.
+        for (text, line) in [
+            ("p cnf 2147483649 1\n1 0\n", 1),
+            ("p cnf 3 1\n5000000000 0\n", 2),
+            ("p cnf 3 1\n1 -2147483649 0\n", 2),
+            ("p cnf 3 1\nx 1 2147483649 0\n", 2),
+            ("c ind 4000000000 0\np cnf 3 1\n1 0\n", 1),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(
+                matches!(err, CnfError::ParseDimacs { line: l, .. } if l == line),
+                "{text:?}: {err:?}"
+            );
+        }
+        // The largest id itself is in range (and then undeclared).
+        let err = parse("p cnf 3 1\n2147483648 0\n").unwrap_err();
+        assert!(
+            matches!(err, CnfError::VariableOutOfRange { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl UniGen {
                 });
             }
         }
-        if outcome.budget_exhausted {
+        if outcome.interrupted.is_some() {
             return Err(SamplerError::PreparationBudgetExhausted);
         }
         if outcome.is_empty() {

@@ -14,8 +14,7 @@
 //!
 //! The paper's experiments explicitly *disable* leap-frogging (starting the
 //! core's search for `i` at the previous success) because it voids the CP'13
-//! guarantee; the same default applies here, with an opt-in flag kept for the
-//! ablation benchmark.
+//! guarantee; every core run here starts its search at `i = 1`.
 
 use rand::Rng;
 
@@ -35,12 +34,9 @@ pub struct ApproxMcConfig {
     pub confidence: f64,
     /// Override for the number of core iterations. When `None`, the CP 2013
     /// formula `⌈35·log2(3/δ)⌉` is used; the laptop-scale experiments in this
-    /// repository override it (documented in EXPERIMENTS.md) because the
-    /// full formula costs hundreds of `BSAT` sweeps per formula.
+    /// repository override it because the full formula costs hundreds of
+    /// `BSAT` sweeps per formula.
     pub iterations: Option<usize>,
-    /// Enable leap-frogging (start each core run's hash-width search at the
-    /// previous run's success). Defaults to `false`, matching the paper.
-    pub leapfrog: bool,
     /// Per-`BSAT`-call budget.
     pub budget: Budget,
 }
@@ -51,7 +47,6 @@ impl Default for ApproxMcConfig {
             tolerance: 0.8,
             confidence: 0.8,
             iterations: Some(9),
-            leapfrog: false,
             budget: Budget::new(),
         }
     }
@@ -178,7 +173,7 @@ impl ApproxMc {
             &self.config.budget,
         );
         bsat_calls += 1;
-        if outcome.budget_exhausted {
+        if outcome.interrupted.is_some() {
             return Err(CountingError::BudgetExhausted);
         }
         if outcome.len() <= pivot as usize {
@@ -191,32 +186,20 @@ impl ApproxMc {
         }
 
         let family = XorHashFamily::new(sampling_set.to_vec());
-        let max_width = sampling_set.len();
         let iterations = self.config.num_iterations();
         let mut estimates: Vec<u128> = Vec::with_capacity(iterations);
         let mut failed = 0usize;
-        let mut leapfrog_start: Option<usize> = None;
 
         for _ in 0..iterations {
-            let start = if self.config.leapfrog {
-                leapfrog_start
-                    .map(|m| m.saturating_sub(1).max(1))
-                    .unwrap_or(1)
-            } else {
-                1
-            };
             match self.core(
                 &mut solver,
                 sampling_set,
                 &family,
                 pivot,
-                start,
-                max_width,
                 &mut rng,
                 &mut bsat_calls,
             ) {
                 Some((cell, width)) => {
-                    leapfrog_start = Some(width);
                     let estimate = (cell as u128) << width.min(127);
                     estimates.push(estimate);
                 }
@@ -238,20 +221,18 @@ impl ApproxMc {
     }
 
     /// One `ApproxMCCore` run: find a hash width whose random cell holds
-    /// between 1 and `pivot` witnesses. Returns the cell size and the width.
-    #[allow(clippy::too_many_arguments)] // lint: private helper taking the count loop's state by reference; a struct would exist only to bundle it
+    /// between 1 and `pivot` witnesses, trying widths `1..=|S|` in order.
+    /// Returns the cell size and the width.
     fn core<R: Rng + ?Sized>(
         &self,
         solver: &mut Solver,
         sampling_set: &[Var],
         family: &XorHashFamily,
         pivot: u64,
-        start_width: usize,
-        max_width: usize,
         rng: &mut R,
         bsat_calls: &mut usize,
     ) -> Option<(usize, usize)> {
-        for width in start_width..=max_width {
+        for width in 1..=sampling_set.len() {
             let hash = family.sample(width, rng);
             let outcome = enumerate_cell(
                 solver,
@@ -261,7 +242,7 @@ impl ApproxMc {
                 &self.config.budget,
             );
             *bsat_calls += 1;
-            if outcome.budget_exhausted {
+            if outcome.interrupted.is_some() {
                 // Treat a timed-out cell like a failed iteration, as the
                 // paper's experiments do for BSAT timeouts.
                 return None;
@@ -403,25 +384,6 @@ mod tests {
             Solver::constructions_on_thread() - before,
             1,
             "every BSAT cell must reuse the one incremental solver"
-        );
-    }
-
-    #[test]
-    fn leapfrog_produces_comparable_estimates() {
-        let f = formula_with_count(9, 3);
-        let base = ApproxMc::new(ApproxMcConfig::default())
-            .count(&f, 5)
-            .unwrap();
-        let leap = ApproxMc::new(ApproxMcConfig {
-            leapfrog: true,
-            ..ApproxMcConfig::default()
-        })
-        .count(&f, 5)
-        .unwrap();
-        let ratio = base.estimate as f64 / leap.estimate as f64;
-        assert!(
-            ratio > 0.2 && ratio < 5.0,
-            "estimates diverge: {base:?} vs {leap:?}"
         );
     }
 }

@@ -19,8 +19,7 @@
 //!   ever needed for),
 //! * [`ApproxMc`] — the hashing-based approximate counter of Chakraborty,
 //!   Meel and Vardi (CP 2013), the `ApproxModelCounter` the paper invokes;
-//!   leap-frogging is **disabled by default** exactly as in the paper's
-//!   experiments, but can be enabled for the ablation bench.
+//!   leap-frogging is **disabled** exactly as in the paper's experiments.
 //!
 //! # Example
 //!

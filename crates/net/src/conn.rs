@@ -152,11 +152,6 @@ impl Outbound {
         (self.waker)();
     }
 
-    /// Whether [`Outbound::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        lock_ok(&self.state).closed
-    }
-
     /// Bytes currently queued (the serve log's per-connection depth).
     pub fn queued_bytes(&self) -> usize {
         lock_ok(&self.state).queued_bytes

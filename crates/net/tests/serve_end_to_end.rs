@@ -397,6 +397,66 @@ fn oversized_count_is_a_typed_malformed_error() {
     handle.shutdown();
 }
 
+/// Regression: a variable id beyond `Var`'s range in inline DIMACS is a
+/// typed `PrepareFailed` for that request. It used to panic the parser on
+/// the thread draining the connection, so the request was never answered.
+/// The raw socket has a read timeout, so a silent daemon fails the test
+/// instead of hanging it.
+#[test]
+fn out_of_range_variable_is_a_typed_prepare_failure() {
+    let handle = serve(unix_config("var-range")).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let mut stream = UnixStream::connect(&path).expect("raw connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout set");
+    let request = |id: u64, dimacs: &str| Frame::Request {
+        id,
+        formula: wire::FormulaRef::Inline(dimacs.as_bytes().to_vec()),
+        spec: test_spec(),
+        count: 4,
+        master_seed: 9,
+        budget_micros: 0,
+    };
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    for frame in [
+        hello,
+        request(1, "p cnf 3 1\n5000000000 0\n"),
+        request(2, DIMACS),
+    ] {
+        stream.write_all(&frame.encode()).expect("frame sent");
+    }
+
+    let mut decoder = Decoder::new();
+    let mut buf = [0u8; 4096];
+    let (mut rejected, mut done) = (false, false);
+    while !(rejected && done) {
+        match decoder.next_frame().expect("well-formed frames") {
+            Some(Frame::Error { id: 1, code, .. }) => {
+                assert_eq!(code, ErrorCode::PrepareFailed);
+                rejected = true;
+            }
+            Some(Frame::Done { id: 2, .. }) => done = true,
+            Some(Frame::Error { id, code, detail }) => {
+                panic!("unexpected error for request {id}: {code:?} {detail}")
+            }
+            Some(_) => {}
+            None => {
+                let n = stream
+                    .read(&mut buf)
+                    .expect("the daemon answers both requests before the timeout");
+                assert!(n > 0, "the daemon closed the connection");
+                decoder.feed(&buf[..n]);
+            }
+        }
+    }
+
+    handle.shutdown();
+}
+
 /// Formula `i` of a family of distinct 6-variable formulas: one clause
 /// whose literal signs spell `i` in binary.
 fn distinct_formula(i: usize) -> String {

@@ -35,15 +35,11 @@ pub struct EnumerationOutcome {
     /// `true` if enumeration stopped because the bound was reached (there may
     /// be more witnesses).
     pub bound_reached: bool,
-    /// `true` if a solver call was interrupted (budget or injected fault)
-    /// before the enumeration finished; the witnesses found so far are
-    /// still returned, mirroring how the paper's experiments treat `BSAT`
-    /// timeouts. The typed reason is in
-    /// [`EnumerationOutcome::interrupted`].
-    pub budget_exhausted: bool,
-    /// Why the enumeration was interrupted, if it was; `None` when the
-    /// call ran to completion (bound reached or cell drained). The solver
-    /// was left consistent, so the same call may simply be retried.
+    /// Why the enumeration was interrupted (budget or injected fault), if
+    /// it was; `None` when the call ran to completion (bound reached or
+    /// cell drained). The witnesses found so far are still returned,
+    /// mirroring how the paper's experiments treat `BSAT` timeouts, and the
+    /// solver was left consistent, so the same call may simply be retried.
     pub interrupted: Option<InterruptReason>,
 }
 
@@ -218,10 +214,6 @@ impl<'s> Enumerator<'s> {
                 self.warm = false;
                 (None, Some(reason))
             }
-            SolveResult::Unknown => {
-                self.warm = false;
-                (None, Some(InterruptReason::FaultInjected))
-            }
         }
     }
 
@@ -247,7 +239,6 @@ impl<'s> Enumerator<'s> {
         EnumerationOutcome {
             witnesses,
             bound_reached,
-            budget_exhausted: interrupted.is_some(),
             interrupted,
         }
     }

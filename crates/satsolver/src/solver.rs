@@ -40,11 +40,6 @@ pub enum SolveResult {
     Sat(Model),
     /// The formula (together with all clauses added so far) is unsatisfiable.
     Unsat,
-    /// No definite answer, for an untyped reason. Budget exhaustion and
-    /// injected faults return [`SolveResult::Interrupted`] instead; this
-    /// variant is kept distinct so callers can tell a typed, retryable
-    /// interruption from a genuine "don't know".
-    Unknown,
     /// The call was interrupted — by a fired [`Budget`] limit or an
     /// injected [`FaultHook`] — before a definite answer was reached;
     /// corresponds to a `BSAT` timeout in the paper's experiments.

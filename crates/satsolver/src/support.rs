@@ -172,7 +172,7 @@ pub fn verify_independent_support(
                 });
             SupportCheck::Dependent { witness_var }
         }
-        SolveResult::Unknown | SolveResult::Interrupted(_) => SupportCheck::Unknown,
+        SolveResult::Interrupted(_) => SupportCheck::Unknown,
     }
 }
 
