@@ -24,9 +24,12 @@ pub struct UniGenConfig {
     /// Seed for every random choice the sampler's *preparation* makes (the
     /// per-sample randomness comes from the RNG passed to `sample`).
     pub seed: u64,
-    /// Budget for each underlying solver call.
+    /// Budget for each underlying solver call, the preparation's included:
+    /// line 4's enumeration and every `BSAT` call of ApproxMC.
     pub bsat_budget: Budget,
-    /// Configuration of the approximate model counter used in line 9.
+    /// Configuration of the approximate model counter used in line 9. Its
+    /// `budget` is not consulted: ApproxMC runs under
+    /// [`UniGenConfig::bsat_budget`].
     pub approxmc: ApproxMcConfig,
     /// Certified enumeration: when `true` the persistent solver logs a
     /// DRAT-style proof of every cell enumeration and an independent

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Model, Var, XorClause};
-use unigen_counting::ApproxMc;
+use unigen_counting::{ApproxMc, ApproxMcConfig};
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
     enumerate_cell, EnumerationOutcome, FaultHook, GaussMode, InterruptReason, ProofLog, Solver,
@@ -181,7 +181,13 @@ impl UniGen {
             }
         } else {
             // Lines 9–11: approximate count and candidate hash widths.
-            let approx = ApproxMc::new(config.approxmc.clone()).count_with_sampling_set(
+            // ApproxMC's BSAT calls are preparation calls like line 4's,
+            // so they run under the same per-call budget.
+            let approxmc = ApproxMcConfig {
+                budget: config.bsat_budget,
+                ..config.approxmc.clone()
+            };
+            let approx = ApproxMc::new(approxmc).count_with_sampling_set(
                 formula,
                 sampling_set,
                 config.seed,
@@ -476,6 +482,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
     use unigen_cnf::{Lit, XorClause};
+    use unigen_satsolver::Budget;
 
     /// A formula with `2^bits` witnesses over a `bits`-variable sampling set
     /// plus `extra` Tseitin-style dependent variables.
@@ -514,6 +521,23 @@ mod tests {
             }
             other => panic!("expected Hashed, got {other:?}"),
         }
+    }
+
+    /// ApproxMC's `BSAT` calls run under `bsat_budget` like line 4's. On
+    /// 16 free variables a two-conflict budget lets line 4's enumeration
+    /// finish but interrupts every ApproxMC cell, so preparation fails as a
+    /// counting error. ApproxMC used to run unlimited here and succeed.
+    #[test]
+    fn approxmc_runs_under_the_bsat_budget() {
+        let f = formula_with_count(16, 0);
+        let budget = Budget::new().with_conflict_limit(2);
+        let config = UniGenConfig::default().with_bsat_budget(budget);
+        match UniGen::new(&f, config) {
+            Err(SamplerError::Counting(_)) => {}
+            Err(other) => panic!("expected a counting error, got {other}"),
+            Ok(_) => panic!("ApproxMC ignored the BSAT budget"),
+        }
+        assert!(UniGen::new(&f, UniGenConfig::default()).is_ok());
     }
 
     #[test]

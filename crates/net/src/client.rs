@@ -14,6 +14,7 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
+use crate::conn::Socket;
 use crate::server::default_spec;
 use crate::wire::{
     self, Decoder, ErrorCode, FormulaRef, Frame, FrameError, WireHealth, WireOutcomeKind, WireSpec,
@@ -164,30 +165,9 @@ struct Pending {
     finished: Option<Result<(u64, WireStats), (ErrorCode, String)>>,
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.write_all(buf),
-            Stream::Unix(s) => s.write_all(buf),
-        }
-    }
-}
-
 /// A blocking connection to the sampler daemon.
 pub struct Client {
-    stream: Stream,
+    stream: Socket,
     decoder: Decoder,
     next_id: u64,
     pending: HashMap<u64, Pending>,
@@ -199,16 +179,16 @@ impl Client {
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Client::handshake(Stream::Tcp(stream))
+        Client::handshake(Socket::tcp(stream))
     }
 
     /// Connect over a unix-domain socket and perform the handshake.
     pub fn connect_unix(path: &Path) -> Result<Client, ClientError> {
         let stream = UnixStream::connect(path)?;
-        Client::handshake(Stream::Unix(stream))
+        Client::handshake(Socket::unix(stream))
     }
 
-    fn handshake(stream: Stream) -> Result<Client, ClientError> {
+    fn handshake(stream: Socket) -> Result<Client, ClientError> {
         let mut client = Client {
             stream,
             decoder: Decoder::new(),

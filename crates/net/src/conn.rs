@@ -1,15 +1,15 @@
-//! Per-connection state shared between the readiness loop and the
-//! request-drainer threads.
+//! Per-connection state shared between a connection's reader thread and
+//! its request threads.
 //!
 //! Everything here is built on `conc` primitives so the whole
-//! accept→dispatch→writer protocol runs under the model checker in
+//! dispatch→writer protocol runs under the model checker in
 //! `tests/model_conn.rs` exactly as it runs in production:
 //!
-//! - [`Outbound`]: a bounded per-connection write buffer. Drainer
-//!   threads block in [`Outbound::send`] when the client is slow
-//!   (backpressure), the event loop drains with the non-blocking
-//!   [`Outbound::pop`], and a caller-supplied waker nudges the readiness
-//!   loop whenever bytes become available.
+//! - [`send_frame`] / [`send_error`]: every frame goes out whole under the
+//!   connection's write lock, a `conc` [`Mutex`] over any [`Write`], so
+//!   frames of concurrent requests never interleave. The socket's send
+//!   buffer is the backpressure bound: a slow client blocks the writer
+//!   holding its lock, which stalls that connection and no other.
 //! - [`ConnRequests`]: the in-flight request table with per-request
 //!   cancellation flags.
 //! - [`run_request`]: the dispatch protocol — bounded `try_submit`
@@ -17,11 +17,14 @@
 //!   error), then streaming index-ordered chunks from the
 //!   `ResponseHandle` until done, cancelled, or disconnected.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use conc::atomic::{AtomicBool, AtomicU64, Ordering};
-use conc::sync::{Condvar, Mutex, MutexGuard};
+use conc::sync::{Mutex, MutexGuard};
 use unigen::{SampleRequest, SamplerService, TrySubmitError};
 use unigen_cnf::Var;
 
@@ -37,130 +40,84 @@ fn lock_ok<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     }
 }
 
-/// The peer went away: the outbound buffer was closed underneath a
-/// sender.
+/// A connected stream socket, TCP or unix-domain. Clones share one
+/// descriptor, so a connection's reader, its writer and the daemon's
+/// shutdown sweep all act on the same socket.
+#[derive(Clone)]
+pub(crate) struct Socket(Arc<Stream>);
+
+enum Stream {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+impl Socket {
+    pub(crate) fn tcp(stream: TcpStream) -> Socket {
+        Socket(Arc::new(Stream::Tcp(stream)))
+    }
+
+    pub(crate) fn unix(stream: UnixStream) -> Socket {
+        Socket(Arc::new(Stream::Unix(stream)))
+    }
+
+    /// Shut both directions: a reader blocked on this socket sees EOF and
+    /// a writer blocked on a full send buffer fails.
+    pub(crate) fn shutdown(&self) {
+        let _ = match &*self.0 {
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // `Read` is implemented for `&TcpStream` and `&UnixStream`.
+        match &*self.0 {
+            Stream::Tcp(s) => Read::read(&mut { s }, buf),
+            Stream::Unix(s) => Read::read(&mut { s }, buf),
+        }
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match &*self.0 {
+            Stream::Tcp(s) => Write::write(&mut { s }, buf),
+            Stream::Unix(s) => Write::write(&mut { s }, buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The peer went away: a write to its connection failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Disconnected;
 
-struct OutboundState {
-    frames: VecDeque<Vec<u8>>,
-    queued_bytes: usize,
-    closed: bool,
+/// Write one encoded frame whole under the connection's write lock.
+/// Blocks while the peer's receive window and the socket's send buffer
+/// are full: that is the per-connection backpressure edge.
+pub fn send_frame<W: Write>(writer: &Mutex<W>, frame: &[u8]) -> Result<(), Disconnected> {
+    let mut writer = lock_ok(writer);
+    writer
+        .write_all(frame)
+        .and_then(|()| writer.flush())
+        .map_err(|_| Disconnected)
 }
 
-/// Bounded per-connection write buffer with blocking producers and a
-/// non-blocking consumer.
-///
-/// Capacity is in bytes. A producer whose frame would overflow the
-/// capacity blocks on the `space` condvar until the event loop drains —
-/// unless the buffer is empty, in which case one oversized frame is
-/// always admitted so a frame larger than the capacity cannot deadlock.
-pub struct Outbound {
-    capacity: usize,
-    state: Mutex<OutboundState>,
-    space: Condvar,
-    waker: Box<dyn Fn() + Send + Sync>,
-}
-
-impl Outbound {
-    /// Create a buffer holding up to `capacity` bytes of encoded frames.
-    /// `waker` is invoked (outside the internal lock) after every
-    /// enqueue and on close, to nudge the readiness loop.
-    pub fn new(capacity: usize, waker: Box<dyn Fn() + Send + Sync>) -> Outbound {
-        Outbound {
-            capacity: capacity.max(1),
-            state: Mutex::new(OutboundState {
-                frames: VecDeque::new(),
-                queued_bytes: 0,
-                closed: false,
-            }),
-            space: Condvar::new(),
-            waker,
-        }
-    }
-
-    /// Enqueue an encoded frame, blocking while the buffer is over
-    /// capacity. This is the backpressure edge: a slow client stalls its
-    /// drainer threads here, so what one slow client can hold is bounded
-    /// by its outbound buffer and its drainer threads. It does not hold
-    /// the pool's queue slot: the workers finish the request regardless,
-    /// and the last outcome they post frees the slot.
-    pub fn send(&self, frame: Vec<u8>) -> Result<(), Disconnected> {
-        let mut state = lock_ok(&self.state);
-        loop {
-            if state.closed {
-                return Err(Disconnected);
-            }
-            let fits = state.queued_bytes == 0 || state.queued_bytes + frame.len() <= self.capacity;
-            if fits {
-                break;
-            }
-            state = match self.space.wait(state) {
-                Ok(guard) => guard,
-                Err(_) => panic!("connection-layer mutex poisoned"),
-            };
-        }
-        state.queued_bytes += frame.len();
-        state.frames.push_back(frame);
-        drop(state);
-        (self.waker)();
-        Ok(())
-    }
-
-    /// Enqueue without blocking on capacity. Reserved for event-loop
-    /// originated frames (hello acks, typed errors, health snapshots)
-    /// so the readiness loop itself can never block on a slow client.
-    pub fn send_now(&self, frame: Vec<u8>) -> Result<(), Disconnected> {
-        let mut state = lock_ok(&self.state);
-        if state.closed {
-            return Err(Disconnected);
-        }
-        state.queued_bytes += frame.len();
-        state.frames.push_back(frame);
-        drop(state);
-        (self.waker)();
-        Ok(())
-    }
-
-    /// Queue a typed `Error` frame for request `id` (0: the connection)
-    /// with [`Outbound::send_now`]; a peer that is already gone needs none.
-    pub fn send_error(&self, id: u64, code: ErrorCode, detail: impl Into<String>) {
-        let detail = detail.into();
-        let _ = self.send_now(Frame::Error { id, code, detail }.encode());
-    }
-
-    /// Dequeue the next encoded frame, waking one blocked producer.
-    /// Non-blocking; the event loop calls this from the drain phase.
-    pub fn pop(&self) -> Option<Vec<u8>> {
-        let mut state = lock_ok(&self.state);
-        let frame = state.frames.pop_front()?;
-        state.queued_bytes -= frame.len();
-        self.space.notify_one();
-        Some(frame)
-    }
-
-    /// Mark the connection gone: wakes every blocked producer with
-    /// [`Disconnected`] and nudges the readiness loop.
-    pub fn close(&self) {
-        {
-            let mut state = lock_ok(&self.state);
-            state.closed = true;
-            state.frames.clear();
-            state.queued_bytes = 0;
-            self.space.notify_all();
-        }
-        (self.waker)();
-    }
-
-    /// Bytes currently queued (the serve log's per-connection depth).
-    pub fn queued_bytes(&self) -> usize {
-        lock_ok(&self.state).queued_bytes
-    }
-
-    /// Frames currently queued.
-    pub fn queued_frames(&self) -> usize {
-        lock_ok(&self.state).frames.len()
-    }
+/// Send a typed `Error` frame for request `id` (0: the connection); a
+/// peer that is already gone needs none.
+pub fn send_error<W: Write>(
+    writer: &Mutex<W>,
+    id: u64,
+    code: ErrorCode,
+    detail: impl Into<String>,
+) {
+    let detail = detail.into();
+    let _ = send_frame(writer, &Frame::Error { id, code, detail }.encode());
 }
 
 /// In-flight request table for one connection: request id → cancel flag.
@@ -219,7 +176,7 @@ impl ConnRequests {
     }
 }
 
-/// How a drained request ended (for the serve log line).
+/// How a request ended (for the serve log line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestEnd {
     /// Streamed every chunk and the trailer.
@@ -235,7 +192,7 @@ pub enum RequestEnd {
     /// the `ResponseHandle` is defined to free the queue slot once the
     /// workers finish — but no further chunks are sent.
     Cancelled,
-    /// The outbound buffer closed mid-stream (client went away).
+    /// A write failed mid-stream (client went away).
     Disconnected,
 }
 
@@ -254,15 +211,18 @@ pub struct RequestJob {
 
 /// Drive one request through the service and stream its response.
 ///
-/// Runs on a dedicated drainer thread. `cancel` is the flag registered
-/// in [`ConnRequests`]; `submit_retries` is the connection's retry
-/// counter surfaced in the serve log and health frames; `retry_budget`
-/// bounds how many times a `QueueFull` is retried (with a scheduler
-/// yield between attempts) before the request is rejected as `Busy`.
-pub fn run_request(
+/// Runs on the request's own thread. `writer` is the connection's write
+/// lock; `cancel` is the flag registered in [`ConnRequests`];
+/// `submit_retries` is the connection's retry counter surfaced in the
+/// serve log; `retry_budget` bounds how many times a `QueueFull` is
+/// retried (with a scheduler yield between attempts) before the request is
+/// rejected as `Busy`. A writer blocked on a slow client does not hold the
+/// pool's queue slot: the workers finish the request regardless, and the
+/// last outcome they post frees the slot.
+pub fn run_request<W: Write>(
     service: &SamplerService,
     job: RequestJob,
-    outbound: &Outbound,
+    writer: &Mutex<W>,
     cancel: &AtomicBool,
     submit_retries: &AtomicU64,
     retry_budget: usize,
@@ -271,7 +231,7 @@ pub fn run_request(
     let mut attempt = 0usize;
     let handle = loop {
         if cancel.load(Ordering::Acquire) {
-            outbound.send_error(job.id, ErrorCode::Cancelled, "request cancelled");
+            send_error(writer, job.id, ErrorCode::Cancelled, "request cancelled");
             return RequestEnd::Cancelled;
         }
         match service.try_submit(request) {
@@ -280,7 +240,7 @@ pub fn run_request(
                 if attempt >= retry_budget {
                     let detail =
                         format!("service queue full after {attempt} retries; resubmit later");
-                    outbound.send_error(job.id, ErrorCode::Busy, detail);
+                    send_error(writer, job.id, ErrorCode::Busy, detail);
                     return RequestEnd::Busy;
                 }
                 attempt += 1;
@@ -291,7 +251,7 @@ pub fn run_request(
             // `TrySubmitError` is non-exhaustive; surface any future
             // rejection kind as a retryable Busy rather than crashing.
             Err(other) => {
-                outbound.send_error(job.id, ErrorCode::Busy, other.to_string());
+                send_error(writer, job.id, ErrorCode::Busy, other.to_string());
                 return RequestEnd::Busy;
             }
         }
@@ -301,9 +261,8 @@ pub fn run_request(
         id: job.id,
         fingerprint: job.fingerprint,
         sampling_set: job.sampling_set.iter().map(|v| v.index() as u32).collect(),
-    }
-    .encode();
-    if outbound.send(begin).is_err() {
+    };
+    if send_frame(writer, &begin.encode()).is_err() {
         return RequestEnd::Disconnected;
     }
 
@@ -311,7 +270,7 @@ pub fn run_request(
     let mut stats = WireStats::default();
     for (index, outcome) in handle.enumerate() {
         if cancel.load(Ordering::Acquire) {
-            outbound.send_error(job.id, ErrorCode::Cancelled, "request cancelled");
+            send_error(writer, job.id, ErrorCode::Cancelled, "request cancelled");
             return RequestEnd::Cancelled;
         }
         let bits = match &outcome.witness {
@@ -334,9 +293,8 @@ pub fn run_request(
             index: index as u64,
             kind: outcome.kind,
             bits,
-        }
-        .encode();
-        if outbound.send(chunk).is_err() {
+        };
+        if send_frame(writer, &chunk.encode()).is_err() {
             return RequestEnd::Disconnected;
         }
     }
@@ -345,9 +303,8 @@ pub fn run_request(
         id: job.id,
         successes,
         stats,
-    }
-    .encode();
-    if outbound.send(done).is_err() {
+    };
+    if send_frame(writer, &done.encode()).is_err() {
         return RequestEnd::Disconnected;
     }
     RequestEnd::Completed { successes }
@@ -356,32 +313,6 @@ pub fn run_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn noop_waker() -> Box<dyn Fn() + Send + Sync> {
-        Box::new(|| {})
-    }
-
-    #[test]
-    fn outbound_oversized_frame_admitted_when_empty() {
-        let out = Outbound::new(4, noop_waker());
-        // 10 bytes > capacity 4, but the buffer is empty: must not block.
-        out.send(vec![0u8; 10]).expect("oversized frame admitted");
-        assert_eq!(out.queued_bytes(), 10);
-        assert_eq!(out.pop().expect("frame").len(), 10);
-        assert_eq!(out.queued_bytes(), 0);
-    }
-
-    #[test]
-    fn outbound_close_unblocks_send() {
-        let out = Arc::new(Outbound::new(1, noop_waker()));
-        out.send(vec![0u8; 8]).expect("first frame");
-        let sender = {
-            let out = Arc::clone(&out);
-            conc::thread::spawn(move || out.send(vec![1u8; 8]))
-        };
-        out.close();
-        assert_eq!(sender.join().expect("join"), Err(Disconnected));
-    }
 
     #[test]
     fn conn_requests_reject_duplicate_ids() {

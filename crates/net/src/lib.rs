@@ -2,13 +2,15 @@
 //! sampler service (DAC 2014 reproduction).
 //!
 //! The crate turns the in-process [`unigen::SamplerService`] into a
-//! daemon: a single epoll readiness loop ([`sys`]) multiplexes many TCP
-//! and unix-domain clients onto one shared work-stealing pool, speaking a
-//! versioned length-prefixed binary protocol ([`wire`]). Per-connection
-//! state (bounded write buffers with backpressure, cancellation flags,
-//! the dispatch protocol) lives in [`conn`] and is built exclusively on
-//! `conc` primitives, so the same code paths are model-checked
-//! in `tests/model_conn.rs` under the `conc` controlled scheduler.
+//! daemon on blocking std sockets: one accept thread per TCP or
+//! unix-domain listener, one reader thread per connection and one thread
+//! per request, all sampling on one shared work-stealing pool and
+//! speaking a versioned length-prefixed binary protocol ([`wire`]).
+//! Per-connection state (the write lock every frame goes out under,
+//! cancellation flags, the dispatch protocol) lives in [`conn`] and is
+//! built exclusively on `conc` primitives, so the same code paths are
+//! model-checked in `tests/model_conn.rs` under the `conc` controlled
+//! scheduler.
 //!
 //! Entry points: [`server::serve`] / [`server::ServeConfig`] for
 //! embedding the daemon, [`client::Client`] for talking to one, and the
@@ -22,11 +24,12 @@
 //! concurrency. Inter-client frame ordering is explicitly *not*
 //! deterministic; see the [`wire`] module docs.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod conn;
 pub mod fuzz;
 pub mod server;
-pub mod sys;
 pub mod wire;
 
 pub use client::{Client, ClientError, ClientRequest, WireBatch, WireOutcome};

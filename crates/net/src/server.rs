@@ -1,13 +1,14 @@
-//! The sampler daemon: a readiness loop multiplexing many client
-//! connections onto one shared [`WorkerPool`].
+//! The sampler daemon: blocking sockets, one thread per connection,
+//! every connection sampling on one shared [`WorkerPool`].
 //!
-//! One event-loop thread owns every socket (listeners, a self-wake
-//! pipe, and all client connections, nonblocking throughout) via the
-//! [`crate::sys::Poller`] epoll shim. Requests are dispatched to
-//! drainer threads that stream `ResponseHandle` outcomes into bounded
-//! per-connection [`Outbound`] buffers; the loop drains those buffers
-//! round-robin across connections so one firehose client cannot starve
-//! the rest.
+//! Each listener (TCP, unix) has one accept thread. Each accepted
+//! connection gets one reader thread that decodes its frames and answers
+//! the connection-level ones (hello, cancel, health, shutdown). Every
+//! `Request` frame gets its own thread, which resolves the formula and
+//! streams `ResponseHandle` outcomes straight to the socket, each frame
+//! whole under the connection's write lock ([`crate::conn`]). The
+//! socket's send buffer is the per-connection backpressure bound: a slow
+//! client stalls only its own writers.
 //!
 //! The daemon spawns one `--jobs`-sized worker pool, and every formula
 //! samples on it. Prepared formula+spec pairs live in a fingerprint-keyed
@@ -18,15 +19,18 @@
 //! Entries still preparing and preloaded residents are never evicted, and
 //! an in-flight request holds its entry, so eviction never cuts a stream.
 //!
-//! Shutdown: [`ServerHandle::shutdown`] (flag + wake-pipe nudge) from
-//! the embedding process, or a wire `Shutdown` frame when the daemon
-//! was started with `allow_shutdown` (the CLI's `--allow-shutdown`).
+//! Shutdown: [`ServerHandle::shutdown`] from the embedding process, or a
+//! wire `Shutdown` frame when the daemon was started with
+//! `allow_shutdown` (the CLI's `--allow-shutdown`). Either sets the stop
+//! flag, shuts every open connection (which unblocks its reader and fails
+//! its stalled writes) and wakes each accept thread by connecting to its
+//! listener; the accept threads then join their connection threads, which
+//! join their request threads.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::io::{self, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -42,25 +46,17 @@ use unigen::{
 use unigen_cnf::dimacs;
 use unigen_cnf::Var;
 
-use crate::conn::{run_request, ConnRequests, Outbound, RequestJob};
-use crate::sys::{Poller, Readiness};
+use crate::conn::{run_request, send_error, send_frame, ConnRequests, RequestJob, Socket};
 use crate::wire::{
     self, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireSpec, PROTOCOL_VERSION,
 };
 
-const TOKEN_TCP: u64 = 0;
-const TOKEN_UNIX: u64 = 1;
-const TOKEN_WAKE: u64 = 2;
-const TOKEN_CONN_BASE: u64 = 3;
-
-/// Bytes drained per connection per fairness round.
-const DRAIN_SLICE: usize = 16 * 1024;
-
-/// Byte capacity of each connection's outbound buffer.
-const OUTBOUND_CAPACITY: usize = 256 * 1024;
-
 /// `QueueFull` retries before a request is rejected as `Busy`.
 const SUBMIT_RETRY_BUDGET: usize = 64;
+
+/// Pause after a failed `accept` (e.g. out of descriptors) before the
+/// accept thread tries again, so a persistent error cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Largest `count` one wire request may ask for; a larger one is rejected
 /// as `Malformed` before the pool is touched. An admitted request
@@ -338,58 +334,51 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Listeners and connections
 // ---------------------------------------------------------------------------
 
-enum Transport {
-    Tcp(TcpStream),
-    Unix(UnixStream),
+enum Listener {
+    Tcp(TcpListener),
+    Unix(UnixListener),
 }
 
-impl Transport {
-    fn raw_fd(&self) -> RawFd {
+impl Listener {
+    /// Blocks for the next connection; returns it with its peer label.
+    fn accept(&self) -> io::Result<(Socket, String)> {
         match self {
-            Transport::Tcp(s) => s.as_raw_fd(),
-            Transport::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.read(buf),
-            Transport::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Transport::Tcp(s) => s.write(buf),
-            Transport::Unix(s) => s.write(buf),
+            Listener::Tcp(listener) => listener
+                .accept()
+                .map(|(stream, addr)| (Socket::tcp(stream), format!("tcp {addr}"))),
+            Listener::Unix(listener) => listener
+                .accept()
+                .map(|(stream, _)| (Socket::unix(stream), "unix".to_owned())),
         }
     }
 }
 
-struct Conn {
-    transport: Transport,
-    peer: String,
-    decoder: Decoder,
-    outbound: Arc<Outbound>,
-    requests: Arc<ConnRequests>,
-    submit_retries: Arc<AtomicU64>,
-    /// Frame currently being written, and how much of it went out.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    greeted: bool,
-    /// Registered for write readiness in the poller.
-    want_write: bool,
-    /// Flush what is queued, then disconnect (protocol errors).
-    closing: bool,
+/// Where a client reaches a bound listener.
+enum Endpoint {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
 }
 
-impl Conn {
-    fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len() || self.outbound.queued_frames() > 0
+impl Endpoint {
+    /// Connects and hangs up at once, so an accept thread blocked on this
+    /// listener returns and sees the stop flag.
+    fn wake(&self) -> io::Result<()> {
+        match self {
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(drop),
+            Endpoint::Unix(path) => UnixStream::connect(path).map(drop),
+        }
     }
+}
+
+/// The open connections: the health frame counts them, and the shutdown
+/// sweep closes them.
+#[derive(Default)]
+struct Conns {
+    open: HashMap<u64, Socket>,
+    next_token: u64,
 }
 
 struct Shared {
@@ -398,12 +387,17 @@ struct Shared {
     stop: AtomicBool,
     allow_shutdown: bool,
     quiet: bool,
+    conns: Mutex<Conns>,
+    /// One per listener, for [`Shared::shut_down`] to wake its accept
+    /// thread.
+    endpoints: Vec<Endpoint>,
 }
 
 impl Shared {
-    fn log(&self, line: fmt::Arguments<'_>) {
+    /// Writes a serve log line; `line` runs only when logging is on.
+    fn log(&self, line: impl FnOnce() -> String) {
         if !self.quiet {
-            eprintln!("c serve: {line}");
+            eprintln!("c serve: {}", line());
         }
     }
 
@@ -426,9 +420,8 @@ impl Shared {
         self.registry.resolve(fingerprint, Some(&prepare), pin)
     }
 
-    /// The daemon's health: its one pool's counters plus the number of
-    /// formulas in the registry (`connections` is the event loop's to
-    /// fill in).
+    /// The daemon's health: its one pool's counters, the number of
+    /// formulas in the registry and the number of open connections.
     fn health(&self) -> WireHealth {
         let pool = self.pool.health();
         WireHealth {
@@ -441,7 +434,46 @@ impl Shared {
             faults_injected: pool.faults_injected,
             pending_requests: pool.pending_requests as u64,
             queued_items: pool.queued_items as u64,
-            connections: 0,
+            connections: lock_ok(&self.conns).open.len() as u64,
+        }
+    }
+
+    /// Registers an accepted connection and returns its token, or `None`
+    /// once the daemon is stopping. The stop flag is read under the same
+    /// lock [`Shared::shut_down`] sets it under, so no connection slips
+    /// past the shutdown sweep.
+    fn open(&self, socket: &Socket) -> Option<u64> {
+        let mut conns = lock_ok(&self.conns);
+        if self.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        conns.next_token += 1;
+        let token = conns.next_token;
+        conns.open.insert(token, socket.clone());
+        Some(token)
+    }
+
+    fn close(&self, token: u64) {
+        lock_ok(&self.conns).open.remove(&token);
+    }
+
+    /// Stops the daemon: sets the stop flag, shuts every open connection
+    /// (unblocking its reader and failing its stalled writes) and wakes
+    /// every accept thread. Only the first call does anything.
+    fn shut_down(&self) {
+        {
+            let conns = lock_ok(&self.conns);
+            if self.stop.swap(true, Ordering::AcqRel) {
+                return;
+            }
+            for socket in conns.open.values() {
+                socket.shutdown();
+            }
+        }
+        for endpoint in &self.endpoints {
+            if let Err(err) = endpoint.wake() {
+                self.log(|| format!("waking an accept thread failed: {err}"));
+            }
         }
     }
 }
@@ -449,8 +481,7 @@ impl Shared {
 /// Handle to a running daemon (returned by [`serve`]).
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    wake: UnixStream,
-    thread: Option<JoinHandle<()>>,
+    accept_threads: Vec<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -466,36 +497,32 @@ impl ServerHandle {
         self.unix_path.as_ref()
     }
 
-    fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        let _ = (&self.wake).write(&[1u8]);
-        if let Some(thread) = self.thread.take() {
+    fn join(&mut self) {
+        for thread in self.accept_threads.drain(..) {
             if thread.join().is_err() && !std::thread::panicking() {
-                panic!("server event loop panicked");
+                panic!("server accept thread panicked");
             }
         }
     }
 
-    /// Stop the loop, close every connection, and join the thread.
+    /// Stop the daemon, close every connection, and join its threads.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
+        self.shared.shut_down();
+        self.join();
     }
 
-    /// Block until the loop exits on its own (a wire `Shutdown` frame
+    /// Block until the daemon exits on its own (a wire `Shutdown` frame
     /// under `allow_shutdown`).
     pub fn wait(mut self) {
-        if let Some(thread) = self.thread.take() {
-            if thread.join().is_err() && !std::thread::panicking() {
-                panic!("server event loop panicked");
-            }
-        }
+        self.join();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.stop_and_join();
+        if !self.accept_threads.is_empty() {
+            self.shared.shut_down();
+            self.join();
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
@@ -503,8 +530,8 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind the configured listeners and start the daemon's event loop on a
-/// background thread.
+/// Bind the configured listeners and start one accept thread per
+/// listener.
 pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
     if config.tcp.is_none() && config.unix.is_none() {
         return Err(NetError::Config("serve needs --listen and/or --unix"));
@@ -517,21 +544,25 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
 
     let pool = WorkerPool::try_new(service_config)
         .map_err(|_| NetError::Config("worker pool configuration rejected"))?;
-    let shared = Arc::new(Shared {
+    let mut shared = Shared {
         registry: Registry::new(config.max_formulas),
         pool,
         stop: AtomicBool::new(false),
         allow_shutdown: config.allow_shutdown,
         quiet: config.quiet,
-    });
+        conns: Mutex::new(Conns::default()),
+        endpoints: Vec::new(),
+    };
 
     for text in &config.preload {
         match shared.resolve_inline(text.as_bytes(), &default_spec(), true) {
-            Ok(entry) => shared.log(format_args!(
-                "preloaded formula fp={:016x} |S|={}",
-                entry.fingerprint,
-                entry.sampling_set.len()
-            )),
+            Ok(entry) => shared.log(|| {
+                format!(
+                    "preloaded formula fp={:016x} |S|={}",
+                    entry.fingerprint,
+                    entry.sampling_set.len()
+                )
+            }),
             Err((code, detail)) => {
                 return Err(NetError::Io(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -541,319 +572,208 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
         }
     }
 
-    let poller = Poller::new()?;
-
-    let tcp_listener = match &config.tcp {
-        Some(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            poller.register(listener.as_raw_fd(), TOKEN_TCP, true, false)?;
-            Some(listener)
+    let mut listeners = Vec::new();
+    let mut tcp_addr = None;
+    if let Some(addr) = &config.tcp {
+        let listener = TcpListener::bind(addr)?;
+        let bound = listener.local_addr()?;
+        // A listener on an unspecified address is woken over loopback.
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        None => None,
-    };
-    let tcp_addr = match &tcp_listener {
-        Some(listener) => Some(listener.local_addr()?),
-        None => None,
-    };
-
-    let unix_listener = match &config.unix {
-        Some(path) => {
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            poller.register(listener.as_raw_fd(), TOKEN_UNIX, true, false)?;
-            Some(listener)
-        }
-        None => None,
-    };
-
-    let (wake_rx, wake_tx) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false)?;
-
-    if let Some(addr) = tcp_addr {
-        shared.log(format_args!("listening on tcp {addr}"));
+        shared.endpoints.push(Endpoint::Tcp(wake));
+        listeners.push(Listener::Tcp(listener));
+        tcp_addr = Some(bound);
     }
     if let Some(path) = &config.unix {
-        shared.log(format_args!("listening on unix {}", path.display()));
+        listeners.push(Listener::Unix(UnixListener::bind(path)?));
+        shared.endpoints.push(Endpoint::Unix(path.clone()));
     }
 
-    let loop_shared = Arc::clone(&shared);
-    let loop_wake_tx = wake_tx.try_clone()?;
-    let unix_path = config.unix.clone();
-    let thread = conc::thread::spawn(move || {
-        let mut event_loop = EventLoop {
-            shared: loop_shared,
-            poller,
-            tcp_listener,
-            unix_listener,
-            wake_rx,
-            wake_tx: loop_wake_tx,
-            conns: HashMap::new(),
-            next_token: TOKEN_CONN_BASE,
-            rr_cursor: 0,
-            workers: Vec::new(),
-        };
-        event_loop.run();
-    });
+    if let Some(addr) = tcp_addr {
+        shared.log(|| format!("listening on tcp {addr}"));
+    }
+    if let Some(path) = &config.unix {
+        shared.log(|| format!("listening on unix {}", path.display()));
+    }
+
+    let shared = Arc::new(shared);
+    let accept_threads = listeners
+        .into_iter()
+        .map(|listener| {
+            let shared = Arc::clone(&shared);
+            conc::thread::spawn(move || accept_loop(&shared, listener))
+        })
+        .collect();
 
     Ok(ServerHandle {
         shared,
-        wake: wake_tx,
-        thread: Some(thread),
+        accept_threads,
         tcp_addr,
-        unix_path,
+        unix_path: config.unix,
     })
 }
 
-struct EventLoop {
-    shared: Arc<Shared>,
-    poller: Poller,
-    tcp_listener: Option<TcpListener>,
-    unix_listener: Option<UnixListener>,
-    wake_rx: UnixStream,
-    wake_tx: UnixStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    rr_cursor: usize,
-    workers: Vec<JoinHandle<()>>,
+/// One listener's accept thread: starts a reader thread per connection
+/// until the daemon stops, then joins them.
+fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
+    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
+            Ok((socket, peer)) => {
+                conn_threads.retain(|thread| !thread.is_finished());
+                let Some(token) = shared.open(&socket) else {
+                    break;
+                };
+                let session = Session {
+                    shared: Arc::clone(shared),
+                    conn: Arc::new(Conn {
+                        token,
+                        writer: Mutex::new(socket.clone()),
+                        requests: ConnRequests::new(),
+                        submit_retries: AtomicU64::new(0),
+                    }),
+                    socket,
+                    peer,
+                    greeted: false,
+                    request_threads: Vec::new(),
+                };
+                conn_threads.push(conc::thread::spawn(move || session.run()));
+            }
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => {
+                shared.log(|| format!("accept failed: {err}"));
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
+    }
+    drop(listener);
+    for thread in conn_threads {
+        let _ = thread.join();
+    }
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut events: Vec<Readiness> = Vec::new();
-        loop {
-            events.clear();
-            if let Err(err) = self.poller.wait(&mut events, -1) {
-                self.shared.log(format_args!("poll failed: {err}"));
-                break;
-            }
-            let mut dead: Vec<u64> = Vec::new();
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_TCP => self.accept_tcp(),
-                    TOKEN_UNIX => self.accept_unix(),
-                    TOKEN_WAKE => self.drain_wake_pipe(),
-                    token => {
-                        if (ev.readable || ev.hangup) && self.read_conn(token) == ConnFate::Dead {
-                            dead.push(token);
-                        }
-                    }
-                }
-            }
-            for token in dead {
-                self.disconnect(token, "read error or peer hangup");
-            }
-            if self.shared.stop.load(Ordering::Acquire) {
-                break;
-            }
-            self.drain_phase();
-            self.reap_workers();
-        }
-        self.teardown();
-    }
+/// One connection's state, shared by its reader thread and its request
+/// threads.
+struct Conn {
+    token: u64,
+    /// The write lock: every frame goes out whole under it.
+    writer: Mutex<Socket>,
+    requests: ConnRequests,
+    submit_retries: AtomicU64,
+}
 
-    fn reap_workers(&mut self) {
-        let mut live = Vec::with_capacity(self.workers.len());
-        for worker in self.workers.drain(..) {
-            if worker.is_finished() {
-                let _ = worker.join();
-            } else {
-                live.push(worker);
-            }
-        }
-        self.workers = live;
-    }
+/// A connection's reader thread: decodes frames, answers the
+/// connection-level ones and starts one thread per request.
+struct Session {
+    shared: Arc<Shared>,
+    conn: Arc<Conn>,
+    socket: Socket,
+    peer: String,
+    greeted: bool,
+    request_threads: Vec<JoinHandle<()>>,
+}
 
-    fn accept_tcp(&mut self) {
-        loop {
-            let listener = match &self.tcp_listener {
-                Some(listener) => listener,
-                None => return,
-            };
-            match listener.accept() {
-                Ok((stream, addr)) => {
-                    self.install_conn(Transport::Tcp(stream), format!("tcp {addr}"));
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(err) => {
-                    self.shared.log(format_args!("tcp accept failed: {err}"));
-                    return;
-                }
-            }
-        }
-    }
+/// Why a connection closes after a frame the protocol does not allow.
+const PROTOCOL_ERROR: &str = "closed after protocol error";
 
-    fn accept_unix(&mut self) {
-        loop {
-            let listener = match &self.unix_listener {
-                Some(listener) => listener,
-                None => return,
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    self.install_conn(Transport::Unix(stream), "unix".to_owned());
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(err) => {
-                    self.shared.log(format_args!("unix accept failed: {err}"));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn install_conn(&mut self, transport: Transport, peer: String) {
-        let nonblocking = match &transport {
-            Transport::Tcp(s) => s.set_nonblocking(true),
-            Transport::Unix(s) => s.set_nonblocking(true),
-        };
-        if let Err(err) = nonblocking {
-            self.shared
-                .log(format_args!("set_nonblocking failed: {err}"));
-            return;
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        if let Err(err) = self.poller.register(transport.raw_fd(), token, true, false) {
-            self.shared.log(format_args!("register failed: {err}"));
-            return;
-        }
-        let waker = self.make_waker();
-        let conn = Conn {
-            transport,
-            peer,
-            decoder: Decoder::new(),
-            outbound: Arc::new(Outbound::new(OUTBOUND_CAPACITY, waker)),
-            requests: Arc::new(ConnRequests::new()),
-            submit_retries: Arc::new(AtomicU64::new(0)),
-            wbuf: Vec::new(),
-            wpos: 0,
-            greeted: false,
-            want_write: false,
-            closing: false,
-        };
+impl Session {
+    fn run(mut self) {
+        let token = self.conn.token;
         self.shared
-            .log(format_args!("conn {token} accepted ({})", conn.peer));
-        self.conns.insert(token, conn);
-    }
-
-    fn make_waker(&self) -> Box<dyn Fn() + Send + Sync> {
-        match self.wake_tx.try_clone() {
-            Ok(tx) => Box::new(move || {
-                let _ = (&tx).write(&[1u8]);
-            }),
-            // Out of fds: fall back to a no-op waker; the loop still
-            // drains on its next readiness event.
-            Err(_) => Box::new(|| {}),
+            .log(|| format!("conn {token} accepted ({})", self.peer));
+        let mut reason = self.read_frames();
+        if self.shared.stop.load(Ordering::Acquire) {
+            reason = "daemon shutting down";
+        }
+        self.socket.shutdown();
+        self.shared.close(token);
+        self.conn.requests.cancel_all();
+        self.shared.log(|| {
+            format!(
+                "conn {token} closed ({}): {reason}; submit_retries={} in_flight={}",
+                self.peer,
+                self.conn.submit_retries.load(Ordering::Relaxed),
+                self.conn.requests.active(),
+            )
+        });
+        for thread in self.request_threads {
+            let _ = thread.join();
         }
     }
 
-    fn drain_wake_pipe(&mut self) {
-        let mut sink = [0u8; 256];
-        loop {
-            match self.wake_rx.read(&mut sink) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn read_conn(&mut self, token: u64) -> ConnFate {
+    /// Reads frames until the peer hangs up, a read fails or a frame
+    /// closes the connection; returns why.
+    fn read_frames(&mut self) -> &'static str {
+        let mut decoder = Decoder::new();
         let mut scratch = [0u8; 16 * 1024];
         loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(conn) => conn,
-                None => return ConnFate::Alive,
-            };
-            match conn.transport.read(&mut scratch) {
-                Ok(0) => return ConnFate::Dead,
-                Ok(n) => {
-                    conn.decoder.feed(&scratch[..n]);
-                    if self.process_frames(token) == ConnFate::Dead {
-                        return ConnFate::Dead;
-                    }
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return ConnFate::Alive,
+            match self.socket.read(&mut scratch) {
+                Ok(0) => return "peer hangup",
+                Ok(n) => decoder.feed(&scratch[..n]),
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Dead,
+                Err(_) => return "read error",
             }
-        }
-    }
-
-    fn process_frames(&mut self, token: u64) -> ConnFate {
-        loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(conn) => conn,
-                None => return ConnFate::Alive,
-            };
-            if conn.closing {
-                return ConnFate::Alive;
-            }
-            match conn.decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    if self.handle_frame(token, frame) == ConnFate::Dead {
-                        return ConnFate::Dead;
+            loop {
+                match decoder.next_frame() {
+                    Ok(Some(frame)) => {
+                        if let Some(reason) = self.handle_frame(frame) {
+                            return reason;
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(err) => {
+                        let token = self.conn.token;
+                        self.shared
+                            .log(|| format!("conn {token} protocol error: {err}"));
+                        send_error(&self.conn.writer, 0, ErrorCode::Malformed, err.to_string());
+                        return PROTOCOL_ERROR;
                     }
                 }
-                Ok(None) => return ConnFate::Alive,
-                Err(err) => {
-                    conn.outbound
-                        .send_error(0, ErrorCode::Malformed, err.to_string());
-                    conn.closing = true;
-                    self.shared
-                        .log(format_args!("conn {token} protocol error: {err}"));
-                    return ConnFate::Alive;
-                }
             }
+            self.request_threads.retain(|thread| !thread.is_finished());
         }
     }
 
-    fn handle_frame(&mut self, token: u64, frame: Frame) -> ConnFate {
-        let conn = match self.conns.get_mut(&token) {
-            Some(conn) => conn,
-            None => return ConnFate::Alive,
-        };
-        if !conn.greeted {
+    /// Answers one frame; `Some(reason)` closes the connection.
+    fn handle_frame(&mut self, frame: Frame) -> Option<&'static str> {
+        let writer = &self.conn.writer;
+        if !self.greeted {
             return match frame {
                 Frame::Hello { version } if version == PROTOCOL_VERSION => {
-                    conn.greeted = true;
-                    let _ = conn.outbound.send_now(
-                        Frame::HelloAck {
-                            version: PROTOCOL_VERSION,
-                        }
-                        .encode(),
-                    );
-                    ConnFate::Alive
+                    self.greeted = true;
+                    let ack = Frame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                    };
+                    let _ = send_frame(writer, &ack.encode());
+                    None
                 }
                 Frame::Hello { version } => {
                     let detail = format!(
                         "client speaks protocol {version}, server speaks {PROTOCOL_VERSION}"
                     );
-                    conn.outbound
-                        .send_error(0, ErrorCode::UnsupportedVersion, detail);
-                    conn.closing = true;
-                    ConnFate::Alive
+                    send_error(writer, 0, ErrorCode::UnsupportedVersion, detail);
+                    Some(PROTOCOL_ERROR)
                 }
                 _ => {
                     let detail = "expected Hello before any other frame";
-                    conn.outbound.send_error(0, ErrorCode::Malformed, detail);
-                    conn.closing = true;
-                    ConnFate::Alive
+                    send_error(writer, 0, ErrorCode::Malformed, detail);
+                    Some(PROTOCOL_ERROR)
                 }
             };
         }
         match frame {
             Frame::Hello { .. } => {
-                conn.outbound
-                    .send_error(0, ErrorCode::Malformed, "duplicate Hello");
-                conn.closing = true;
-                ConnFate::Alive
+                send_error(writer, 0, ErrorCode::Malformed, "duplicate Hello");
+                Some(PROTOCOL_ERROR)
             }
             Frame::Request {
                 id,
@@ -863,34 +783,28 @@ impl EventLoop {
                 master_seed,
                 budget_micros,
             } => {
-                self.dispatch_request(token, id, formula, spec, count, master_seed, budget_micros);
-                ConnFate::Alive
+                self.dispatch_request(id, formula, spec, count, master_seed, budget_micros);
+                None
             }
             Frame::Cancel { id } => {
-                conn.requests.cancel(id);
-                ConnFate::Alive
+                self.conn.requests.cancel(id);
+                None
             }
             Frame::HealthReq => {
-                let mut health = self.shared.health();
-                health.connections = self.conns.len() as u64;
-                let conn = match self.conns.get_mut(&token) {
-                    Some(conn) => conn,
-                    None => return ConnFate::Alive,
-                };
-                let _ = conn.outbound.send_now(Frame::Health(health).encode());
-                ConnFate::Alive
+                let _ = send_frame(writer, &Frame::Health(self.shared.health()).encode());
+                None
+            }
+            Frame::Shutdown if self.shared.allow_shutdown => {
+                let token = self.conn.token;
+                self.shared
+                    .log(|| format!("conn {token} requested shutdown"));
+                self.shared.shut_down();
+                Some("daemon shutting down")
             }
             Frame::Shutdown => {
-                if self.shared.allow_shutdown {
-                    self.shared
-                        .log(format_args!("conn {token} requested shutdown"));
-                    self.shared.stop.store(true, Ordering::Release);
-                } else {
-                    let detail = "daemon was not started with --allow-shutdown";
-                    conn.outbound
-                        .send_error(0, ErrorCode::ShutdownDisabled, detail);
-                }
-                ConnFate::Alive
+                let detail = "daemon was not started with --allow-shutdown";
+                send_error(writer, 0, ErrorCode::ShutdownDisabled, detail);
+                None
             }
             // Server→client frames arriving from a client are protocol
             // errors.
@@ -901,17 +815,14 @@ impl EventLoop {
             | Frame::Error { .. }
             | Frame::Health(_) => {
                 let detail = "response-direction frame sent by client";
-                conn.outbound.send_error(0, ErrorCode::Malformed, detail);
-                conn.closing = true;
-                ConnFate::Alive
+                send_error(writer, 0, ErrorCode::Malformed, detail);
+                Some(PROTOCOL_ERROR)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // lint: wire request fields arrive as one tuple-shaped frame
     fn dispatch_request(
         &mut self,
-        token: u64,
         id: u64,
         formula: FormulaRef,
         spec: WireSpec,
@@ -919,23 +830,15 @@ impl EventLoop {
         master_seed: u64,
         budget_micros: u64,
     ) {
-        let conn = match self.conns.get_mut(&token) {
-            Some(conn) => conn,
-            None => return,
-        };
-        let cancel = match conn.requests.begin(id) {
-            Some(flag) => flag,
-            None => {
-                let detail = format!("request id {id} is already in flight");
-                conn.outbound.send_error(id, ErrorCode::Malformed, detail);
-                return;
-            }
+        let Some(cancel) = self.conn.requests.begin(id) else {
+            let detail = format!("request id {id} is already in flight");
+            send_error(&self.conn.writer, id, ErrorCode::Malformed, detail);
+            return;
         };
         let shared = Arc::clone(&self.shared);
-        let outbound = Arc::clone(&conn.outbound);
-        let requests = Arc::clone(&conn.requests);
-        let submit_retries = Arc::clone(&conn.submit_retries);
-        let worker = conc::thread::spawn(move || {
+        let conn = Arc::clone(&self.conn);
+        let thread = conc::thread::spawn(move || {
+            let token = conn.token;
             let resolved = match &formula {
                 _ if count > MAX_REQUEST_COUNT => Err((
                     ErrorCode::Malformed,
@@ -946,12 +849,11 @@ impl EventLoop {
             };
             match resolved {
                 Err((code, detail)) => {
-                    outbound.send_error(id, code, detail.clone());
-                    requests.finish(id);
-                    shared.log(format_args!(
-                        "conn {token} req {id}: rejected ({}) {detail}",
-                        code.name()
-                    ));
+                    send_error(&conn.writer, id, code, detail.as_str());
+                    conn.requests.finish(id);
+                    shared.log(|| {
+                        format!("conn {token} req {id}: rejected ({}) {detail}", code.name())
+                    });
                 }
                 Ok(entry) => {
                     let mut request = SampleRequest::new(count as usize, master_seed);
@@ -967,161 +869,28 @@ impl EventLoop {
                     let end = run_request(
                         &entry.service,
                         job,
-                        &outbound,
+                        &conn.writer,
                         &cancel,
-                        &submit_retries,
+                        &conn.submit_retries,
                         SUBMIT_RETRY_BUDGET,
                     );
-                    requests.finish(id);
-                    let health = shared.pool.health();
-                    shared.log(format_args!(
-                        "conn {token} req {id}: {end:?} fp={:016x} submit_retries={} \
-                         outbound_bytes={} pending_requests={} queued_items={}",
-                        entry.fingerprint,
-                        submit_retries.load(Ordering::Relaxed),
-                        outbound.queued_bytes(),
-                        health.pending_requests,
-                        health.queued_items,
-                    ));
+                    conn.requests.finish(id);
+                    shared.log(|| {
+                        let health = shared.pool.health();
+                        format!(
+                            "conn {token} req {id}: {end:?} fp={:016x} submit_retries={} \
+                             pending_requests={} queued_items={}",
+                            entry.fingerprint,
+                            conn.submit_retries.load(Ordering::Relaxed),
+                            health.pending_requests,
+                            health.queued_items,
+                        )
+                    });
                 }
             }
         });
-        self.workers.push(worker);
+        self.request_threads.push(thread);
     }
-
-    /// Round-robin drain: give each connection a bounded byte slice per
-    /// round, looping until nobody makes progress. Fairness is the
-    /// point — a firehose stream cannot monopolize the loop.
-    fn drain_phase(&mut self) {
-        loop {
-            let mut tokens: Vec<u64> = self.conns.keys().copied().collect();
-            tokens.sort_unstable();
-            if tokens.is_empty() {
-                return;
-            }
-            self.rr_cursor = self.rr_cursor.wrapping_add(1) % tokens.len();
-            tokens.rotate_left(self.rr_cursor);
-            let mut progressed = false;
-            let mut dead: Vec<(u64, &'static str)> = Vec::new();
-            for &token in &tokens {
-                match self.flush_conn(token) {
-                    FlushResult::Progress => progressed = true,
-                    FlushResult::Idle => {}
-                    FlushResult::Dead(reason) => dead.push((token, reason)),
-                }
-            }
-            let had_dead = !dead.is_empty();
-            for (token, reason) in dead {
-                self.disconnect(token, reason);
-            }
-            if !progressed && !had_dead {
-                return;
-            }
-        }
-    }
-
-    fn flush_conn(&mut self, token: u64) -> FlushResult {
-        let conn = match self.conns.get_mut(&token) {
-            Some(conn) => conn,
-            None => return FlushResult::Idle,
-        };
-        let mut written = 0usize;
-        let mut progressed = false;
-        loop {
-            if conn.wpos >= conn.wbuf.len() {
-                match conn.outbound.pop() {
-                    Some(frame) => {
-                        conn.wbuf = frame;
-                        conn.wpos = 0;
-                    }
-                    None => break,
-                }
-            }
-            if written >= DRAIN_SLICE {
-                // Round slice exhausted; come back next round so other
-                // connections get their turn.
-                return FlushResult::Progress;
-            }
-            let end = conn.wbuf.len().min(conn.wpos + (DRAIN_SLICE - written));
-            match conn.transport.write(&conn.wbuf[conn.wpos..end]) {
-                Ok(0) => return FlushResult::Dead("write returned 0"),
-                Ok(n) => {
-                    conn.wpos += n;
-                    written += n;
-                    progressed = true;
-                }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if !conn.want_write {
-                        conn.want_write = true;
-                        let _ = self
-                            .poller
-                            .reregister(conn.transport.raw_fd(), token, true, true);
-                    }
-                    return if progressed {
-                        FlushResult::Progress
-                    } else {
-                        FlushResult::Idle
-                    };
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return FlushResult::Dead("write error"),
-            }
-        }
-        // Fully drained.
-        if conn.want_write {
-            conn.want_write = false;
-            let _ = self
-                .poller
-                .reregister(conn.transport.raw_fd(), token, true, false);
-        }
-        if conn.closing && !conn.has_pending_write() {
-            return FlushResult::Dead("closed after protocol error");
-        }
-        if progressed {
-            FlushResult::Progress
-        } else {
-            FlushResult::Idle
-        }
-    }
-
-    fn disconnect(&mut self, token: u64, reason: &str) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.transport.raw_fd());
-            conn.outbound.close();
-            conn.requests.cancel_all();
-            self.shared.log(format_args!(
-                "conn {token} closed ({}): {reason}; submit_retries={} in_flight={}",
-                conn.peer,
-                conn.submit_retries.load(Ordering::Relaxed),
-                conn.requests.active(),
-            ));
-        }
-    }
-
-    fn teardown(&mut self) {
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            self.disconnect(token, "daemon shutting down");
-        }
-        self.tcp_listener = None;
-        self.unix_listener = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.shared.log(format_args!("event loop exited"));
-    }
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum ConnFate {
-    Alive,
-    Dead,
-}
-
-enum FlushResult {
-    Progress,
-    Idle,
-    Dead(&'static str),
 }
 
 #[cfg(test)]

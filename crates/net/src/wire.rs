@@ -52,8 +52,8 @@
 //! same outcome kinds, streamed in index order. This holds per request,
 //! across TCP and unix transports, and regardless of how many other
 //! clients share the pool. *Inter*-client frame ordering is not part of
-//! the contract: the server round-robins the drain across connections, so
-//! two concurrent requests interleave arbitrarily on the shared pool.
+//! the contract: every request streams from its own thread, so two
+//! concurrent requests interleave arbitrarily on the shared pool.
 
 use std::fmt;
 

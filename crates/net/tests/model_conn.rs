@@ -1,22 +1,23 @@
 //! Model-checked protocol tests for the connection layer.
 //!
-//! These run the *real* `crates/net` connection code — [`Outbound`],
-//! [`ConnRequests`], [`run_request`] — against a real `SamplerService`
-//! under `conc`'s controlled scheduler, exploring distinct thread
-//! interleavings up to a preemption bound. The three protocols pinned
-//! here are exactly the ones the daemon's accept→dispatch→writer
-//! pipeline depends on:
+//! These run the *real* `crates/net` connection code — [`send_frame`]
+//! under a `conc` write lock, [`ConnRequests`], [`run_request`] — against
+//! a real `SamplerService` under `conc`'s controlled scheduler, exploring
+//! distinct thread interleavings up to a preemption bound. In-memory
+//! writers stand in for the socket. The two protocols pinned here are
+//! the ones the daemon's dispatch→writer pipeline depends on:
 //!
-//! 1. the write-buffer drain condvar never loses a wakeup (a blocked
-//!    drainer always resumes once the event loop pops),
-//! 2. the lock order across dispatch and writer is acyclic, and the
-//!    connection waker is invoked *outside* the outbound lock,
-//! 3. a client disconnect mid-stream releases the in-flight request
-//!    entry and the service queue slot.
+//! 1. the lock order across dispatch and writer is acyclic, and neither
+//!    the write lock nor the request table is held across another
+//!    acquisition,
+//! 2. a client disconnect mid-stream (the socket shut under a writer
+//!    blocked on a full send buffer) releases the in-flight request entry
+//!    and the service queue slot.
 //!
 //! Budgets come from `conc::model::Config::from_env()` so CI can widen
 //! the search with `CONC_SCHEDULES` / `CONC_PREEMPTIONS`.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use conc::atomic::AtomicU64;
@@ -27,7 +28,8 @@ use rand::RngCore;
 use unigen::{
     SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, WitnessSampler,
 };
-use unigen_net::conn::{run_request, ConnRequests, Outbound, RequestEnd, RequestJob};
+use unigen_net::conn::{run_request, send_error, ConnRequests, RequestEnd, RequestJob};
+use unigen_net::{Decoder, ErrorCode, Frame};
 
 /// A sampler that immediately returns the paper's `⊥` — the cheapest
 /// possible work item, so schedules differ only in scheduler behavior.
@@ -59,47 +61,66 @@ fn assert_explored(cfg: &Config, report: &Report) {
     );
 }
 
-/// The event loop's wake pipe, modeled as a counting condvar: the
-/// connection waker raises it, the writer blocks on it. Spin-free, so
-/// the controlled scheduler never hits its livelock guard.
-struct WakeSignal {
-    pending: Mutex<usize>,
-    bell: Condvar,
+/// A peer whose receive window holds `capacity` bytes and then stalls:
+/// a write past it blocks until [`StalledPeer::hang_up`], then fails, as
+/// a socket write blocked on a full send buffer fails once the daemon
+/// shuts the socket.
+struct StalledPeer {
+    capacity: usize,
+    /// Bytes accepted so far, and whether the socket was shut.
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
 }
 
-impl WakeSignal {
-    fn new() -> WakeSignal {
-        WakeSignal {
-            pending: Mutex::new(0),
-            bell: Condvar::new(),
+impl StalledPeer {
+    fn new(capacity: usize) -> StalledPeer {
+        StalledPeer {
+            capacity,
+            state: Mutex::new((0, false)),
+            changed: Condvar::new(),
         }
     }
 
-    /// The waker side (called by `Outbound` after every enqueue/close).
-    fn raise(&self) {
-        match self.pending.lock() {
-            Ok(mut pending) => {
-                *pending += 1;
-                self.bell.notify_one();
+    fn hang_up(&self) {
+        match self.state.lock() {
+            Ok(mut state) => {
+                state.1 = true;
+                self.changed.notify_all();
             }
-            Err(_) => panic!("wake mutex poisoned"),
+            Err(_) => panic!("peer mutex poisoned"),
         }
     }
+}
 
-    /// The writer side: block until at least one raise since the last
-    /// acknowledge, then consume them all.
-    fn await_raise(&self) {
-        let mut pending = match self.pending.lock() {
+/// The write half of a [`StalledPeer`], as it sits in the write lock.
+struct PeerWriter(Arc<StalledPeer>);
+
+impl Write for PeerWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let peer = &self.0;
+        let mut state = match peer.state.lock() {
             Ok(guard) => guard,
-            Err(_) => panic!("wake mutex poisoned"),
+            Err(_) => panic!("peer mutex poisoned"),
         };
-        while *pending == 0 {
-            pending = match self.bell.wait(pending) {
+        loop {
+            if state.1 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            let room = peer.capacity - state.0;
+            if room > 0 {
+                let n = room.min(buf.len());
+                state.0 += n;
+                return Ok(n);
+            }
+            state = match peer.changed.wait(state) {
                 Ok(guard) => guard,
-                Err(_) => panic!("wake mutex poisoned"),
+                Err(_) => panic!("peer mutex poisoned"),
             };
         }
-        *pending = 0;
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -112,49 +133,13 @@ fn job(id: u64, count: usize, master_seed: u64) -> RequestJob {
     }
 }
 
-/// Protocol 1: producers blocked on the `space` condvar always resume.
-/// A tiny capacity forces every frame after the first to block until
-/// the consumer pops; a lost wakeup would leave the producer parked
-/// forever and surface as a deadlock/stall failure on that schedule.
-#[test]
-fn outbound_drain_condvar_never_loses_a_wakeup() {
-    let cfg = protocol_config();
-    let report = check(cfg.clone(), || {
-        let wake = Arc::new(WakeSignal::new());
-        let outbound = {
-            let wake = Arc::clone(&wake);
-            Arc::new(Outbound::new(1, Box::new(move || wake.raise())))
-        };
-        let producer = {
-            let outbound = Arc::clone(&outbound);
-            conc::thread::spawn(move || {
-                for payload in 0..3u8 {
-                    outbound
-                        .send(vec![payload; 4])
-                        .expect("buffer never closes in this test");
-                }
-            })
-        };
-        let mut received = 0usize;
-        while received < 3 {
-            wake.await_raise();
-            while let Some(frame) = outbound.pop() {
-                assert_eq!(frame, vec![received as u8; 4], "frames drain in order");
-                received += 1;
-            }
-        }
-        producer.join().expect("producer exits cleanly");
-        assert_eq!(outbound.queued_bytes(), 0);
-    });
-    assert!(report.failure.is_none(), "{report}");
-    assert_explored(&cfg, &report);
-}
-
-/// Protocol 2: the full dispatch→writer pipeline (real service, real
-/// outbound, real request table) holds its locks acyclically, and the
-/// connection waker runs *outside* the outbound lock — the discipline
-/// that keeps the event loop's wake mutex out of any cycle with
-/// connection state.
+/// Protocol 1: the full dispatch→writer pipeline (real service, real
+/// write lock, real request table) holds its locks acyclically, and
+/// neither the write lock nor the request table is held across another
+/// acquisition: a frame is written with only the write lock held, so a
+/// writer blocked on its socket can never hold up the service. (The name
+/// is historical: the socket write now plays the part the readiness
+/// loop's waker did, the one call that must run with no other lock held.)
 #[test]
 fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
     let cfg = protocol_config();
@@ -166,38 +151,42 @@ fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
                 .with_queue_capacity(1),
         )
         .unwrap();
-        let wake = Arc::new(WakeSignal::new());
-        let outbound = {
-            let wake = Arc::clone(&wake);
-            // The production waker writes the event loop's wake pipe;
-            // here it raises a condvar behind its own mutex. Any scheme
-            // that invoked it while holding the outbound lock would
-            // show up as a held→acquired edge below.
-            Arc::new(Outbound::new(16, Box::new(move || wake.raise())))
-        };
+        let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
         let requests = ConnRequests::new();
         let cancel = requests.begin(1).expect("fresh id");
         let retries = Arc::new(AtomicU64::new(0));
-        let drainer = {
-            let outbound = Arc::clone(&outbound);
+        let request_thread = {
+            let writer = Arc::clone(&writer);
             let retries = Arc::clone(&retries);
             conc::thread::spawn(move || {
-                run_request(&service, job(1, 2, 5), &outbound, &cancel, &retries, 4)
+                run_request(&service, job(1, 2, 5), &*writer, &cancel, &retries, 4)
             })
         };
-        // Writer role: the stream is StreamBegin + 2 chunks + Done —
-        // drain exactly those four frames, waiting on the wake signal
-        // between batches just like the event loop waits on its pipe.
-        let mut frames = 0usize;
-        while frames < 4 {
-            wake.await_raise();
-            while outbound.pop().is_some() {
-                frames += 1;
-            }
-        }
-        let end = drainer.join().expect("drainer exits cleanly");
+        // The reader's role: a connection-level frame written under the
+        // same lock while the stream runs.
+        send_error(&writer, 0, ErrorCode::Malformed, "probe");
+        let end = request_thread.join().expect("request thread exits cleanly");
         assert_eq!(end, RequestEnd::Completed { successes: 0 });
-        assert_eq!(frames, 4, "the full stream reaches the writer");
+        // Whole frames only: the stream is StreamBegin + 2 chunks + Done,
+        // plus the reader's error frame, and each decodes intact.
+        let mut decoder = Decoder::new();
+        decoder.feed(&writer.lock().expect("writer lock"));
+        let mut frames = Vec::new();
+        while let Some(frame) = decoder.next_frame().expect("frames never interleave") {
+            frames.push(frame);
+        }
+        assert_eq!(frames.len(), 5, "the full stream reaches the writer");
+        let stream: Vec<String> = frames
+            .iter()
+            .filter_map(|frame| match frame {
+                Frame::Error { id: 0, .. } => None,
+                Frame::StreamBegin { id, .. } => Some(format!("begin {id}")),
+                Frame::Chunk { id, index, .. } => Some(format!("chunk {id}.{index}")),
+                Frame::Done { id, .. } => Some(format!("done {id}")),
+                other => Some(format!("{other:?}")),
+            })
+            .collect();
+        assert_eq!(stream, ["begin 1", "chunk 1.0", "chunk 1.1", "done 1"]);
         requests.finish(1);
     });
     assert!(report.failure.is_none(), "{report}");
@@ -214,22 +203,23 @@ fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
             report.lock_order_edges
         );
     }
-    // The waker-outside-the-lock discipline: no edge from connection
-    // state into anything else while the outbound mutex is held.
+    // The write lock (built in this file) and the request table (built in
+    // conn.rs) are leaves: nothing is acquired while either is held.
     for (held, acquired) in &report.lock_order_edges {
         assert!(
-            !held.contains("net/src/conn.rs"),
-            "outbound lock held across another acquisition ({held} -> {acquired}); \
-             the waker must run outside the lock"
+            !held.contains("net/tests/model_conn.rs") && !held.contains("net/src/conn.rs"),
+            "connection lock held across another acquisition ({held} -> {acquired})"
         );
     }
     assert_explored(&cfg, &report);
 }
 
-/// Protocol 3: a client disconnect mid-stream (outbound closed, cancel
-/// flags raised) ends the drainer promptly, clears the in-flight table,
-/// and releases the service queue slot — a fresh blocking submit
-/// completes on every explored schedule.
+/// Protocol 2: a client disconnect mid-stream ends the request thread promptly,
+/// clears the in-flight table, and releases the service queue slot — a
+/// fresh blocking submit completes on every explored schedule. The peer
+/// takes the `StreamBegin` frame and then stalls, so the request thread is
+/// blocked in a write (holding the write lock) when the reader shuts the
+/// socket and raises every cancel flag.
 #[test]
 fn disconnect_mid_stream_frees_the_service_slot() {
     let cfg = protocol_config();
@@ -243,31 +233,34 @@ fn disconnect_mid_stream_frees_the_service_slot() {
             )
             .unwrap(),
         );
-        let outbound = Arc::new(Outbound::new(1, Box::new(|| {})));
+        let begin = Frame::StreamBegin {
+            id: 1,
+            fingerprint: 0xfeed,
+            sampling_set: Vec::new(),
+        };
+        let peer = Arc::new(StalledPeer::new(begin.encode().len()));
+        let writer = Arc::new(Mutex::new(PeerWriter(Arc::clone(&peer))));
         let requests = Arc::new(ConnRequests::new());
         let cancel = requests.begin(1).expect("fresh id");
         let retries = Arc::new(AtomicU64::new(0));
-        let drainer = {
+        let request_thread = {
             let service = Arc::clone(&service);
-            let outbound = Arc::clone(&outbound);
+            let writer = Arc::clone(&writer);
             let requests = Arc::clone(&requests);
             let retries = Arc::clone(&retries);
             conc::thread::spawn(move || {
-                let end = run_request(&service, job(1, 3, 9), &outbound, &cancel, &retries, 4);
+                let end = run_request(&service, job(1, 3, 9), &*writer, &cancel, &retries, 4);
                 requests.finish(1);
                 end
             })
         };
-        // The "event loop" observes the hangup: close the buffer and
-        // raise every cancel flag, exactly what `disconnect` does.
-        outbound.close();
+        // The reader observes the hangup: shut the socket and raise every
+        // cancel flag, exactly what a closing connection does.
+        peer.hang_up();
         requests.cancel_all();
-        let end = drainer.join().expect("drainer exits cleanly");
+        let end = request_thread.join().expect("request thread exits cleanly");
         assert!(
-            matches!(
-                end,
-                RequestEnd::Disconnected | RequestEnd::Cancelled | RequestEnd::Completed { .. }
-            ),
+            matches!(end, RequestEnd::Disconnected | RequestEnd::Cancelled),
             "unexpected request end: {end:?}"
         );
         assert_eq!(

@@ -10,6 +10,7 @@
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
@@ -520,4 +521,172 @@ fn lru_registry_keeps_answering_new_formulas_on_one_pool() {
     assert_eq!((health.services, health.configured_workers), (2, JOBS));
 
     handle.shutdown();
+}
+
+/// Reads from `stream` until `decoder` yields a frame. A read timeout on
+/// the stream turns a silent daemon into a failure instead of a hang.
+fn next_frame(stream: &mut impl Read, decoder: &mut Decoder) -> Frame {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(frame) = decoder.next_frame().expect("well-formed frames") {
+            return frame;
+        }
+        let n = stream.read(&mut buf).expect("the daemon answers in time");
+        assert!(n > 0, "the daemon closed the connection");
+        decoder.feed(&buf[..n]);
+    }
+}
+
+/// A connection that stops reading mid-stream stalls only itself: while
+/// its large stream is blocked on a full socket, a second connection's
+/// batch still arrives bit-identical. Once the first connection reads
+/// again, its stream resumes and is bit-identical too.
+#[test]
+fn slow_reader_stalls_only_its_own_connection() {
+    const BIG: u64 = 20_000;
+    let handle = serve(unix_config("slow-reader")).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let mut slow = UnixStream::connect(&path).expect("raw connect");
+    slow.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout set");
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    let request = Frame::Request {
+        id: 1,
+        formula: wire::FormulaRef::Inline(DIMACS.as_bytes().to_vec()),
+        spec: test_spec(),
+        count: BIG,
+        master_seed: 5,
+        budget_micros: 0,
+    };
+    for frame in [hello, request] {
+        slow.write_all(&frame.encode()).expect("frame sent");
+    }
+    let mut decoder = Decoder::new();
+    assert!(matches!(
+        next_frame(&mut slow, &mut decoder),
+        Frame::HelloAck { .. }
+    ));
+    let width = match next_frame(&mut slow, &mut decoder) {
+        Frame::StreamBegin { sampling_set, .. } => sampling_set.len(),
+        other => panic!("expected StreamBegin, got {other:?}"),
+    };
+    // Stop reading here: twenty thousand chunks overflow the socket
+    // buffers, so the daemon's writer for this connection blocks.
+
+    let batch = within_bound("the second connection's batch", move || {
+        let mut fast = Client::connect_unix(&path).expect("second client connects");
+        fast.sample(&ClientRequest::inline(DIMACS, 16, 6).with_spec(test_spec()))
+    })
+    .expect("the second connection is served while the first stalls");
+    assert_batch_matches_reference(&batch, 16, 6);
+
+    let reference = reference_batch(BIG as usize, 5);
+    for (i, (kind, bits)) in reference.iter().enumerate() {
+        match next_frame(&mut slow, &mut decoder) {
+            Frame::Chunk {
+                id: 1,
+                index,
+                kind: wire_kind,
+                bits: wire_bits,
+            } => {
+                assert_eq!(index, i as u64, "stream must be index-ordered");
+                assert_eq!(&wire_kind, kind, "outcome {i} kind diverged");
+                let witness = bits
+                    .as_ref()
+                    .map(|_| wire::unpack_bits(&wire_bits, width).expect("well-formed payload"));
+                assert_eq!(&witness, bits, "outcome {i} witness bits diverged");
+            }
+            other => panic!("expected chunk {i}, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        next_frame(&mut slow, &mut decoder),
+        Frame::Done { id: 1, .. }
+    ));
+
+    handle.shutdown();
+}
+
+/// Completes the handshake on a raw connection and leaves it idle;
+/// `set_timeout` bounds every read on it.
+fn idle_peer<S: Read + Write>(mut stream: S, set_timeout: impl Fn(&S)) -> S {
+    set_timeout(&stream);
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+    };
+    stream.write_all(&hello.encode()).expect("hello sent");
+    let ack = next_frame(&mut stream, &mut Decoder::new());
+    assert!(matches!(ack, Frame::HelloAck { .. }), "got {ack:?}");
+    stream
+}
+
+/// The daemon closed this idle connection: the next read is end-of-file.
+fn assert_closed(mut stream: impl Read, what: &str) {
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .unwrap_or_else(|err| panic!("idle {what} peer did not see the close: {err}"));
+    assert!(rest.is_empty(), "idle {what} peer got unexpected bytes");
+}
+
+/// Runs `f` on its own thread and returns its result; fails unless it
+/// returns within a bound.
+fn within_bound<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, returned) = std::sync::mpsc::channel();
+    conc::thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    returned
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what} did not return within 30 s"))
+}
+
+/// A daemon on TCP (`127.0.0.1:0`) and unix, with one idle handshaken
+/// connection on each.
+fn daemon_with_idle_peers(tag: &str) -> (unigen_net::ServerHandle, TcpStream, UnixStream) {
+    let config = ServeConfig {
+        tcp: Some("127.0.0.1:0".to_string()),
+        allow_shutdown: true,
+        ..unix_config(tag)
+    };
+    let handle = serve(config).expect("daemon starts");
+    let addr = handle.tcp_addr().expect("tcp listener bound");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+    let timeout = Some(std::time::Duration::from_secs(30));
+    let tcp = idle_peer(TcpStream::connect(addr).expect("tcp connect"), |s| {
+        s.set_read_timeout(timeout).expect("read timeout set")
+    });
+    let unix = idle_peer(UnixStream::connect(path).expect("unix connect"), |s| {
+        s.set_read_timeout(timeout).expect("read timeout set")
+    });
+    (handle, tcp, unix)
+}
+
+/// `ServerHandle::shutdown` returns promptly while idle connections are
+/// open on both listeners, and each idle client sees its connection close.
+#[test]
+fn handle_shutdown_returns_promptly_with_idle_connections() {
+    let (handle, tcp, unix) = daemon_with_idle_peers("idle-handle");
+    within_bound("ServerHandle::shutdown", move || handle.shutdown());
+    assert_closed(tcp, "tcp");
+    assert_closed(unix, "unix");
+}
+
+/// A wire `Shutdown` frame stops the daemon promptly while idle
+/// connections are open on both listeners, and each idle client sees its
+/// connection close.
+#[test]
+fn wire_shutdown_returns_promptly_with_idle_connections() {
+    let (handle, tcp, unix) = daemon_with_idle_peers("idle-wire");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+    Client::connect_unix(&path)
+        .expect("client connects")
+        .shutdown_server()
+        .expect("shutdown accepted");
+    within_bound("ServerHandle::wait", move || handle.wait());
+    assert_closed(tcp, "tcp");
+    assert_closed(unix, "unix");
 }

@@ -22,11 +22,11 @@
 //! * **`allow-justify`** — `#[allow(…)]` attributes in library code must
 //!   carry a trailing `// lint: <why>` justification: a lint opt-out with
 //!   no recorded reason is indistinguishable from a shortcut.
-//! * **`ffi-confined`** — `unsafe` and `extern "C"` are forbidden
-//!   everywhere except `crates/net/src/sys.rs`, the one sanctioned
-//!   syscall shim (epoll FFI): every other crate carries
-//!   `#![forbid(unsafe_code)]`, and this rule keeps new FFI from
-//!   sprouting outside the shim where it would escape that audit.
+//! * **`ffi-confined`** — `unsafe` and `extern "C"` are forbidden in
+//!   every linted file, library, test and binary alike: the workspace has
+//!   no FFI, every library crate carries `#![forbid(unsafe_code)]`, and
+//!   this rule extends the ban to the test and binary sources the
+//!   attribute does not reach.
 //!
 //! Pre-existing violations are grandfathered in the repo-root
 //! `lint-allow.txt` (format: `<rule> <path>` per line, `#` comments).
@@ -366,12 +366,8 @@ fn applicable_rules(path: &str) -> Vec<&'static str> {
     {
         return Vec::new();
     }
-    let mut rules = vec!["std-sync"];
-    // The epoll FFI shim is the one sanctioned home of `unsafe`; every
-    // other file (library, test, or binary) must stay FFI-free.
-    if path != "crates/net/src/sys.rs" {
-        rules.push("ffi-confined");
-    }
+    // Every file (library, test, or binary) must stay FFI-free.
+    let mut rules = vec!["std-sync", "ffi-confined"];
     let is_bench = path.starts_with("crates/bench/") || path.contains("/benches/");
     if !is_bench {
         rules.push("wall-clock");
@@ -568,8 +564,11 @@ mod tests {
             rules_of(&lint_source("crates/net/tests/model_conn.rs", src)),
             vec!["ffi-confined", "ffi-confined"]
         );
-        // The shim itself is the sanctioned home.
-        assert!(lint_source("crates/net/src/sys.rs", src).is_empty());
+        // No file is exempt, whatever its path.
+        assert_eq!(
+            rules_of(&lint_source("crates/net/src/sys.rs", src)),
+            vec!["ffi-confined", "ffi-confined"]
+        );
         // The *ban* on unsafe is not a use of it.
         let forbid = "#![forbid(unsafe_code)]\n";
         assert!(lint_source("crates/core/src/lib.rs", forbid).is_empty());
