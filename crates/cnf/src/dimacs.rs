@@ -40,6 +40,16 @@ use crate::{CnfError, CnfFormula, Lit, Var, XorClause};
 /// `u32::MAX / 2`, and DIMACS ids are one-based.
 const MAX_DIMACS_VAR: usize = (u32::MAX / 2) as usize + 1;
 
+/// The largest variable count a `p cnf` header may declare: 2^20.
+///
+/// A formula allocates per declared variable before any clause is read
+/// (the full-support sampling set alone is 4 bytes a variable), so a
+/// header of a few bytes must not be able to ask for gigabytes. 2^20
+/// covers every in-tree generator (the largest benchmark instance,
+/// treemax-like, has 4 570 variables) and the paper's largest benchmarks,
+/// which have hundreds of thousands of variables.
+const MAX_DIMACS_VARS: usize = 1 << 20;
+
 /// Rejects a variable id (or a literal's magnitude) beyond [`Var`]'s range
 /// before it reaches the panicking constructors.
 fn check_id(id: u64, line: usize) -> Result<(), CnfError> {
@@ -56,7 +66,8 @@ fn check_id(id: u64, line: usize) -> Result<(), CnfError> {
 ///
 /// # Errors
 ///
-/// Returns [`CnfError::ParseDimacs`] when the input is malformed and
+/// Returns [`CnfError::ParseDimacs`] when the input is malformed or its
+/// header declares more than 2^20 variables, and
 /// [`CnfError::VariableOutOfRange`] / [`CnfError::SamplingVarOutOfRange`]
 /// when clauses or the sampling set mention undeclared variables.
 pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
@@ -117,7 +128,14 @@ pub fn parse(input: &str) -> Result<CnfFormula, CnfError> {
                     message: "missing or invalid variable count".to_string(),
                 }
             })?;
-            check_id(vars as u64, line_no)?;
+            if vars > MAX_DIMACS_VARS {
+                return Err(CnfError::ParseDimacs {
+                    line: line_no,
+                    message: format!(
+                        "{vars} variables exceed the supported maximum {MAX_DIMACS_VARS}"
+                    ),
+                });
+            }
             // The clause count must be present but is advisory: many real
             // benchmark files get it wrong (picosat and CryptoMiniSAT accept
             // them too).
@@ -419,6 +437,19 @@ mod tests {
             matches!(err, CnfError::VariableOutOfRange { .. }),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn header_variable_count_is_bounded() {
+        let f = parse(&format!("p cnf {MAX_DIMACS_VARS} 1\n1 0\n")).unwrap();
+        assert_eq!(f.num_vars(), MAX_DIMACS_VARS);
+        for vars in [MAX_DIMACS_VARS + 1, 2_000_000_000] {
+            let err = parse(&format!("p cnf {vars} 1\n1 0\n")).unwrap_err();
+            assert!(
+                matches!(err, CnfError::ParseDimacs { line: 1, .. }),
+                "{vars}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct UniGenConfig {
     /// Budget for each underlying solver call, the preparation's included:
     /// line 4's enumeration and every `BSAT` call of ApproxMC.
     pub bsat_budget: Budget,
-    /// Configuration of the approximate model counter used in line 9. Its
-    /// `budget` is not consulted: ApproxMC runs under
-    /// [`UniGenConfig::bsat_budget`].
+    /// Configuration of the approximate model counter used in line 9.
+    /// ApproxMC counts on the sampler's persistent solver, under
+    /// [`UniGenConfig::bsat_budget`] like every other preparation call.
     pub approxmc: ApproxMcConfig,
     /// Certified enumeration: when `true` the persistent solver logs a
     /// DRAT-style proof of every cell enumeration and an independent

@@ -106,7 +106,7 @@ pub use config::UniGenConfig;
 pub use error::{SamplerError, ServiceConfigError, TrySubmitError};
 pub use fault::FaultPlan;
 pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
-pub use sampler::{OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
+pub use sampler::{stream_for_index, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};
 pub use service::{
     ResponseHandle, SampleRequest, SampleResponse, SamplerService, ServiceConfig, ServiceHealth,
     WorkerPool,

@@ -170,7 +170,8 @@ pub(crate) fn enumerate_charged(
 
 /// Returns the dedicated RNG stream for sample `index` of a batch seeded
 /// with `master_seed` — the stream-derivation rule shared by the serial
-/// [`WitnessSampler::sample_batch`] reference and [`crate::SamplerService`].
+/// [`WitnessSampler::sample_batch`] reference, [`crate::SamplerService`] and
+/// any caller that samples one index at a time, such as the serial CLI.
 ///
 /// The pair is mixed through a SplitMix64 finalizer rather than a plain
 /// `master_seed ^ index`: XOR alone maps batches with nearby master seeds to
@@ -179,7 +180,7 @@ pub(crate) fn enumerate_charged(
 /// correlating supposedly independent batches. The determinism contract only
 /// needs this to be a pure function of `(master_seed, index)`, which the mix
 /// preserves.
-pub(crate) fn stream_for_index(master_seed: u64, index: usize) -> StdRng {
+pub fn stream_for_index(master_seed: u64, index: usize) -> StdRng {
     let mut z = master_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

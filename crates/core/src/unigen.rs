@@ -5,7 +5,7 @@ use std::sync::Arc;
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Model, Var, XorClause};
-use unigen_counting::{ApproxMc, ApproxMcConfig};
+use unigen_counting::ApproxMc;
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
     enumerate_cell, EnumerationOutcome, FaultHook, GaussMode, InterruptReason, ProofLog, Solver,
@@ -99,7 +99,9 @@ impl UniGen {
     /// * [`SamplerError::EmptySamplingSet`] if the formula has no variables,
     /// * [`SamplerError::Unsatisfiable`] if the formula has no witnesses,
     /// * [`SamplerError::Counting`] / [`SamplerError::PreparationBudgetExhausted`]
-    ///   if the preparation phase cannot complete.
+    ///   if the preparation phase cannot complete,
+    /// * [`SamplerError::CertificationFailed`] in certify mode if the proof
+    ///   of a preparation cell, line 4's or ApproxMC's, fails to check.
     pub fn new(formula: &CnfFormula, config: UniGenConfig) -> Result<Self, SamplerError> {
         let sampling_set = formula.sampling_set_or_all();
         Self::with_sampling_set(formula, &sampling_set, config)
@@ -155,13 +157,7 @@ impl UniGen {
         // The preparation cell's proof is checked before its outcome is
         // acted on — even an empty cell (unsatisfiable formula) must carry a
         // verified refutation, never an unchecked claim.
-        if let Some(certifier) = certifier.as_mut() {
-            if let Err(err) = certifier.absorb(&mut solver, None) {
-                return Err(SamplerError::CertificationFailed {
-                    detail: err.to_string(),
-                });
-            }
-        }
+        certify_preparation(certifier.as_mut(), &mut solver)?;
         if outcome.interrupted.is_some() {
             return Err(SamplerError::PreparationBudgetExhausted);
         }
@@ -181,17 +177,18 @@ impl UniGen {
             }
         } else {
             // Lines 9–11: approximate count and candidate hash widths.
-            // ApproxMC's BSAT calls are preparation calls like line 4's,
-            // so they run under the same per-call budget.
-            let approxmc = ApproxMcConfig {
-                budget: config.bsat_budget,
-                ..config.approxmc.clone()
-            };
-            let approx = ApproxMc::new(approxmc).count_with_sampling_set(
-                formula,
+            // ApproxMC counts on this solver under line 4's budget, told of
+            // line 4's witnesses, and its cells are certified like line 4's
+            // before the estimate is used.
+            let approx = ApproxMc::new(config.approxmc.clone()).count_on_solver(
+                &mut solver,
                 sampling_set,
+                outcome.len(),
+                &config.bsat_budget,
                 config.seed,
-            )?;
+            );
+            certify_preparation(certifier.as_mut(), &mut solver)?;
+            let approx = approx?;
             let count = approx.estimate.max(1) as f64;
             let q = (count.log2() + 1.8f64.log2() - (kappa_pivot.pivot as f64).log2()).ceil();
             let q = q.max(1.0) as usize;
@@ -451,6 +448,22 @@ impl UniGen {
     }
 }
 
+/// Feeds the proof steps a preparation call logged into the online checker
+/// (a no-op when certify mode is off); a failed check fails preparation.
+fn certify_preparation(
+    certifier: Option<&mut Certifier>,
+    solver: &mut Solver,
+) -> Result<(), SamplerError> {
+    let Some(certifier) = certifier else {
+        return Ok(());
+    };
+    certifier
+        .absorb(solver, None)
+        .map_err(|err| SamplerError::CertificationFailed {
+            detail: err.to_string(),
+        })
+}
+
 impl WitnessSampler for UniGen {
     fn sample(&mut self, rng: &mut dyn RngCore) -> SampleOutcome {
         match &self.mode {
@@ -625,11 +638,10 @@ mod tests {
         let before = Solver::constructions_on_thread();
         let mut sampler = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let during_prep = Solver::constructions_on_thread() - before;
-        // One persistent solver for UniGen itself plus one inside the single
-        // ApproxMC preparation call.
-        assert!(
-            during_prep <= 2,
-            "preparation built {during_prep} solvers, expected at most 2"
+        // One persistent solver for line 4, ApproxMC and every sample.
+        assert_eq!(
+            during_prep, 1,
+            "preparation built {during_prep} solvers, expected exactly 1"
         );
         assert!(matches!(
             sampler.prepared_mode(),
@@ -863,6 +875,28 @@ mod tests {
         assert_eq!(report.cells.len(), 1);
         assert!(report.cells[0].exhaustive());
         assert_eq!(report.cells[0].witnesses.len(), 8);
+    }
+
+    #[test]
+    fn certified_hashed_preparation_checks_approxmc_cells() {
+        let f = formula_with_count(10, 4);
+        let mut sampler = UniGen::new(&f, UniGenConfig::default().with_certify(true)).unwrap();
+        assert!(matches!(
+            sampler.prepared_mode(),
+            PreparedMode::Hashed { .. }
+        ));
+        assert!(sampler.cert_error().is_none());
+        // ApproxMC's cells share line 4's proof stream, and the independent
+        // offline checker accepts all of them right after preparation.
+        let formula = crate::certify::cert_formula(&f);
+        let bytes = sampler.proof_bytes().unwrap().to_vec();
+        let report = unigen_cert::Checker::check(&formula, &bytes).unwrap();
+        report.require_complete().unwrap();
+        assert!(
+            report.cells.len() > 1,
+            "only {} cell(s) logged: ApproxMC's cells are missing",
+            report.cells.len()
+        );
     }
 
     #[test]

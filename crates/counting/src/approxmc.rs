@@ -15,6 +15,13 @@
 //! The paper's experiments explicitly *disable* leap-frogging (starting the
 //! core's search for `i` at the previous success) because it voids the CP'13
 //! guarantee; every core run here starts its search at `i = 1`.
+//!
+//! Every `BSAT` call of a count runs under its own guard on one incremental
+//! solver. UniGen counts on its persistent solver
+//! ([`ApproxMc::count_on_solver`]), passing the witnesses line 4 of
+//! Algorithm 1 already enumerated, so the base case is skipped when they
+//! exceed the pivot. [`ApproxMc::count`] and
+//! [`ApproxMc::count_with_sampling_set`] build a solver of their own.
 
 use rand::Rng;
 
@@ -37,8 +44,6 @@ pub struct ApproxMcConfig {
     /// repository override it because the full formula costs hundreds of
     /// `BSAT` sweeps per formula.
     pub iterations: Option<usize>,
-    /// Per-`BSAT`-call budget.
-    pub budget: Budget,
 }
 
 impl Default for ApproxMcConfig {
@@ -47,7 +52,6 @@ impl Default for ApproxMcConfig {
             tolerance: 0.8,
             confidence: 0.8,
             iterations: Some(9),
-            budget: Budget::new(),
         }
     }
 }
@@ -128,15 +132,14 @@ impl ApproxMc {
     ///
     /// # Errors
     ///
-    /// * [`CountingError::BudgetExhausted`] if the initial `BSAT` call cannot
-    ///   complete within the per-call budget,
-    /// * [`CountingError::NoEstimate`] if every core iteration fails.
+    /// [`CountingError::NoEstimate`] if every core iteration fails.
     pub fn count(&self, formula: &CnfFormula, seed: u64) -> Result<ApproxMcResult, CountingError> {
         let sampling_set = formula.sampling_set_or_all();
         self.count_with_sampling_set(formula, &sampling_set, seed)
     }
 
-    /// Estimates `|R_F|`, hashing over an explicit sampling set.
+    /// Estimates `|R_F|`, hashing over an explicit sampling set, on a solver
+    /// of its own with an unlimited per-call budget.
     ///
     /// # Errors
     ///
@@ -151,38 +154,58 @@ impl ApproxMc {
         sampling_set: &[Var],
         seed: u64,
     ) -> Result<ApproxMcResult, CountingError> {
+        let mut solver = Solver::from_formula(formula);
+        self.count_on_solver(&mut solver, sampling_set, 0, &Budget::new(), seed)
+    }
+
+    /// Estimates `|R_F|` on `solver`, which holds the formula `F`, with
+    /// `budget` for every `BSAT` call. The solver keeps only what it learns
+    /// about `F` itself.
+    ///
+    /// `seen` is how many distinct witnesses of `F`, projected on
+    /// `sampling_set`, the caller already enumerated. Above the pivot the
+    /// base case cannot succeed and is skipped. It draws no randomness, so
+    /// skipping it changes only `bsat_calls` unless `budget` fires.
+    ///
+    /// # Errors
+    ///
+    /// * [`CountingError::BudgetExhausted`] if the base case cannot complete
+    ///   within `budget`,
+    /// * [`CountingError::NoEstimate`] if every core iteration fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sampling_set` is empty.
+    pub fn count_on_solver(
+        &self,
+        solver: &mut Solver,
+        sampling_set: &[Var],
+        seen: usize,
+        budget: &Budget,
+        seed: u64,
+    ) -> Result<ApproxMcResult, CountingError> {
         assert!(!sampling_set.is_empty(), "sampling set must be non-empty");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pivot = self.config.pivot();
         let mut bsat_calls = 0usize;
 
-        // The one incremental solver for the whole count: every `BSAT` call
-        // below — the base case and all t × widths core cells — runs on it
-        // under a per-cell guard, so learned clauses about the formula keep
-        // paying off across iterations.
-        let mut solver = Solver::from_formula(formula);
-
         // Base case: if the formula has at most `pivot` witnesses, count them
         // exactly by enumeration (this is also what makes the estimate exact
         // for small formulas, a property the doc-test above relies on).
-        let outcome = enumerate_cell(
-            &mut solver,
-            sampling_set,
-            &[],
-            pivot as usize + 1,
-            &self.config.budget,
-        );
-        bsat_calls += 1;
-        if outcome.interrupted.is_some() {
-            return Err(CountingError::BudgetExhausted);
-        }
-        if outcome.len() <= pivot as usize {
-            return Ok(ApproxMcResult {
-                estimate: outcome.len() as u128,
-                iteration_estimates: vec![outcome.len() as u128],
-                failed_iterations: 0,
-                bsat_calls,
-            });
+        if seen <= pivot as usize {
+            let outcome = enumerate_cell(solver, sampling_set, &[], pivot as usize + 1, budget);
+            bsat_calls += 1;
+            if outcome.interrupted.is_some() {
+                return Err(CountingError::BudgetExhausted);
+            }
+            if outcome.len() <= pivot as usize {
+                return Ok(ApproxMcResult {
+                    estimate: outcome.len() as u128,
+                    iteration_estimates: vec![outcome.len() as u128],
+                    failed_iterations: 0,
+                    bsat_calls,
+                });
+            }
         }
 
         let family = XorHashFamily::new(sampling_set.to_vec());
@@ -192,10 +215,10 @@ impl ApproxMc {
 
         for _ in 0..iterations {
             match self.core(
-                &mut solver,
+                solver,
                 sampling_set,
                 &family,
-                pivot,
+                budget,
                 &mut rng,
                 &mut bsat_calls,
             ) {
@@ -228,18 +251,19 @@ impl ApproxMc {
         solver: &mut Solver,
         sampling_set: &[Var],
         family: &XorHashFamily,
-        pivot: u64,
+        budget: &Budget,
         rng: &mut R,
         bsat_calls: &mut usize,
     ) -> Option<(usize, usize)> {
+        let pivot = self.config.pivot() as usize;
         for width in 1..=sampling_set.len() {
             let hash = family.sample(width, rng);
             let outcome = enumerate_cell(
                 solver,
                 sampling_set,
                 &hash.to_xor_clauses(),
-                pivot as usize + 1,
-                &self.config.budget,
+                pivot + 1,
+                budget,
             );
             *bsat_calls += 1;
             if outcome.interrupted.is_some() {
@@ -248,7 +272,7 @@ impl ApproxMc {
                 return None;
             }
             let cell = outcome.len();
-            if cell >= 1 && cell <= pivot as usize {
+            if cell >= 1 && cell <= pivot {
                 return Some((cell, width));
             }
             // An empty cell means we overshot (too many constraints); the

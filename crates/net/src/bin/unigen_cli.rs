@@ -56,15 +56,15 @@
 //! wait and steals). The run ends with the per-worker item and steal
 //! counts and a [`unigen::ServiceHealth`] summary.
 //!
-//! In `batch`, sample `i` draws its randomness from a dedicated stream
-//! derived from `(seed, i)`, so the emitted witness sequence is identical
-//! for every `--jobs` value — unless `--timeout` is also given: a
-//! per-`BSAT` cutoff fires based on each worker solver's private
-//! accumulated state, which can make different samples fail at different
-//! worker counts (the CLI warns when the two flags are combined).
-//! Without `batch`, sampling is serial: one RNG seeded with `--seed` is
-//! consumed across all samples, each witness streamed out as it is
-//! produced.
+//! Sample `i` draws its randomness from a dedicated stream derived from
+//! `(seed, i)` ([`unigen::stream_for_index`]), with or without `batch`, so
+//! the serial path, `batch` at every `--jobs` value and a `client` sending
+//! the same seeds emit the same witness sequence — unless `--timeout` is
+//! also given: a per-`BSAT` cutoff fires based on each worker solver's
+//! private accumulated state, which can make different samples fail at
+//! different worker counts (the CLI warns when `batch` and `--timeout` are
+//! combined). Without `batch`, sampling runs on the one prepared sampler,
+//! each witness streamed out as it is produced.
 //!
 //! The sampling set is taken from `c ind … 0` comment lines in the input
 //! file (the convention of the original UniGen benchmark suite); without
@@ -74,12 +74,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use unigen::{
-    PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig, UniGen,
-    UniGenConfig, WitnessSampler,
+    stream_for_index, PreparedMode, SampleOutcome, SampleRequest, SamplerService, ServiceConfig,
+    UniGen, UniGenConfig, WitnessSampler,
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
@@ -287,12 +284,12 @@ fn run(options: &CliOptions) -> Result<(), String> {
         return run_batch(options, sampler, &emit);
     }
 
-    // Serial sampling: one RNG consumed across samples, each witness
-    // streamed out as soon as it is produced (no buffering of the whole run).
+    // Serial sampling: sample `i` draws from the same per-index stream as
+    // `batch` and the wire, each witness streamed out as soon as it is
+    // produced (no buffering of the whole run).
     let mut produced = 0usize;
-    let mut rng = StdRng::seed_from_u64(options.seed);
     for i in 0..options.samples {
-        let outcome = sampler.sample(&mut rng);
+        let outcome = sampler.sample(&mut stream_for_index(options.seed, i));
         produced += usize::from(emit(i, &outcome));
     }
     if options.certify {
