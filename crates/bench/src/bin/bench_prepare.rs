@@ -1,0 +1,24 @@
+//! Prepare benchmark: times one `UniGen::new` per instance of a fixed
+//! corpus and emits the machine-readable `BENCH_prepare.json` baseline.
+//!
+//! ```text
+//! bench_prepare [--check BASELINE | --out PATH]
+//! ```
+//!
+//! The gate number is the geometric mean of prepares per second; `--check`
+//! also fails if any instance's `BSAT` calls, ApproxMC estimate or `q`
+//! differs from the baseline's. The policy (best of three, the 15% floor,
+//! the flags) is [`unigen_bench::gate`]'s.
+
+use std::process::ExitCode;
+
+use unigen_bench::gate;
+use unigen_bench::prepare::{prepare_bench_suite, run_prepare_bench, PrepareReport};
+
+fn full() -> PrepareReport {
+    run_prepare_bench(&prepare_bench_suite())
+}
+
+fn main() -> ExitCode {
+    gate::main(full, None)
+}

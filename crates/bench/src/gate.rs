@@ -221,6 +221,21 @@ pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     (sum / n as f64).exp()
 }
 
+/// The host rule for a gate number that depends on the machine: it is
+/// compared only when the baseline's `host_cpus` matches `host_cpus` (or
+/// the baseline records none). Otherwise the numeric half is skipped; the
+/// report's own checks have already run.
+pub fn same_host(baseline_json: &str, host_cpus: usize) -> Comparison {
+    match baseline_number(baseline_json, "host_cpus") {
+        Some(cpus) if cpus as usize != host_cpus => Comparison::SkipNumeric(format!(
+            "baseline was recorded on a {cpus}-cpu host, this host has {host_cpus}; \
+             skipping the numeric comparison (the work and determinism checks still ran) — \
+             regenerate the baseline on this hardware to re-arm the numeric gate"
+        )),
+        _ => Comparison::Numeric,
+    }
+}
+
 /// Formats a number for the hand-rolled JSON with `decimals` decimals. A
 /// non-finite value (say, a ratio over a zero denominator) would render as
 /// the invalid JSON token `inf`; it is written as `null` instead so the

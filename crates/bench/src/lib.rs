@@ -9,11 +9,12 @@
 //! * `figure1` — the count-of-counts uniformity comparison of UniGen against
 //!   the ideal sampler US (Figure 1), plus summary distances,
 //!
-//! and two gate binaries, `bench_incremental` and `bench_parallel`, measure
-//! against the committed `BENCH_*.json` baselines. The [`harness`] module
-//! holds the shared measurement and formatting code and the incremental
-//! solver benchmark, the [`parallel`] module the thread-scaling throughput
-//! benchmark, and the [`gate`] module the one gate policy both gates use.
+//! and three gate binaries, `bench_incremental`, `bench_parallel` and
+//! `bench_prepare`, measure against the committed `BENCH_*.json` baselines.
+//! The [`harness`] module holds the shared measurement and formatting code
+//! and the incremental solver benchmark, the [`parallel`] module the
+//! thread-scaling throughput benchmark, the [`prepare`] module the prepare
+//! benchmark, and the [`gate`] module the one gate policy all three use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,3 +23,4 @@ pub mod corpus;
 pub mod gate;
 pub mod harness;
 pub mod parallel;
+pub mod prepare;

@@ -22,7 +22,7 @@ use unigen::{
 use unigen_circuit::benchmarks::{self, Benchmark};
 use unigen_cnf::Var;
 
-use crate::gate::{baseline_number, geomean, json_number, Comparison, GateReport};
+use crate::gate::{geomean, json_number, same_host, Comparison, GateReport};
 
 /// Parameters of a thread-scaling run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,15 +188,7 @@ impl GateReport for ParallelReport {
     /// (checked on every run) still stands; the numeric half is skipped
     /// rather than failing every push on a hardware change.
     fn compare(&self, baseline_json: &str) -> Result<Comparison, String> {
-        match baseline_number(baseline_json, "host_cpus") {
-            Some(cpus) if cpus as usize != self.host_cpus => Ok(Comparison::SkipNumeric(format!(
-                "baseline was recorded on a {cpus}-cpu host, this host has {}; \
-                 skipping the efficiency comparison (determinism was still enforced) — \
-                 regenerate the baseline on this hardware to re-arm the numeric gate",
-                self.host_cpus
-            ))),
-            _ => Ok(Comparison::Numeric),
-        }
+        Ok(same_host(baseline_json, self.host_cpus))
     }
 
     fn summary(&self) -> String {
@@ -444,6 +436,7 @@ pub fn render_parallel_json(report: &ParallelReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::baseline_number;
 
     fn tiny_config() -> ParallelBenchConfig {
         ParallelBenchConfig {

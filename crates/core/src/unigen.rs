@@ -197,6 +197,9 @@ impl UniGen {
                 q,
             }
         };
+        // The prepared solver becomes a prototype that every worker clones
+        // and the daemon's registry keeps: drop the slack preparation left.
+        solver.shrink_to_fit();
 
         Ok(UniGen {
             sampling_set: sampling_set.into(),

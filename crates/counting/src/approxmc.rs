@@ -1,20 +1,30 @@
-//! ApproxMC — the hashing-based approximate model counter (CP 2013).
+//! ApproxMC — the hashing-based approximate model counter (CP 2013), with
+//! the logarithmic search of ApproxMC2 (IJCAI 2016).
 //!
 //! UniGen invokes `ApproxModelCounter(F, 0.8, 0.8)` once per formula (line 9
 //! of Algorithm 1) to obtain an estimate `C` of `|R_F|` with
 //! `Pr[C/1.8 ≤ |R_F| ≤ 1.8·C] ≥ 0.8`, from which the candidate hash widths
-//! `{q−3,…,q}` are derived. The counter implemented here follows the CP 2013
-//! construction:
+//! `{q−3,…,q}` are derived. The counter implemented here:
 //!
-//! * `ApproxMCCore`: add `i` random xor constraints from `H_xor(|S|, i, 3)`
-//!   for increasing `i` until the surviving cell has between 1 and `pivot`
-//!   witnesses (found with `BSAT`), then report `cell · 2^i`;
+//! * core: draw **one** hash `h` of `|S|` rows from `H_xor(|S|, |S|, 3)`;
+//!   the cell at width `m` is the set of witnesses satisfying the first `m`
+//!   rows. Find the smallest `m` whose cell holds at most `pivot` witnesses
+//!   (counted with `BSAT`) and report `cell · 2^m`;
 //! * outer loop: repeat the core `t` times with fresh randomness and return
 //!   the **median** of the successful estimates.
 //!
-//! The paper's experiments explicitly *disable* leap-frogging (starting the
-//! core's search for `i` at the previous success) because it voids the CP'13
-//! guarantee; every core run here starts its search at `i = 1`.
+//! The cells are nested: `cell_{m+1} ⊆ cell_m`, because width `m + 1` adds
+//! one row to width `m`'s constraints. So "the cell at `m` exceeds the
+//! pivot" is monotone in `m`, and the smallest small width is a function of
+//! the draw alone. The core finds it with ApproxMC2's LogSATSearch: it
+//! starts at the previous iteration's width, steps by one within 3 of it,
+//! otherwise doubles, then bisects between the largest width known big and
+//! the smallest known small. Where the search starts changes how many
+//! `BSAT` calls it makes, never the width it returns, so every estimate
+//! is the one a scan of the widths `1, 2, …` over the same draw gives, and
+//! ApproxMC2 proves the `(ε, δ)` guarantee for that estimate. The
+//! leap-frogging the paper's experiments disable is different: it drew a
+//! fresh hash per width, so where it started changed the estimate.
 //!
 //! Every `BSAT` call of a count runs under its own guard on one incremental
 //! solver. UniGen counts on its persistent solver
@@ -23,9 +33,9 @@
 //! exceed the pivot. [`ApproxMc::count`] and
 //! [`ApproxMc::count_with_sampling_set`] build a solver of their own.
 
-use rand::Rng;
+use rand::SeedableRng;
 
-use unigen_cnf::{CnfFormula, Var};
+use unigen_cnf::{CnfFormula, Var, XorClause};
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{enumerate_cell, Budget, Solver};
 
@@ -186,19 +196,19 @@ impl ApproxMc {
     ) -> Result<ApproxMcResult, CountingError> {
         assert!(!sampling_set.is_empty(), "sampling set must be non-empty");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pivot = self.config.pivot();
+        let pivot = self.config.pivot() as usize;
         let mut bsat_calls = 0usize;
 
         // Base case: if the formula has at most `pivot` witnesses, count them
         // exactly by enumeration (this is also what makes the estimate exact
         // for small formulas, a property the doc-test above relies on).
-        if seen <= pivot as usize {
-            let outcome = enumerate_cell(solver, sampling_set, &[], pivot as usize + 1, budget);
+        if seen <= pivot {
+            let outcome = enumerate_cell(solver, sampling_set, &[], pivot + 1, budget);
             bsat_calls += 1;
             if outcome.interrupted.is_some() {
                 return Err(CountingError::BudgetExhausted);
             }
-            if outcome.len() <= pivot as usize {
+            if outcome.len() <= pivot {
                 return Ok(ApproxMcResult {
                     estimate: outcome.len() as u128,
                     iteration_estimates: vec![outcome.len() as u128],
@@ -208,23 +218,35 @@ impl ApproxMc {
             }
         }
 
+        let n = sampling_set.len();
         let family = XorHashFamily::new(sampling_set.to_vec());
         let iterations = self.config.num_iterations();
         let mut estimates: Vec<u128> = Vec::with_capacity(iterations);
         let mut failed = 0usize;
+        // ApproxMC2 starts the first search at width 1 (`prevNumCells = 2`).
+        let mut start = 1;
+        // One `BSAT` call: the size of the cell cut by `rows`, capped at
+        // `pivot + 1`, or `None` when `budget` interrupts it. A timed-out
+        // cell fails the iteration, as the paper's experiments treat BSAT
+        // timeouts.
+        let mut cell = |rows: &[XorClause]| {
+            bsat_calls += 1;
+            let outcome = enumerate_cell(solver, sampling_set, rows, pivot + 1, budget);
+            outcome.interrupted.is_none().then(|| outcome.len())
+        };
 
         for _ in 0..iterations {
-            match self.core(
-                solver,
-                sampling_set,
-                &family,
-                budget,
-                &mut rng,
-                &mut bsat_calls,
-            ) {
-                Some((cell, width)) => {
-                    let estimate = (cell as u128) << width.min(127);
-                    estimates.push(estimate);
+            let rows = family.sample(n, &mut rng).to_xor_clauses();
+            match log_sat_search(n, pivot, start, |m| cell(&rows[..m])) {
+                Some((size, width)) => {
+                    start = width;
+                    if size == 0 {
+                        // The first small cell is empty: like CP'13's core,
+                        // this iteration reports no estimate.
+                        failed += 1;
+                    } else {
+                        estimates.push((size as u128) << width.min(127));
+                    }
                 }
                 None => failed += 1,
             }
@@ -242,55 +264,51 @@ impl ApproxMc {
             bsat_calls,
         })
     }
-
-    /// One `ApproxMCCore` run: find a hash width whose random cell holds
-    /// between 1 and `pivot` witnesses, trying widths `1..=|S|` in order.
-    /// Returns the cell size and the width.
-    fn core<R: Rng + ?Sized>(
-        &self,
-        solver: &mut Solver,
-        sampling_set: &[Var],
-        family: &XorHashFamily,
-        budget: &Budget,
-        rng: &mut R,
-        bsat_calls: &mut usize,
-    ) -> Option<(usize, usize)> {
-        let pivot = self.config.pivot() as usize;
-        for width in 1..=sampling_set.len() {
-            let hash = family.sample(width, rng);
-            let outcome = enumerate_cell(
-                solver,
-                sampling_set,
-                &hash.to_xor_clauses(),
-                pivot + 1,
-                budget,
-            );
-            *bsat_calls += 1;
-            if outcome.interrupted.is_some() {
-                // Treat a timed-out cell like a failed iteration, as the
-                // paper's experiments do for BSAT timeouts.
-                return None;
-            }
-            let cell = outcome.len();
-            if cell >= 1 && cell <= pivot {
-                return Some((cell, width));
-            }
-            // An empty cell means we overshot (too many constraints); the
-            // CP'13 core reports failure for this iteration.
-            if cell == 0 {
-                return None;
-            }
-        }
-        None
-    }
 }
 
-use rand::SeedableRng;
+/// ApproxMC2's LogSATSearch: the smallest width `m` in `1..=n` whose
+/// nested cell holds at most `pivot` witnesses, with that cell's size, or
+/// `None` when no width does or `cell` is interrupted. `cell(m)` is the
+/// size of the cell at width `m`, capped above `pivot`; it must not grow
+/// with `m`. The search starts at `start`, steps by one within 3 of it,
+/// otherwise doubles, then bisects; it calls `cell` at most once per width.
+fn log_sat_search(
+    n: usize,
+    pivot: usize,
+    start: usize,
+    mut cell: impl FnMut(usize) -> Option<usize>,
+) -> Option<(usize, usize)> {
+    // `lo` is the largest width known big (width 0, F itself, is big: the
+    // base case ruled it out) and `hi` the smallest known small, with
+    // `n + 1` standing for "none yet". Every probe lies strictly between.
+    let (mut lo, mut hi, mut hi_cell) = (0, n + 1, 0);
+    let mut m = start.clamp(1, n);
+    loop {
+        let size = cell(m)?;
+        let big = size > pivot;
+        if big {
+            lo = m;
+        } else {
+            hi = m;
+            hi_cell = size;
+        }
+        if hi == lo + 1 {
+            return (hi <= n).then_some((hi_cell, hi));
+        }
+        let near = m.abs_diff(start) < 3;
+        m = match (big, near) {
+            (true, true) => m + 1,
+            (false, true) => m - 1,
+            (true, false) if 2 * m < hi => 2 * m,
+            _ => (lo + hi) / 2,
+        };
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unigen_cnf::{Lit, XorClause};
+    use unigen_cnf::Lit;
     use unigen_counting_test_support::formula_with_count;
 
     /// Tiny helper module so the tests can build formulas with a known count.
@@ -409,5 +427,119 @@ mod tests {
             1,
             "every BSAT cell must reuse the one incremental solver"
         );
+    }
+
+    /// The CP'13 width scan, kept as the reference the search must agree
+    /// with: the first width `1, 2, …` whose cell holds at most `pivot`.
+    fn linear_scan(
+        n: usize,
+        pivot: usize,
+        mut cell: impl FnMut(usize) -> Option<usize>,
+    ) -> Option<(usize, usize)> {
+        for m in 1..=n {
+            let size = cell(m)?;
+            if size <= pivot {
+                return Some((size, m));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn search_matches_the_scan_on_every_monotone_cell_profile() {
+        let pivot = 46usize;
+        for n in 1..=24 {
+            // `answer == n + 1`: every width is big.
+            for answer in 1..=n + 1 {
+                let size = |m: usize| {
+                    if m < answer {
+                        pivot + 1
+                    } else {
+                        pivot.saturating_sub(m - answer)
+                    }
+                };
+                let expected = linear_scan(n, pivot, |m| Some(size(m)));
+                for start in 1..=n {
+                    let mut probed = vec![false; n + 1];
+                    let found = log_sat_search(n, pivot, start, |m| {
+                        assert!(!probed[m], "width {m} probed twice (n {n}, start {start})");
+                        probed[m] = true;
+                        Some(size(m))
+                    });
+                    assert_eq!(found, expected, "n {n}, answer {answer}, start {start}");
+                }
+            }
+        }
+        // An interrupted cell ends the search with no width.
+        assert_eq!(log_sat_search(8, pivot, 1, |_| None), None);
+    }
+
+    /// Runs `search` over the nested rows of one draw on `f`, counting its
+    /// `BSAT` calls.
+    fn search_one_draw(
+        f: &CnfFormula,
+        rows: &[XorClause],
+        search: impl FnOnce(&mut dyn FnMut(usize) -> Option<usize>) -> Option<(usize, usize)>,
+    ) -> (Option<(usize, usize)>, usize) {
+        let sampling = f.sampling_set().unwrap().to_vec();
+        let bound = ApproxMcConfig::default().pivot() as usize + 1;
+        let mut solver = Solver::from_formula(f);
+        let mut calls = 0;
+        let found = search(&mut |m| {
+            calls += 1;
+            let outcome = enumerate_cell(&mut solver, &sampling, &rows[..m], bound, &Budget::new());
+            Some(outcome.len())
+        });
+        (found, calls)
+    }
+
+    #[test]
+    fn search_returns_the_scan_answer_from_any_start() {
+        let pivot = ApproxMcConfig::default().pivot() as usize;
+        for (bits, extra) in [(9, 3), (12, 4), (15, 2)] {
+            let f = formula_with_count(bits, extra);
+            let family = XorHashFamily::new(f.sampling_set().unwrap().to_vec());
+            for seed in 0..4 {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let rows = family.sample(bits, &mut rng).to_xor_clauses();
+                let (scan, scan_calls) =
+                    search_one_draw(&f, &rows, |cell| linear_scan(bits, pivot, cell));
+                let (_, answer) = scan.expect("a 2^bits formula has a small cell");
+                for start in [1, answer, bits] {
+                    let (found, calls) =
+                        search_one_draw(&f, &rows, |cell| log_sat_search(bits, pivot, start, cell));
+                    assert_eq!(found, scan, "2^{bits}, seed {seed}, start {start}");
+                    if start == answer {
+                        assert!(calls <= scan_calls.min(2), "{calls} calls from the answer");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_issues_fewer_calls_than_the_scan_for_the_same_estimates() {
+        let config = ApproxMcConfig::default();
+        let pivot = config.pivot() as usize;
+        let bits = 16;
+        let f = formula_with_count(bits, 4);
+        let result = ApproxMc::new(config.clone()).count(&f, 5).unwrap();
+        // The count's own draws, replayed through the CP'13 scan.
+        let family = XorHashFamily::new(f.sampling_set().unwrap().to_vec());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut scan_estimates = Vec::new();
+        let mut scan_calls = 1; // the base case
+        for _ in 0..config.num_iterations() {
+            let rows = family.sample(bits, &mut rng).to_xor_clauses();
+            let (found, calls) = search_one_draw(&f, &rows, |cell| linear_scan(bits, pivot, cell));
+            scan_calls += calls;
+            let (cell, width) = found.unwrap();
+            scan_estimates.push((cell as u128) << width);
+        }
+        scan_estimates.sort_unstable();
+        assert_eq!(result.iteration_estimates, scan_estimates);
+        assert!(result.bsat_calls < scan_calls);
+        // Pinned, base case included: a return to the scan fails here.
+        assert_eq!((result.bsat_calls, scan_calls), (26, 100));
     }
 }

@@ -832,7 +832,14 @@ impl Solver {
         self.with_proof(|p| p.block(&lits));
         debug_assert!(lits.iter().all(|&l| self.lit_value(l) == Some(false)));
         let level_of = |s: &Self, l: Lit| s.level[l.var().index()];
-        let max_level = lits.iter().map(|&l| level_of(self, l)).max().unwrap_or(0);
+        // The first deepest literal.
+        let mut first = 0;
+        for i in 1..lits.len() {
+            if level_of(self, lits[i]) > level_of(self, lits[first]) {
+                first = i;
+            }
+        }
+        let max_level = lits.get(first).map_or(0, |&l| level_of(self, l));
         if max_level == 0 || lits.len() < 2 {
             // Everything is forced at the top level: the cell is a single
             // (projected) witness. The ordinary add path handles the
@@ -840,12 +847,8 @@ impl Solver {
             self.add_clause_lits(lits);
             return;
         }
-        // Position a deepest literal first and the next-deepest second (the
-        // watched pair after the backjump).
-        let first = lits
-            .iter()
-            .position(|&l| level_of(self, l) == max_level)
-            .expect("some literal is at the maximum level");
+        // Position the deepest literal first and the next-deepest second
+        // (the watched pair after the backjump).
         lits.swap(0, first);
         let mut second = 1;
         for i in 2..lits.len() {
@@ -875,14 +878,17 @@ impl Solver {
         self.backtrack_to(0);
     }
 
-    /// Compacts the clause arena when enough of it is tombstoned. Only legal
-    /// at decision level zero, where no clause reference is ever
-    /// dereferenced as a reason.
+    /// Compacts the clause arena when enough of it is tombstoned.
     fn maybe_collect_garbage(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        if !self.clauses.should_collect() {
-            return;
+        if self.clauses.should_collect() {
+            self.collect_garbage();
         }
+    }
+
+    /// Compacts the clause arena. Only legal at decision level zero, where
+    /// no clause reference is ever dereferenced as a reason.
+    fn collect_garbage(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
         // Level-zero assignments never have their reasons inspected; null
         // them so no stale ClauseRef survives the compaction.
         for i in 0..self.trail.len() {
@@ -896,6 +902,16 @@ impl Solver {
                 .filter_map(|cref| remap.get(cref).copied())
                 .collect();
         }
+    }
+
+    /// Drops the solver's slack: collects the deleted clauses out of the
+    /// arena, then replaces the solver with its clone, whose vectors hold
+    /// no spare capacity. Meant for a prepared solver about to be kept for
+    /// a long time and cloned.
+    pub fn shrink_to_fit(&mut self) {
+        self.backtrack_to(0);
+        self.collect_garbage();
+        *self = self.clone();
     }
 
     /// Solves the current formula with an unlimited budget.
@@ -1110,12 +1126,12 @@ impl Solver {
     }
 
     fn extract_model(&self) -> Model {
-        Model::new(
-            self.assign[..self.num_base_vars]
-                .iter()
-                .map(|v| v.expect("model extraction requires a total assignment"))
-                .collect(),
-        )
+        let assigned = &self.assign[..self.num_base_vars];
+        assert!(
+            assigned.iter().all(Option::is_some),
+            "model extraction requires a total assignment"
+        );
+        Model::new(assigned.iter().map(|&v| v == Some(true)).collect())
     }
 
     fn pick_branch_variable(&mut self) -> Option<Var> {
@@ -1140,14 +1156,15 @@ impl Solver {
             return;
         }
         let target = self.trail_lim[level as usize];
-        while self.trail.len() > target {
-            let lit = self.trail.pop().expect("trail is non-empty");
+        for i in (target..self.trail.len()).rev() {
+            let lit = self.trail[i];
             let var = lit.var();
             self.vsids.save_phase(var, lit.is_positive());
             self.assign[var.index()] = None;
             self.reason[var.index()] = Reason::Unit;
             self.vsids.insert(var);
         }
+        self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.qhead.min(target);
     }

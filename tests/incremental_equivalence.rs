@@ -3,12 +3,17 @@
 //! layers, solving/enumerating each layer on one persistent solver (via
 //! guards and assumptions) must agree exactly with building a throwaway
 //! solver per layer — the property the samplers' correctness rests on.
+//! A solver shrunk with `Solver::shrink_to_fit` must keep finding exactly
+//! the witnesses its unshrunk twin finds.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
+use rand::SeedableRng;
 
+use unigen_circuit::benchmarks::{iscas_like, login_like, sorter};
 use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
+use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
     bounded_solutions, enumerate_cell, Budget, GaussMode, SolveResult, Solver, SolverConfig,
 };
@@ -208,5 +213,70 @@ proptest! {
         // it still agrees with brute force on the bare formula.
         let brute_sat = !formula.enumerate_models_brute_force().is_empty();
         prop_assert_eq!(incremental.solve().is_sat(), brute_sat);
+    }
+}
+
+/// A prepared sampler keeps a shrunk solver, so shrinking must not change
+/// what it finds: after a run of hashed cells, a solver and its shrunk twin
+/// enumerate the same next cell (the same witnesses on the sampling set; the
+/// compaction rebuilds the watch lists, so the order may differ), and
+/// shrinking itself counts as no search.
+#[test]
+fn shrunk_solver_enumerates_the_next_cell_like_its_twin() {
+    // Each formula with the narrowest width whose cells drain below the bound.
+    let benches = [
+        (iscas_like("s526-like", 14, 180, 5, 0x0526), 3),
+        (login_like("login3x6-like", 3, 6, 0x1061), 8),
+        (sorter("sort4x4-like", 4, 4, 6, 0x5047), 3),
+    ];
+    for (bench, base_width) in benches {
+        let sampling = bench.formula.sampling_set().unwrap().to_vec();
+        let family = XorHashFamily::new(sampling.clone());
+        let cell = |solver: &mut Solver, rng: &mut rand::rngs::StdRng| {
+            let width = base_width + (rand::Rng::gen::<u8>(rng) % 3) as usize;
+            let rows = family.sample(width, rng).to_xor_clauses();
+            enumerate_cell(solver, &sampling, &rows, 128, &Budget::new())
+        };
+        let projected = |outcome: &unigen_satsolver::EnumerationOutcome| {
+            outcome
+                .witnesses
+                .iter()
+                .map(|w| w.project(&sampling).values().to_vec())
+                .collect::<HashSet<_>>()
+        };
+        for gauss in [GaussMode::Off, GaussMode::On] {
+            let config = SolverConfig {
+                gauss,
+                ..SolverConfig::default()
+            };
+            let mut solver = Solver::from_formula_with_config(&bench.formula, config);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5412);
+            let mut drained = 0;
+            for cells in 1..=12 {
+                cell(&mut solver, &mut rng);
+                let mut shrunk = solver.clone();
+                shrunk.shrink_to_fit();
+                assert_eq!(shrunk.stats(), solver.stats());
+                let mut twin = solver.clone();
+                let expected = cell(&mut twin, &mut rng.clone());
+                let got = cell(&mut shrunk, &mut rng.clone());
+                let context = format!("{} ({gauss:?}) after {cells} cells", bench.name);
+                assert_eq!(got.bound_reached, expected.bound_reached, "{context}");
+                if !expected.bound_reached {
+                    assert_eq!(
+                        projected(&got),
+                        projected(&expected),
+                        "{context}: witnesses differ"
+                    );
+                    drained += 1;
+                }
+            }
+            assert!(drained >= 6, "{}: too few cells drained", bench.name);
+            assert!(
+                solver.stats().guarded_learned_retired + solver.stats().deleted_clauses > 0,
+                "{}: the cells left no deleted clauses to collect",
+                bench.name
+            );
+        }
     }
 }
