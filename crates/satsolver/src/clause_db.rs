@@ -11,6 +11,17 @@
 //! [`ClauseDb::collect_garbage`], which the solver only invokes at decision
 //! level zero (between `solve` calls) so that no live [`ClauseRef`] other
 //! than the remapped watch lists survives compaction.
+//!
+//! # Freezing
+//!
+//! The watch lists are derived data: at decision level zero, after a
+//! garbage collection, they are exactly what `ClauseDb::rebuild_watches`
+//! makes of the arena (each live clause watched by its first two literals,
+//! in clause order). A prepared solver that is kept only to be cloned
+//! therefore drops them ([`ClauseDb::freeze_watches`]) and rebuilds them
+//! when it is next used ([`ClauseDb::thaw_watches`]). While frozen, the
+//! database must not be propagated over or have clauses added or deleted:
+//! the solver thaws it first at each of its entry points.
 
 use std::collections::HashMap;
 
@@ -256,6 +267,20 @@ impl ClauseDb {
         candidates
     }
 
+    /// Drops every watch list, the outer vector included.
+    pub(crate) fn freeze_watches(&mut self) {
+        self.watches = Vec::new();
+    }
+
+    /// Rebuilds the watch lists of a frozen database over `num_vars`
+    /// variables, as the last garbage collection left them.
+    pub(crate) fn thaw_watches(&mut self, num_vars: usize) {
+        self.watches.resize(num_vars * 2, Vec::new());
+        self.rebuild_watches();
+    }
+
+    /// Watches every live clause by its first two literals, in clause
+    /// order.
     fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();

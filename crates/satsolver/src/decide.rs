@@ -1,4 +1,13 @@
 //! VSIDS decision heuristic with phase saving.
+//!
+//! The heap drops assigned variables lazily: a variable leaves it only when
+//! it is popped, and [`Vsids::pop_unassigned`] discards the assigned ones it
+//! meets on the way to the first unassigned one. Every unassigned variable
+//! is always in the heap, so the pick is the most active unassigned
+//! variable, however many assigned ones are left in it. The solver checks
+//! for a model by the trail's length and does not ask the heap once every
+//! variable is assigned: that question would pop everything left in the
+//! heap, for the next backjump to push the unassigned ones back.
 
 use unigen_cnf::Var;
 

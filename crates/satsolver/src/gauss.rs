@@ -51,6 +51,16 @@
 //! Reasons are keyed by the implied variable and stay valid until the
 //! variable leaves the trail, after which they are overwritten by the next
 //! implication of that variable.
+//!
+//! # Dispatch
+//!
+//! The solver hands every propagated literal to [`GaussEngine::on_assign`],
+//! and on most of them no matrix has anything to do. A dense flag, one byte
+//! per variable, is set exactly while some matrix has the variable as a
+//! column or as its guard; `build` and `drop_matrix` keep it so by
+//! recomputing it from the column and matrix maps for every variable they
+//! touch. An unflagged literal costs one indexed load, and only a flagged
+//! one reaches the maps.
 
 use std::collections::{HashMap, HashSet};
 
@@ -146,10 +156,6 @@ impl Row {
         for (w, o) in self.combo.iter_mut().zip(&other.combo) {
             *w ^= o;
         }
-    }
-
-    fn is_zero(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
     }
 
     /// Iterates the set columns of the row.
@@ -284,20 +290,20 @@ impl GaussMatrix {
                 *row_ops += 1;
             }
         }
-        if row.is_zero() {
+        let Some(first) = row.cols().next() else {
+            // A zero row: redundant, or `0 = 1`.
             return if row.rhs {
                 Err(self.origins_of(&row.combo))
             } else {
                 Ok(false)
             };
-        }
+        };
         // Pick a basic column, preferring an unassigned variable so the
         // row starts out obeying the propagation invariant.
         let basic = row
             .cols()
             .find(|&c| value_of(self.cols[c]).is_none())
-            .or_else(|| row.cols().next())
-            .expect("non-zero row has a column");
+            .unwrap_or(first);
         row.basic = basic;
         // Jordan step: clear the new basic column from every other row.
         for existing in &mut self.rows {
@@ -400,6 +406,10 @@ pub(crate) struct GaussEngine {
     matrices: HashMap<GuardKey, GaussMatrix>,
     /// Variable index → guards whose matrix has the variable as a column.
     touching: HashMap<u32, Vec<GuardKey>>,
+    /// Variable index → whether some matrix has the variable as a column
+    /// (a key of `touching`) or as its guard (a key of `matrices`). Grown
+    /// on demand; a variable past the end is unflagged.
+    flagged: Vec<bool>,
     /// Antecedent literals of the most recent implication of each variable.
     reasons: HashMap<u32, Vec<Lit>>,
     /// Conflict literals of the most recent conflict.
@@ -455,9 +465,22 @@ impl GaussEngine {
         !self.derives.is_empty()
     }
 
-    /// Returns `true` if no matrix exists (fast path for propagation).
-    pub(crate) fn is_idle(&self) -> bool {
-        self.matrices.is_empty()
+    /// `true` while some matrix has `var` as a column or as its guard: the
+    /// only variables whose assignment [`GaussEngine::on_assign`] acts on.
+    pub(crate) fn watches(&self, var: Var) -> bool {
+        self.flagged.get(var.index()) == Some(&true)
+    }
+
+    /// Recomputes `var`'s flag from the column and matrix maps.
+    fn reflag(&mut self, var: usize) {
+        let key = var as GuardKey;
+        let on = self.touching.contains_key(&key) || self.matrices.contains_key(&key);
+        if on && self.flagged.len() <= var {
+            self.flagged.resize(var + 1, false);
+        }
+        if let Some(flag) = self.flagged.get_mut(var) {
+            *flag = on;
+        }
     }
 
     /// Number of matrices currently installed.
@@ -514,7 +537,9 @@ impl GaussEngine {
                 .entry(v.index() as u32)
                 .or_default()
                 .push(guard);
+            self.reflag(v.index());
         }
+        self.reflag(guard as usize);
         if total == 0 {
             // Every row was redundant: nothing to watch, drop the shell.
             self.drop_matrix(guard);
@@ -533,6 +558,9 @@ impl GaussEngine {
     fn drop_matrix(&mut self, guard: GuardKey) {
         self.logged_derives.remove(&guard);
         if let Some(matrix) = self.matrices.remove(&guard) {
+            // The columns include any a failed merge interned but never
+            // listed in `touching`; recomputing (not clearing) their flags
+            // keeps them set for the other matrices that share them.
             for v in &matrix.cols {
                 if let Some(list) = self.touching.get_mut(&(v.index() as u32)) {
                     list.retain(|&g| g != guard);
@@ -540,7 +568,9 @@ impl GaussEngine {
                         self.touching.remove(&(v.index() as u32));
                     }
                 }
+                self.reflag(v.index());
             }
+            self.reflag(guard as usize);
         }
     }
 
@@ -565,9 +595,12 @@ impl GaussEngine {
     /// The antecedent literals stored for the most recent implication of
     /// `var` (all currently false).
     pub(crate) fn reason_for(&self, var: Var) -> &[Lit] {
-        self.reasons
-            .get(&(var.index() as u32))
-            .expect("gauss reason queried for a variable it never implied")
+        let reason = self.reasons.get(&(var.index() as u32));
+        debug_assert!(
+            reason.is_some(),
+            "gauss reason queried for a variable it never implied"
+        );
+        reason.map_or(&[][..], Vec::as_slice)
     }
 
     /// Stores an explicit conflict clause (used by the solver when an
@@ -584,13 +617,17 @@ impl GaussEngine {
     /// Reacts to the assignment of `var`: re-pivots matrices whose basic
     /// variable it is, then scans affected matrices for implications and
     /// conflicts. `var` may also be a guard variable, in which case the
-    /// layer's pending implications fire on activation.
+    /// layer's pending implications fire on activation. Returns at once
+    /// for a variable no matrix [watches](GaussEngine::watches).
     pub(crate) fn on_assign(
         &mut self,
         var: Var,
         value_of: impl Fn(Var) -> Option<bool>,
         results: &mut Vec<GaussResult>,
     ) {
+        if !self.watches(var) {
+            return;
+        }
         // Guard event: the matrix (if any) may just have become active.
         let key = var.index() as GuardKey;
         if self.matrices.contains_key(&key) {
@@ -778,7 +815,7 @@ mod tests {
             &[xor(&[0, 1], false), xor(&[1, 2], true), xor(&[0, 2], false)],
         );
         assert_eq!(outcome, BuildOutcome::LayerUnsat);
-        assert!(engine.is_idle());
+        assert_eq!(engine.num_matrices(), 0);
     }
 
     #[test]
@@ -944,6 +981,203 @@ mod tests {
         assert_eq!(derives[0].from, vec![3, 4, 5]);
     }
 
+    fn flagged(engine: &GaussEngine) -> Vec<usize> {
+        (0..16).filter(|&i| engine.watches(Var::new(i))).collect()
+    }
+
+    #[test]
+    fn watch_flags_follow_build_layer_unsat_drop_and_retire() {
+        let mut engine = GaussEngine::default();
+        let none: Map<Var, bool> = Map::new();
+        let rows = |xs: &[XorClause]| xs.iter().map(|x| (x.clone(), 0)).collect::<Vec<_>>();
+        let other = Var::new(8).positive();
+        engine.build(8, other, &rows(&[xor(&[2, 3], true)]), value_fn(&none));
+        build(&mut engine, &[xor(&[0, 1], false)]);
+        assert_eq!(flagged(&engine), vec![0, 1, 2, 3, 8, 9]);
+        // Merging x1⊕x2 = 1 and x0⊕x2 = 0 into guard 9's x0⊕x1 = 0 sums to
+        // 0 = 1. The layer is dropped with the column x2 the merge interned,
+        // which guard 8's matrix still has.
+        let outcome = engine.build(
+            9,
+            guard_lit(),
+            &rows(&[xor(&[1, 2], true), xor(&[0, 2], false)]),
+            value_fn(&none),
+        );
+        assert_eq!(outcome, BuildOutcome::LayerUnsat);
+        assert_eq!(flagged(&engine), vec![2, 3, 8]);
+        // x2 still reaches guard 8's matrix: active, x2 = 1 forces x3 = 0.
+        let mut assigned = Map::new();
+        assigned.insert(other.var(), false);
+        assigned.insert(Var::new(2), true);
+        let mut results = Vec::new();
+        engine.on_assign(Var::new(2), value_fn(&assigned), &mut results);
+        assert_eq!(implied_lits(&results), vec![Var::new(3).negative()]);
+        assert_eq!(engine.retire(other.var()), 1);
+        assert!(flagged(&engine).is_empty());
+        // A fresh layer that is unsatisfiable on its own leaves no flag.
+        let outcome = build(
+            &mut engine,
+            &[xor(&[0, 1], false), xor(&[1, 2], true), xor(&[0, 2], false)],
+        );
+        assert_eq!(outcome, BuildOutcome::LayerUnsat);
+        assert!(flagged(&engine).is_empty());
+    }
+
+    #[test]
+    fn a_shared_column_stays_flagged_until_both_matrices_are_gone() {
+        let mut engine = GaussEngine::default();
+        let none: Map<Var, bool> = Map::new();
+        let other = Var::new(8).positive();
+        engine.build(8, other, &[(xor(&[2, 3], true), 0)], value_fn(&none));
+        build(&mut engine, &[xor(&[2, 4], false)]);
+        assert_eq!(flagged(&engine), vec![2, 3, 4, 8, 9]);
+        assert_eq!(engine.retire(guard_var()), 1);
+        assert_eq!(flagged(&engine), vec![2, 3, 8]);
+        assert_eq!(engine.retire(other.var()), 1);
+        assert!(flagged(&engine).is_empty());
+        // Unflagged literals return before any map is consulted.
+        let mut assigned = Map::new();
+        assigned.insert(Var::new(2), true);
+        let mut results = Vec::new();
+        engine.on_assign(Var::new(2), value_fn(&assigned), &mut results);
+        assert!(results.is_empty());
+    }
+
+    /// A ten-variable formula with a few hundred models.
+    fn ten_var_formula() -> unigen_cnf::CnfFormula {
+        let n = 10;
+        let mut f = unigen_cnf::CnfFormula::new(n);
+        for i in 0..n {
+            f.add_clause([
+                Var::new(i).positive(),
+                Var::new((i + 1) % n).negative(),
+                Var::new((i + 3) % n).positive(),
+            ])
+            .unwrap();
+        }
+        f
+    }
+
+    fn sorted_cell(outcome: &crate::enumerate::EnumerationOutcome) -> Vec<Vec<bool>> {
+        assert!(outcome.is_exhaustive());
+        let mut cell: Vec<Vec<bool>> = outcome
+            .witnesses
+            .iter()
+            .map(|w| w.values().to_vec())
+            .collect();
+        cell.sort();
+        cell
+    }
+
+    /// Rows that sum to `0 = 1` over x0, x1, x2.
+    fn contradiction() -> Vec<XorClause> {
+        vec![xor(&[0, 1], false), xor(&[1, 2], true), xor(&[0, 2], false)]
+    }
+
+    /// Eight hash cells on one solver, every guard retired before the next
+    /// is opened, with an unsatisfiable layer every third cell.
+    fn cells_after_retirements(gauss: crate::config::GaussMode) -> Vec<Vec<Vec<bool>>> {
+        use crate::budget::Budget;
+        use crate::config::SolverConfig;
+        use crate::solver::Solver;
+        let f = ten_var_formula();
+        let config = SolverConfig {
+            gauss,
+            ..SolverConfig::default()
+        };
+        let mut solver = Solver::from_formula_with_config(&f, config);
+        let sampling: Vec<Var> = (0..10).map(Var::new).collect();
+        let mut state = 0x5eed_u64;
+        let mut cells = Vec::new();
+        for layer in 0..8 {
+            let rows = if layer % 3 == 1 {
+                contradiction()
+            } else {
+                (0..3)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let mask = (state >> 33) | 0b11 << (layer % 9);
+                        let vars: Vec<usize> = (0..10).filter(|&i| mask >> i & 1 == 1).collect();
+                        xor(&vars, state >> 63 == 1)
+                    })
+                    .collect()
+            };
+            let outcome = crate::enumerate::enumerate_cell(
+                &mut solver,
+                &sampling,
+                &rows,
+                1024,
+                &Budget::new(),
+            );
+            cells.push(sorted_cell(&outcome));
+        }
+        cells
+    }
+
+    #[test]
+    fn gauss_cells_match_watched_cells_across_retire_and_rebuild() {
+        use crate::config::GaussMode;
+        let watched = cells_after_retirements(GaussMode::Off);
+        assert!(watched.iter().filter(|cell| !cell.is_empty()).count() >= 4);
+        assert_eq!(cells_after_retirements(GaussMode::On), watched);
+    }
+
+    /// A live layer over exactly the columns of [`contradiction`]: with
+    /// those columns unwatched, its matrix would never propagate.
+    fn live_rows() -> Vec<XorClause> {
+        vec![xor(&[0, 1], true), xor(&[1, 2], false)]
+    }
+
+    /// Seals an unsatisfiable layer next to a live one that shares its
+    /// columns, then enumerates the live layer.
+    fn cell_beside_a_dropped_layer(gauss: crate::config::GaussMode) -> Vec<Vec<bool>> {
+        use crate::budget::Budget;
+        use crate::config::SolverConfig;
+        use crate::enumerate::Enumerator;
+        use crate::solver::Solver;
+        let config = SolverConfig {
+            gauss,
+            ..SolverConfig::default()
+        };
+        let mut solver = Solver::from_formula_with_config(&ten_var_formula(), config);
+        let live = solver.new_guard();
+        for row in live_rows() {
+            solver.add_xor_under(row, live);
+        }
+        let dropped = solver.new_guard();
+        for row in contradiction() {
+            solver.add_xor_under(row, dropped);
+        }
+        assert!(solver
+            .solve_under_assumptions(&[dropped.assumption()])
+            .is_unsat());
+        let sampling: Vec<Var> = (0..10).map(Var::new).collect();
+        let outcome =
+            Enumerator::under_guard(&mut solver, sampling, live).run(1024, &Budget::new());
+        sorted_cell(&outcome)
+    }
+
+    #[test]
+    fn a_dropped_layer_leaves_the_shared_columns_of_a_live_one_watched() {
+        use crate::config::GaussMode;
+        let f = ten_var_formula();
+        let rows = live_rows();
+        let expected: Vec<Vec<bool>> = (0u32..1 << 10)
+            .map(|bits| (0..10).map(|i| bits >> i & 1 == 1).collect::<Vec<bool>>())
+            .filter(|values| {
+                let model = unigen_cnf::Model::new(values.clone());
+                f.evaluate(&model) && rows.iter().all(|row| row.evaluate(&model))
+            })
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(cell_beside_a_dropped_layer(GaussMode::Off), expected);
+        assert_eq!(cell_beside_a_dropped_layer(GaussMode::On), expected);
+    }
+
     #[test]
     fn retire_drops_matrix_and_pending() {
         let mut engine = GaussEngine::default();
@@ -952,7 +1186,7 @@ mod tests {
         build(&mut engine, &[xor(&[2, 3], false)]);
         assert_eq!(engine.retire(Var::new(9)), 1);
         assert!(!engine.has_pending());
-        assert!(engine.is_idle());
+        assert_eq!(engine.num_matrices(), 0);
         let mut assigned = Map::new();
         assigned.insert(Var::new(2), true);
         assigned.insert(Var::new(3), false);

@@ -1,5 +1,25 @@
 //! The CDCL search loop, with incremental solving under assumptions and
 //! assumption-guarded constraint layers.
+//!
+//! # Models
+//!
+//! The search reports a model as soon as the trail holds every variable
+//! (guards included), before it asks the decision heap for a branch. The
+//! heap drops assigned variables lazily, so asking it would pop each one
+//! left in it, only for the next backjump to push the unassigned ones back.
+//! An enumerated cell finds one model per blocking clause, so that drain
+//! would cost a heap pop per variable per witness.
+//!
+//! # Frozen watch lists
+//!
+//! [`Solver::shrink_to_fit`] drops the watch lists of both propagation
+//! engines: a prepared prototype is kept and cloned, not searched. Every
+//! entry point that propagates or edits constraints (solving, adding a
+//! clause or an xor, opening or retiring a guard, garbage collection) first
+//! thaws them, rebuilding the clause watches in clause order and each xor's
+//! from its stored watch pair. Rebuilt lists may order their entries
+//! differently from the lists that were dropped, but they watch the same
+//! literals, so a thawed solver finds the same cells.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -207,6 +227,9 @@ pub struct Solver {
     /// matrix (the watched copies stay installed — redundant propagation
     /// is sound — so the matrix never reasons over a partial layer).
     watched_guard_rows: HashMap<u32, Vec<(XorClause, u64)>>,
+    /// `true` while [`Solver::shrink_to_fit`] has dropped both engines'
+    /// watch lists; [`Solver::thaw`] rebuilds them.
+    frozen: bool,
 }
 
 impl Solver {
@@ -245,6 +268,7 @@ impl Solver {
             gauss: GaussEngine::default(),
             gauss_scratch: Vec::new(),
             watched_guard_rows: HashMap::new(),
+            frozen: false,
         };
         solver.gauss.set_tracking(solver.config.proof.is_some());
         solver
@@ -367,6 +391,7 @@ impl Solver {
             num_vars <= self.num_base_vars || self.num_base_vars == self.num_vars,
             "cannot widen the base variable range past existing guard variables"
         );
+        self.thaw();
         self.grow_storage(num_vars);
         self.num_base_vars = self.num_base_vars.max(num_vars);
     }
@@ -420,6 +445,7 @@ impl Solver {
     /// [`Guard::assumption`] is assumed and are removed for good by
     /// [`Solver::retire_guard`].
     pub fn new_guard(&mut self) -> Guard {
+        self.thaw();
         self.backtrack_to(0);
         let index = self.num_vars;
         self.grow_storage(index + 1);
@@ -464,6 +490,7 @@ impl Solver {
     }
 
     fn add_clause_lits(&mut self, clause: Vec<Lit>) {
+        self.thaw();
         self.ensure_clause_vars(&clause);
         self.backtrack_to(0);
         if !self.ok {
@@ -521,6 +548,7 @@ impl Solver {
     }
 
     fn add_xor_with_guard(&mut self, xor: XorClause, guard: Option<Guard>) {
+        self.thaw();
         if let Some(max) = xor.max_var() {
             self.ensure_vars(max.index() + 1);
         }
@@ -771,6 +799,7 @@ impl Solver {
     /// layer — they all mention the guard literal) and asserts the guard's
     /// disable literal at the top level. The guard must not be used again.
     pub fn retire_guard(&mut self, guard: Guard) {
+        self.thaw();
         self.backtrack_to(0);
         debug_assert!(self.is_guard[guard.var().index()], "retiring a non-guard");
         self.stats.guards_retired += 1;
@@ -889,6 +918,7 @@ impl Solver {
     /// no clause reference is ever dereferenced as a reason.
     fn collect_garbage(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
+        self.thaw();
         // Level-zero assignments never have their reasons inspected; null
         // them so no stale ClauseRef survives the compaction.
         for i in 0..self.trail.len() {
@@ -905,13 +935,30 @@ impl Solver {
     }
 
     /// Drops the solver's slack: collects the deleted clauses out of the
-    /// arena, then replaces the solver with its clone, whose vectors hold
-    /// no spare capacity. Meant for a prepared solver about to be kept for
-    /// a long time and cloned.
+    /// arena, freezes the watch lists of both propagation engines (drops
+    /// them until the next entry point that needs them rebuilds them), then
+    /// replaces the solver with its clone, whose vectors hold no spare
+    /// capacity. Meant for a prepared solver about to be kept for a long
+    /// time and cloned: the kept prototype holds its constraints and no
+    /// watch lists, and each clone rebuilds its own on its first solve.
     pub fn shrink_to_fit(&mut self) {
         self.backtrack_to(0);
         self.collect_garbage();
+        self.clauses.freeze_watches();
+        self.xors.freeze_watches();
+        self.frozen = true;
         *self = self.clone();
+    }
+
+    /// Rebuilds the watch lists [`Solver::shrink_to_fit`] dropped; a no-op
+    /// unless the solver is frozen. Called first by every entry point that
+    /// propagates or edits constraints.
+    fn thaw(&mut self) {
+        if self.frozen {
+            self.frozen = false;
+            self.clauses.thaw_watches(self.num_vars);
+            self.xors.thaw_watches(self.num_vars);
+        }
     }
 
     /// Solves the current formula with an unlimited budget.
@@ -991,6 +1038,7 @@ impl Solver {
         keep_trail_on_sat: bool,
     ) -> SolveResult {
         self.stats.solve_calls += 1;
+        self.thaw();
         if !warm {
             self.backtrack_to(0);
             self.restarts.reset();
@@ -1092,7 +1140,15 @@ impl Solver {
                 }
                 continue;
             }
-            match self.pick_branch_variable() {
+            // A full trail is a model. Checking its length first spares the
+            // heap: asked instead, it would pop every assigned variable still
+            // in it before reporting that none is left.
+            let next = if self.trail.len() == self.num_vars {
+                None
+            } else {
+                self.pick_branch_variable()
+            };
+            match next {
                 None => {
                     // All variables assigned: model found.
                     let model = self.extract_model();
@@ -1311,7 +1367,7 @@ impl Solver {
     /// just-assigned variable (re-pivoting rows whose basic variable it
     /// was), including guard-activation events.
     fn propagate_gauss(&mut self, var: Var) -> Option<ConflictSource> {
-        if self.gauss.is_idle() {
+        if !self.gauss.watches(var) {
             return None;
         }
         let mut results = std::mem::take(&mut self.gauss_scratch);

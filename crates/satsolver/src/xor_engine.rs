@@ -24,6 +24,18 @@
 //! removable) once the guard is retired by asserting `g`. This is what lets
 //! one solver instance serve every hash cell of a sampling run without ever
 //! unlearning base-formula knowledge.
+//!
+//! # Watch lists and freezing
+//!
+//! A constraint's watch state is its stored `watch` pair; the per-variable
+//! lists only index it. A list may hold stale entries (a constraint whose
+//! watch has moved on, or a retired one), which `on_assign` drops as it
+//! walks the list, compacting it in place. So the lists can be thrown away
+//! and rebuilt from the stored pairs plus each guard at any quiet point:
+//! [`XorEngine::freeze_watches`] drops them for a prepared solver that is
+//! kept only to be cloned, and [`XorEngine::thaw_watches`] rebuilds them,
+//! in constraint order, before the solver next propagates or adds a
+//! constraint. A frozen engine must not be used in between.
 
 use std::collections::HashMap;
 
@@ -148,8 +160,7 @@ impl XorEngine {
                     .map(|v| v.index())
                     .chain(guard.map(|g| g.var().index()))
                     .max()
-                    .expect("at least two variables")
-                    + 1;
+                    .map_or(0, |max| max + 1);
                 self.grow_to(needed);
                 let stored = StoredXor {
                     vars,
@@ -248,6 +259,29 @@ impl XorEngine {
         }
     }
 
+    /// Drops every watch list, the outer vector included.
+    pub(crate) fn freeze_watches(&mut self) {
+        self.watches = Vec::new();
+    }
+
+    /// Rebuilds the watch lists over `num_vars` variables from each live
+    /// constraint's stored watch pair and guard.
+    pub(crate) fn thaw_watches(&mut self, num_vars: usize) {
+        for list in &mut self.watches {
+            list.clear();
+        }
+        self.watches.resize(num_vars, Vec::new());
+        for (xref, xor) in self.xors.iter().enumerate() {
+            if xor.retired {
+                continue;
+            }
+            let watched = xor.watch.iter().map(|&i| xor.vars[i]);
+            for v in watched.chain(xor.guard.map(|g| g.var())) {
+                self.watches[v.index()].push(xref as XorRef);
+            }
+        }
+    }
+
     /// Processes the assignment of `var`, updating watches and reporting any
     /// implication or conflict discovered.
     ///
@@ -259,37 +293,46 @@ impl XorEngine {
     where
         F: Fn(Var) -> Option<bool>,
     {
-        let watching = std::mem::take(&mut self.watches[var.index()]);
-        let mut retained: Vec<XorRef> = Vec::with_capacity(watching.len());
-
-        for xref in watching {
-            if self.xors[xref as usize].retired {
-                // Stale entry for a retired constraint; drop it.
-                continue;
+        // Walk the list with the two-pointer copy-back of the clause
+        // engine: entries that stay are compacted to the front, and moved or
+        // stale ones are dropped. A watch only ever moves to an unassigned
+        // variable other than `var`, so nothing is pushed onto `var`'s own
+        // list meanwhile, and the compacted list goes back as it is.
+        let mut watching = std::mem::take(&mut self.watches[var.index()]);
+        let mut kept = 0;
+        for i in 0..watching.len() {
+            let xref = watching[i];
+            if self.visit(xref, var, &value_of, results) {
+                watching[kept] = xref;
+                kept += 1;
             }
-            // Guard-variable event: the constraint may just have activated.
-            if let Some(g) = self.xors[xref as usize].guard {
-                if g.var() == var {
-                    retained.push(xref);
-                    let guard_true = value_of(var).map(|v| g.evaluate(v));
-                    if guard_true != Some(false) {
-                        // Dormant (or, impossibly, unassigned): nothing to do.
-                        continue;
-                    }
-                    match self.probe(xref, &value_of) {
-                        XorState::Implied(lit) => {
-                            results.push(XorPropagation::Implied { lit, xref });
-                        }
-                        XorState::Violated => {
-                            results.push(XorPropagation::Conflict { xref });
-                        }
-                        XorState::Open | XorState::Satisfied => {}
-                    }
-                    continue;
-                }
-            }
+        }
+        watching.truncate(kept);
+        debug_assert!(self.watches[var.index()].is_empty());
+        self.watches[var.index()] = watching;
+    }
 
-            let xor = &mut self.xors[xref as usize];
+    /// Handles one entry of `var`'s watch list after `var` was assigned.
+    /// Returns whether the entry stays on the list.
+    fn visit<F>(
+        &mut self,
+        xref: XorRef,
+        var: Var,
+        value_of: &F,
+        results: &mut Vec<XorPropagation>,
+    ) -> bool
+    where
+        F: Fn(Var) -> Option<bool>,
+    {
+        let xor = &mut self.xors[xref as usize];
+        if xor.retired {
+            // Stale entry for a retired constraint; drop it.
+            return false;
+        }
+        // A guard's watch is permanent: its assignment may just have
+        // activated the constraint, which is then probed as it stands.
+        let guard_event = xor.guard.is_some_and(|g| g.var() == var);
+        if !guard_event {
             // Which watch slot does `var` occupy?
             let slot = if xor.vars[xor.watch[0]] == var {
                 0
@@ -297,85 +340,56 @@ impl XorEngine {
                 1
             } else {
                 // Stale entry (watch was moved elsewhere); drop it.
-                continue;
+                return false;
             };
-            let other_slot = 1 - slot;
-            let other_var = xor.vars[xor.watch[other_slot]];
-
+            let other = xor.watch[1 - slot];
             // Try to move this watch to an unassigned, unwatched variable.
             let replacement = xor
                 .vars
                 .iter()
                 .enumerate()
-                .find(|&(i, &v)| {
-                    i != xor.watch[other_slot] && i != xor.watch[slot] && value_of(v).is_none()
-                })
+                .find(|&(i, &v)| i != other && i != xor.watch[slot] && value_of(v).is_none())
                 .map(|(i, _)| i);
-
             if let Some(new_index) = replacement {
-                let new_var = xor.vars[new_index];
                 xor.watch[slot] = new_index;
+                let new_var = xor.vars[new_index];
                 self.watches[new_var.index()].push(xref);
-                // Do not retain: the watch has moved away from `var`.
-                continue;
+                // The watch has moved away from `var`.
+                return false;
             }
-
-            // No replacement: every variable except possibly `other_var` is
-            // assigned. Keep watching `var` so the constraint is revisited
-            // after backtracking.
-            retained.push(xref);
-
-            let assigned_parity = xor
-                .vars
-                .iter()
-                .filter(|&&v| v != other_var)
-                .fold(false, |acc, &v| {
-                    acc ^ value_of(v).expect("all non-other variables are assigned")
-                });
-
-            let guard = xor.guard;
-            let rhs = xor.rhs;
-            // How the guard gates the outcome: None ≡ always active.
-            let guard_value = guard.map(|g| value_of(g.var()).map(|v| g.evaluate(v)));
-            match value_of(other_var) {
-                None => {
-                    let active = matches!(guard_value, None | Some(Some(false)));
-                    if active {
-                        let implied_value = rhs ^ assigned_parity;
-                        results.push(XorPropagation::Implied {
-                            lit: other_var.lit(implied_value),
-                            xref,
-                        });
-                    }
-                    // Guard unassigned or true: the clause `g ∨ …` still has
-                    // two non-false literals (or is satisfied); nothing to do.
-                }
-                Some(other_value) => {
-                    if assigned_parity ^ other_value != rhs {
-                        match guard_value {
-                            // Unguarded or active: genuine conflict.
-                            None | Some(Some(false)) => {
-                                results.push(XorPropagation::Conflict { xref });
-                            }
-                            // Guard unassigned: the clause `g ∨ lits` is unit
-                            // on the guard, so the guard is implied.
-                            Some(None) => {
-                                results.push(XorPropagation::Implied {
-                                    lit: guard.expect("guard_value is Some"),
-                                    xref,
-                                });
-                            }
-                            // Guard true: constraint dormant.
-                            Some(Some(true)) => {}
-                        }
-                    }
-                }
-            }
+            // No replacement: every variable except possibly the other
+            // watched one is assigned. Keep watching `var` so the
+            // constraint is revisited after backtracking.
         }
-
-        // Merge retained entries back with whatever was added concurrently
-        // (watch moves from other constraints processed in this call).
-        self.watches[var.index()].extend(retained);
+        // How the guard gates the outcome: `None` ≡ unguarded (always
+        // active), else the guard literal and its value.
+        let gate = xor
+            .guard
+            .map(|g| (g, value_of(g.var()).map(|v| g.evaluate(v))));
+        let active = matches!(gate, None | Some((_, Some(false))));
+        if guard_event && !active {
+            // The guard was asserted: the constraint is dormant.
+            return true;
+        }
+        match self.probe(xref, value_of) {
+            XorState::Implied(lit) if active => {
+                results.push(XorPropagation::Implied { lit, xref });
+            }
+            XorState::Violated if active => {
+                results.push(XorPropagation::Conflict { xref });
+            }
+            // Guard unassigned: the clause `g ∨ lits` is unit on the guard,
+            // so the guard is implied.
+            XorState::Violated => {
+                if let Some((g, None)) = gate {
+                    results.push(XorPropagation::Implied { lit: g, xref });
+                }
+            }
+            // Open, satisfied, or an implication the unassigned or true
+            // guard still blocks (`g ∨ …` keeps two non-false literals).
+            _ => {}
+        }
+        true
     }
 
     /// Returns the reason literals for `implied` being forced by constraint
@@ -392,24 +406,10 @@ impl XorEngine {
     {
         let xor = &self.xors[xref as usize];
         if xor.guard == Some(implied) {
-            return xor
-                .vars
-                .iter()
-                .map(|&v| {
-                    let value = value_of(v).expect("reason variables must be assigned");
-                    v.lit(!value)
-                })
-                .collect();
+            return falsified(xor.vars.iter().copied(), &value_of);
         }
-        let mut lits: Vec<Lit> = xor
-            .vars
-            .iter()
-            .filter(|&&v| v != implied.var())
-            .map(|&v| {
-                let value = value_of(v).expect("reason variables must be assigned");
-                v.lit(!value)
-            })
-            .collect();
+        let others = xor.vars.iter().copied().filter(|&v| v != implied.var());
+        let mut lits = falsified(others, &value_of);
         if let Some(g) = xor.guard {
             debug_assert_eq!(
                 value_of(g.var()).map(|v| g.evaluate(v)),
@@ -429,14 +429,7 @@ impl XorEngine {
         F: Fn(Var) -> Option<bool>,
     {
         let xor = &self.xors[xref as usize];
-        let mut lits: Vec<Lit> = xor
-            .vars
-            .iter()
-            .map(|&v| {
-                let value = value_of(v).expect("conflict variables must be assigned");
-                v.lit(!value)
-            })
-            .collect();
+        let mut lits = falsified(xor.vars.iter().copied(), &value_of);
         if let Some(g) = xor.guard {
             lits.push(g);
         }
@@ -471,6 +464,23 @@ impl XorEngine {
         self.free.extend(refs.iter().copied());
         refs.len()
     }
+}
+
+/// The literal of each of `vars` that the current assignment falsifies.
+/// Every variable must be assigned.
+fn falsified<F>(vars: impl Iterator<Item = Var>, value_of: &F) -> Vec<Lit>
+where
+    F: Fn(Var) -> Option<bool>,
+{
+    vars.filter_map(|v| {
+        let value = value_of(v);
+        debug_assert!(
+            value.is_some(),
+            "reason and conflict variables must be assigned"
+        );
+        value.map(|value| v.lit(!value))
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -3,14 +3,17 @@
 //! layers, solving/enumerating each layer on one persistent solver (via
 //! guards and assumptions) must agree exactly with building a throwaway
 //! solver per layer — the property the samplers' correctness rests on.
-//! A solver shrunk with `Solver::shrink_to_fit` must keep finding exactly
-//! the witnesses its unshrunk twin finds.
+//! A solver shrunk with `Solver::shrink_to_fit` (which also drops its watch
+//! lists until its next use) must keep finding exactly the witnesses its
+//! unshrunk twin finds, and so must every clone of it.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+use unigen::{cert_formula, UniGen, UniGenConfig, WitnessSampler};
+use unigen_cert::Checker;
 use unigen_circuit::benchmarks::{iscas_like, login_like, sorter};
 use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
 use unigen_hashing::XorHashFamily;
@@ -220,7 +223,11 @@ proptest! {
 /// what it finds: after a run of hashed cells, a solver and its shrunk twin
 /// enumerate the same next cell (the same witnesses on the sampling set; the
 /// compaction rebuilds the watch lists, so the order may differ), and
-/// shrinking itself counts as no search.
+/// shrinking itself counts as no search. The shrunk solver is frozen (it
+/// holds no watch lists), so the cell is enumerated three ways: on the
+/// unshrunk twin, on the frozen solver itself, and on a clone of the frozen
+/// solver, as a service worker takes it; the last two are thawed by their
+/// first solve.
 #[test]
 fn shrunk_solver_enumerates_the_next_cell_like_its_twin() {
     // Each formula with the narrowest width whose cells drain below the bound.
@@ -258,18 +265,29 @@ fn shrunk_solver_enumerates_the_next_cell_like_its_twin() {
                 shrunk.shrink_to_fit();
                 assert_eq!(shrunk.stats(), solver.stats());
                 let mut twin = solver.clone();
+                let mut worker = shrunk.clone();
                 let expected = cell(&mut twin, &mut rng.clone());
-                let got = cell(&mut shrunk, &mut rng.clone());
                 let context = format!("{} ({gauss:?}) after {cells} cells", bench.name);
-                assert_eq!(got.bound_reached, expected.bound_reached, "{context}");
-                if !expected.bound_reached {
+                for (who, got) in [
+                    ("the shrunk solver", cell(&mut shrunk, &mut rng.clone())),
+                    (
+                        "a clone of the shrunk solver",
+                        cell(&mut worker, &mut rng.clone()),
+                    ),
+                ] {
                     assert_eq!(
-                        projected(&got),
-                        projected(&expected),
-                        "{context}: witnesses differ"
+                        got.bound_reached, expected.bound_reached,
+                        "{context}: {who}"
                     );
-                    drained += 1;
+                    if !expected.bound_reached {
+                        assert_eq!(
+                            projected(&got),
+                            projected(&expected),
+                            "{context}: {who}: witnesses differ"
+                        );
+                    }
                 }
+                drained += usize::from(!expected.bound_reached);
             }
             assert!(drained >= 6, "{}: too few cells drained", bench.name);
             assert!(
@@ -279,4 +297,26 @@ fn shrunk_solver_enumerates_the_next_cell_like_its_twin() {
             );
         }
     }
+}
+
+/// A certified prototype is frozen like any other: a worker clone thaws it
+/// by its first solve, samples, and the clone's whole proof stream (the
+/// prototype's preparation, then the clone's cells) still checks end to end
+/// with the independent checker.
+#[test]
+fn a_thawed_clone_of_a_certified_prototype_keeps_a_checking_proof() {
+    let bench = iscas_like("s526-like", 14, 180, 5, 0x0526);
+    let prototype =
+        UniGen::new(&bench.formula, UniGenConfig::default().with_certify(true)).unwrap();
+    let mut worker = prototype.clone();
+    let outcomes = worker.sample_batch(4, 0x5eed);
+    assert!(outcomes.iter().any(|o| o.witness.is_some()));
+    assert!(worker.cert_error().is_none());
+    let formula = cert_formula(&bench.formula);
+    let bytes = worker.proof_bytes().unwrap().to_vec();
+    let report = Checker::check(&formula, &bytes).unwrap();
+    report.require_complete().unwrap();
+    let mut prototype = prototype;
+    let prepared = prototype.proof_bytes().unwrap().len();
+    assert!(bytes.len() > prepared, "sampling logged no proof steps");
 }
