@@ -5,7 +5,7 @@
 //! For each instance the run prepares one `UniGen` sampler, then draws the
 //! same batch (same `master_seed`) through the serial reference
 //! (`WitnessSampler::sample_batch`) and through the **service path** (a
-//! persistent `SamplerService` with its work-stealing deque scheduler — the
+//! persistent `SamplerService` on its one-queue worker pool — the
 //! production path behind `unigen_cli batch`, and what the CI gate
 //! measures) at each configured thread count. Every mode records
 //! samples/sec and a fingerprint of the produced witness *sequence*;
@@ -52,7 +52,7 @@ pub struct ThroughputPoint {
     /// Worker threads used (`0` denotes the serial reference).
     pub threads: usize,
     /// Wall-clock seconds for the whole batch (service path: submit to
-    /// response, through the work-stealing deque scheduler).
+    /// response, through the pool's one queue).
     pub seconds: f64,
     /// Samples per second (attempted samples, successful or not) through the
     /// service path.
@@ -268,7 +268,7 @@ fn measure_batch(
 }
 
 /// Runs the serial-vs-parallel comparison on one instance: the serial
-/// reference, then the service path (persistent work-stealing pool; the
+/// reference, then the service path (persistent one-queue pool; the
 /// gate number) at each thread count.
 pub fn measure_parallel_comparison(
     benchmark: &Benchmark,

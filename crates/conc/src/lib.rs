@@ -1,11 +1,12 @@
 //! `conc` — the workspace's sync abstraction layer, in the CDSChecker/loom
 //! lineage of *stateless model checking*.
 //!
-//! Every concurrent component in this workspace (the work-stealing
-//! [`SamplerService`](../unigen/service/index.html) above all) builds on the
-//! primitives in this crate instead of `std::sync` / `std::thread` — a rule
-//! the repo lint (`cargo run -p xtask -- lint`) enforces. The types mirror
-//! the `std` API exactly, and come with two backends:
+//! Every concurrent component in this workspace (the
+//! [`SamplerService`](../unigen/service/index.html) worker pool above all)
+//! builds on the primitives in this crate instead of `std::sync` /
+//! `std::thread` — a rule the repo lint (`cargo run -p xtask -- lint`)
+//! enforces. The types mirror the `std` API exactly, and come with two
+//! backends:
 //!
 //! * **Passthrough** (default): `#[inline]` newtypes over the `std`
 //!   primitives. Zero cost — production builds compile to exactly the code

@@ -1,13 +1,11 @@
-//! Errors reported by the samplers and the service, typed by phase.
+//! Errors reported by the samplers and the service.
 //!
-//! * **Prepare time.** A sampler's constructor (`UniGen::new`,
-//!   `UniWit::new`, `XorSamplePrime::new`, `UniformSampler::with_witnesses`)
-//!   returns a [`SamplerError`], and [`crate::SamplerService::try_new`]
-//!   returns a [`ServiceConfigError`]. Either means the sampler could never
-//!   have produced a witness: the formula, the config or the service
-//!   config must change.
-//! * **Request time.** [`TrySubmitError`] is transient: the same request
-//!   can simply be retried.
+//! A sampler's constructor (`UniGen::new`, `UniWit::new`,
+//! `XorSamplePrime::new`, `UniformSampler::with_witnesses`) returns a
+//! [`SamplerError`], and [`crate::SamplerService::try_new`] returns a
+//! [`ServiceConfigError`]. Either means the sampler could never have
+//! produced a witness: the formula, the config or the service config must
+//! change. Submitting a request cannot fail: the pool admits every request.
 //!
 //! An unsuccessful *sample* (the paper's `⊥`) is neither: it is an ordinary
 //! outcome, reported through [`crate::SampleOutcome::witness`] being `None`.
@@ -120,40 +118,6 @@ impl fmt::Display for ServiceConfigError {
 }
 
 impl std::error::Error for ServiceConfigError {}
-
-/// Rejection returned by [`crate::SamplerService::try_submit`] — the
-/// *request-time* half of the error taxonomy.
-///
-/// Request-time rejections are transient: the returned request is handed
-/// back to the caller untouched, and re-submitting it later (or blocking in
-/// [`crate::SamplerService::submit`]) is always legal. Thanks to the
-/// per-`(master_seed, index)` determinism contract a retried request
-/// reproduces exactly the witnesses the rejected one would have produced, so
-/// an RPC front end gets idempotent retries for free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TrySubmitError {
-    /// The service's bounded request queue is at capacity; the rejected
-    /// request is returned so the caller can retry it verbatim.
-    QueueFull {
-        /// The request that was not admitted.
-        request: crate::service::SampleRequest,
-    },
-}
-
-impl fmt::Display for TrySubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrySubmitError::QueueFull { request } => write!(
-                f,
-                "the service request queue is full (rejected request: {} samples, master seed {})",
-                request.count, request.master_seed
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TrySubmitError {}
 
 #[cfg(test)]
 mod tests {

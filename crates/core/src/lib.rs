@@ -29,7 +29,7 @@
 //!
 //! For high-volume generation the crate exposes a **service API**: a
 //! [`SamplerService`] over any prepared sampler answers typed
-//! [`SampleRequest`]s over a persistent work-stealing worker pool with a
+//! [`SampleRequest`]s over a persistent one-queue worker pool with a
 //! bit-identical-at-any-worker-count determinism contract — the paper's
 //! "embarrassingly parallel" observation made concrete and shaped for an
 //! RPC boundary. See
@@ -103,7 +103,7 @@ pub mod stats;
 
 pub use certify::cert_formula;
 pub use config::UniGenConfig;
-pub use error::{SamplerError, ServiceConfigError, TrySubmitError};
+pub use error::{SamplerError, ServiceConfigError};
 pub use fault::FaultPlan;
 pub use kappa_pivot::{compute_kappa_pivot, KappaPivot};
 pub use sampler::{stream_for_index, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler};

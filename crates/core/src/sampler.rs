@@ -15,7 +15,7 @@ use unigen_satsolver::{enumerate_cell, Budget, EnumerationOutcome, InterruptReas
 ///
 /// Samplers only *count*: every field a sampler fills is a deterministic
 /// tally of work (solver calls, xor clauses, retries, proof bytes). The
-/// scheduling fields — `wall_time`, `queue_wait` and `steals` — are stamped
+/// scheduling fields — `wall_time` and `queue_wait` — are stamped
 /// by the [`crate::WorkerPool`] around each work item, so they are zero on
 /// an outcome from a bare [`WitnessSampler::sample`] or
 /// [`WitnessSampler::sample_batch`] call; a caller that wants the time of a
@@ -44,12 +44,6 @@ pub struct SampleStats {
     /// `|S| + 3`). Without the clamp the width loop would silently run zero
     /// iterations and report `⊥` with no solver work at all.
     pub width_window_clamped: usize,
-    /// Number of times this sample's work item was *stolen* by an idle worker
-    /// from another worker's deque (0 or 1 per sample; summing over a batch
-    /// via [`SampleStats::accumulate`] counts the batch's total steals). Only
-    /// the [`crate::SamplerService`] scheduler sets this; serial sampling
-    /// leaves it 0.
-    pub steals: usize,
     /// Time this sample's work item spent queued in the service scheduler
     /// between request submission and execution start. Only the
     /// [`crate::WorkerPool`] sets this; serial sampling leaves it zero.
@@ -100,7 +94,6 @@ impl SampleStats {
         self.solver_propagations += other.solver_propagations;
         self.solver_conflicts += other.solver_conflicts;
         self.width_window_clamped += other.width_window_clamped;
-        self.steals += other.steals;
         self.queue_wait += other.queue_wait;
         self.interrupted_cells += other.interrupted_cells;
         self.retries += other.retries;
@@ -116,14 +109,13 @@ impl SampleStats {
 /// use their `Debug` form.
 impl std::fmt::Display for SampleStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let counters: [(&str, u64); 13] = [
+        let counters: [(&str, u64); 12] = [
             ("bsat_calls", self.bsat_calls as u64),
             ("xor_clauses_added", self.xor_clauses_added as u64),
             ("xor_vars_total", self.xor_vars_total as u64),
             ("solver_propagations", self.solver_propagations),
             ("solver_conflicts", self.solver_conflicts),
             ("width_window_clamped", self.width_window_clamped as u64),
-            ("steals", self.steals as u64),
             ("interrupted_cells", self.interrupted_cells as u64),
             ("retries", self.retries as u64),
             ("degradations", self.degradations as u64),
@@ -392,7 +384,6 @@ mod tests {
             solver_propagations: 100,
             solver_conflicts: 1,
             width_window_clamped: 1,
-            steals: 1,
             queue_wait: Duration::from_millis(2),
             interrupted_cells: 1,
             retries: 2,
@@ -409,7 +400,6 @@ mod tests {
             solver_propagations: 11,
             solver_conflicts: 2,
             width_window_clamped: 0,
-            steals: 1,
             queue_wait: Duration::from_millis(3),
             interrupted_cells: 2,
             retries: 1,
@@ -426,7 +416,6 @@ mod tests {
         assert_eq!(a.solver_propagations, 111);
         assert_eq!(a.solver_conflicts, 3);
         assert_eq!(a.width_window_clamped, 1);
-        assert_eq!(a.steals, 2);
         assert_eq!(a.queue_wait, Duration::from_millis(5));
         assert_eq!(a.interrupted_cells, 3);
         assert_eq!(a.retries, 3);

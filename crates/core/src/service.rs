@@ -1,5 +1,5 @@
 //! The sampling service: typed requests and responses over a **persistent**,
-//! multi-tenant work-stealing worker pool.
+//! multi-tenant worker pool with one FIFO queue.
 //!
 //! The paper observes that witness generation is "embarrassingly parallel".
 //! [`SamplerService`] is the workspace's one parallel batch engine, checked
@@ -16,26 +16,30 @@
 //!   witness lists) is [`Arc`]-shared inside the samplers, while the
 //!   per-worker incremental solver is private. [`SamplerService::try_new`]
 //!   spawns a pool of its own and serves one prototype on it.
-//! * **Work stealing.** Each request's sample indices are dealt into
-//!   per-worker deques in contiguous chunks, but an idle worker *steals*
-//!   from the back of the busiest other deque instead of going to sleep.
-//!   Per-sample cost is highly variable — a cell that needs `BSAT` retries
-//!   is roughly an order of magnitude dearer than one accepted at the first
-//!   width — and without stealing one unlucky chunk serialises the whole
-//!   batch; stealing absorbs the skew. (The deques are arbitrated by one scheduler lock
-//!   rather than a lock-free Chase–Lev deque: the workspace is dependency
-//!   free, and at per-sample granularity — milliseconds of solver work per
-//!   item — the lock is nowhere near the critical path.)
-//! * **Typed messages and backpressure.** Work arrives as a
-//!   [`SampleRequest`] and leaves as a [`SampleResponse`]; the number of
-//!   in-flight requests is bounded by [`ServiceConfig::queue_capacity`],
-//!   with a blocking [`SamplerService::submit`] and a non-blocking
-//!   [`SamplerService::try_submit`] that hands a rejected request back to
-//!   the caller for a free idempotent retry.
+//! * **One queue.** A request's sample indices are pushed, in order, onto
+//!   one FIFO shared by every worker, and a worker that finishes an item
+//!   pops the next one from the front. Per-sample cost is highly variable —
+//!   a cell that needs `BSAT` retries is roughly an order of magnitude
+//!   dearer than one accepted at the first width — but no item is ever
+//!   bound to a worker, so an expensive run of indices spreads over every
+//!   free worker by itself. One scheduler lock guards the queue: at
+//!   per-sample granularity (milliseconds of solver work per item) it is
+//!   nowhere near the critical path.
+//! * **Typed messages, no admission control.** Work arrives as a
+//!   [`SampleRequest`] and leaves as a [`SampleResponse`].
+//!   [`SamplerService::submit`] admits every request at once and never
+//!   blocks or refuses. A caller that takes requests from untrusted peers
+//!   bounds them itself — the network daemon caps its requests in flight,
+//!   which also caps the outcome boards the pool holds for them.
+//! * **Abandoned requests cost nothing.** Dropping a [`ResponseHandle`]
+//!   before its request completes abandons the request: items no worker has
+//!   started yet complete as typed [`OutcomeKind::Interrupted`] outcomes
+//!   without touching the solver, so a client that walks away does not keep
+//!   the pool (or a pool shutdown) busy.
 //! * **One timing point.** Samplers only count work; the pool stamps each
 //!   outcome's scheduling fields of [`SampleStats`]: `wall_time` around the
-//!   `sample` call (not around a cache-miss clone), `queue_wait` from
-//!   submission to execution start, and `steals`.
+//!   `sample` call (not around a cache-miss clone) and `queue_wait` from
+//!   submission to execution start.
 //!
 //! # Determinism contract
 //!
@@ -46,10 +50,10 @@
 //! picks its witness from a canonically ordered cell. The projected witness
 //! at position `i` is therefore a pure function of the prepared state,
 //! `master_seed` and `i`: it does not depend on the worker count, on which
-//! worker ran the item, on whether the item was stolen, or on what other
-//! requests were interleaved through the pool. A request's outcome sequence
-//! is **bit-identical** to `sample_batch(count, master_seed)` on a clone of
-//! the prototype, per request, at any worker count.
+//! worker ran the item, or on what other requests were interleaved through
+//! the pool. A request's outcome sequence is **bit-identical** to
+//! `sample_batch(count, master_seed)` on a clone of the prototype, per
+//! request, at any worker count.
 //!
 //! Three scope notes. First, the guarantee as stated covers each witness's
 //! *projection* onto the sampling set — the part of a model on which
@@ -132,13 +136,13 @@ use conc::atomic::{AtomicBool, AtomicU64, Ordering};
 use conc::sync::{Condvar, Mutex, MutexGuard};
 use conc::thread::JoinHandle;
 
-use crate::error::{ServiceConfigError, TrySubmitError};
+use crate::error::ServiceConfigError;
 use crate::fault::FaultPlan;
 use crate::sampler::{
     failed_outcome, stream_for_index, OutcomeKind, SampleOutcome, SampleStats, WitnessSampler,
 };
 
-/// Shape of a [`WorkerPool`]'s worker threads and request queue.
+/// Shape of a [`WorkerPool`]'s worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Number of worker threads. Must be at least 1:
@@ -146,11 +150,6 @@ pub struct ServiceConfig {
     /// [`ServiceConfigError::ZeroWorkers`]. Defaults to the machine's
     /// available parallelism.
     pub workers: usize,
-    /// Maximum number of admitted-but-not-yet-completed requests across
-    /// every prototype the pool serves (clamped to at least 1).
-    /// [`SamplerService::submit`] blocks while the queue is at capacity;
-    /// [`SamplerService::try_submit`] returns the request back.
-    pub queue_capacity: usize,
     /// How many times one work item may be retried on a fresh clone of its
     /// prototype after a sampler panic before it completes as
     /// [`OutcomeKind::Faulted`] (see the module docs' *Robustness* section).
@@ -163,7 +162,6 @@ impl Default for ServiceConfig {
             workers: conc::thread::available_parallelism()
                 .map(NonZeroUsize::get)
                 .unwrap_or(1),
-            queue_capacity: 16,
             max_respawns: 2,
         }
     }
@@ -173,12 +171,6 @@ impl ServiceConfig {
     /// Returns a copy with an explicit worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Returns a copy with an explicit request-queue capacity.
-    pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.queue_capacity = queue_capacity;
         self
     }
 
@@ -269,8 +261,8 @@ pub struct SampleResponse {
     /// clone of the service's prototype, at any worker count.
     pub outcomes: Vec<SampleOutcome>,
     /// Every outcome's statistics folded together with
-    /// [`SampleStats::accumulate`] — including the pool-stamped `wall_time`,
-    /// `queue_wait` and `steals`.
+    /// [`SampleStats::accumulate`] — including the pool-stamped `wall_time`
+    /// and `queue_wait`.
     pub aggregate_stats: SampleStats,
     /// Wall-clock time from submission to the last outcome's completion.
     pub round_trip: Duration,
@@ -310,6 +302,11 @@ struct RequestState {
     prototype: Arc<dyn Prototype>,
     submitted_at: Instant,
     deadline: Option<Instant>,
+    /// Set when the request's [`ResponseHandle`] is dropped: nobody reads
+    /// the outcomes any more, so unstarted items skip the solver. The flag
+    /// publishes no other data (a worker that reads it late runs one more
+    /// sample), so its accesses are `Relaxed`.
+    abandoned: AtomicBool,
     board: Mutex<Board>,
     ready: Condvar,
 }
@@ -320,10 +317,10 @@ struct Item {
     index: usize,
 }
 
-/// The scheduler proper: per-worker deques plus admission accounting, all
-/// behind one lock (see the module docs for why that is enough here).
+/// The scheduler proper: the one FIFO of items plus the count of admitted
+/// requests, behind one lock.
 struct Sched {
-    deques: Vec<VecDeque<Item>>,
+    queue: VecDeque<Item>,
     in_flight: usize,
     shutdown: bool,
 }
@@ -333,9 +330,6 @@ struct Shared {
     sched: Mutex<Sched>,
     /// Workers wait here for items; submitters notify.
     work_available: Condvar,
-    /// Submitters wait here for queue capacity; completing workers notify.
-    admission: Condvar,
-    queue_capacity: usize,
     /// Per-item respawn budget (see [`ServiceConfig::max_respawns`]).
     max_respawns: usize,
     /// The installed chaos schedule, if any: consulted per item for the
@@ -349,14 +343,6 @@ struct Shared {
     item_retries: AtomicU64,
     /// Items executed per worker (index = worker id), lifetime.
     worker_items: Vec<AtomicU64>,
-    /// Stolen items executed per worker (index = worker id), lifetime.
-    worker_steals: Vec<AtomicU64>,
-    /// When set, [`post_outcome`] releases the backpressure slot *after*
-    /// publishing the finished board instead of inside the board critical
-    /// section — deliberately re-introducing the `try_submit` race fixed in
-    /// the backpressure rework, so the model checker can demonstrate it
-    /// finds the bug. See [`WorkerPool::debug_reintroduce_slot_release_race`].
-    racy_slot_release: AtomicBool,
 }
 
 /// A point-in-time health snapshot of a [`WorkerPool`], taken with
@@ -382,12 +368,26 @@ pub struct ServiceHealth {
     pub faults_injected: u64,
     /// Admitted-but-not-yet-completed requests at snapshot time.
     pub pending_requests: usize,
-    /// Work items sitting in the per-worker deques at snapshot time.
+    /// Work items waiting in the queue at snapshot time.
     pub queued_items: usize,
 }
 
+/// Locks `mutex`. Poisoning means a panic inside one of the pool's short
+/// critical sections (sampler panics are caught outside them), after which
+/// the scheduler's bookkeeping cannot be trusted.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().expect("a sampler service worker panicked")
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(_) => panic!("a sampler service lock was poisoned"),
+    }
+}
+
+/// Waits on `condvar`, with [`lock`]'s treatment of poisoning.
+fn wait_on<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match condvar.wait(guard) {
+        Ok(guard) => guard,
+        Err(_) => panic!("a sampler service lock was poisoned"),
+    }
 }
 
 /// A persistent pool of worker threads that samples for any number of
@@ -440,21 +440,17 @@ impl WorkerPool {
         let workers = config.workers;
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
-                deques: (0..workers).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 in_flight: 0,
                 shutdown: false,
             }),
             work_available: Condvar::new(),
-            admission: Condvar::new(),
-            queue_capacity: config.queue_capacity.max(1),
             max_respawns: config.max_respawns,
             fault_plan,
             worker_panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             item_retries: AtomicU64::new(0),
             worker_items: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            worker_steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            racy_slot_release: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|me| {
@@ -490,11 +486,6 @@ impl WorkerPool {
         self.threads.handles.len()
     }
 
-    /// Returns the request-queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared().queue_capacity
-    }
-
     /// Lifetime count of work items executed per worker (indexed by worker
     /// id). Under skewed per-sample cost the *item* counts are legitimately
     /// unbalanced — fast workers execute more items; that is the scheduler
@@ -502,17 +493,6 @@ impl WorkerPool {
     pub fn worker_items(&self) -> Vec<u64> {
         self.shared()
             .worker_items
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Lifetime count of *stolen* items executed per worker (indexed by
-    /// worker id): an idle worker steals from the back of another worker's
-    /// deque. Their sum is the pool's lifetime steal count.
-    pub fn worker_steals(&self) -> Vec<u64> {
-        self.shared()
-            .worker_steals
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
@@ -534,27 +514,8 @@ impl WorkerPool {
                 .map(|plan| plan.faults_injected())
                 .unwrap_or(0),
             pending_requests: sched.in_flight,
-            queued_items: sched.deques.iter().map(VecDeque::len).sum(),
+            queued_items: sched.queue.len(),
         }
-    }
-
-    /// Test-only regression hook: re-introduces the `try_submit`
-    /// backpressure race that was fixed by moving the queue-slot release
-    /// into the board critical section of [`post_outcome`]. With the flag
-    /// set, a completing worker publishes the finished board (waking
-    /// `wait()`ers) *before* decrementing `in_flight`, so a caller that
-    /// observed completion can still get a spurious
-    /// [`TrySubmitError::QueueFull`].
-    ///
-    /// Exists so the model-checked protocol tests can prove the checker
-    /// actually finds this class of bug (`#[cfg(test)]` would not be
-    /// visible from integration tests, hence `#[doc(hidden)]`). Never call
-    /// this outside a test.
-    #[doc(hidden)]
-    pub fn debug_reintroduce_slot_release_race(&self) {
-        self.shared()
-            .racy_slot_release
-            .store(true, Ordering::Relaxed);
     }
 }
 
@@ -563,13 +524,12 @@ impl Drop for Threads {
         lock(&self.shared.sched).shutdown = true;
         self.shared.work_available.notify_all();
         for handle in self.handles.drain(..) {
-            let result = handle.join();
             // When the pool is torn down by an unwinding thread (a failed
             // test assertion, or a model-checker abort), a second panic here
             // would escalate to a process abort and mask the original
             // failure; the join itself still happened either way.
-            if !std::thread::panicking() {
-                result.expect("a sampler service worker panicked");
+            if handle.join().is_err() && !std::thread::panicking() {
+                panic!("a sampler service worker panicked");
             }
         }
     }
@@ -606,60 +566,27 @@ impl SamplerService {
         Ok(WorkerPool::try_new(config)?.serve(prototype))
     }
 
-    /// The pool this service runs on: worker count, queue capacity,
-    /// scheduler counters and [`ServiceHealth`] are pool-wide.
+    /// The pool this service runs on: worker count, scheduler counters and
+    /// [`ServiceHealth`] are pool-wide.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }
 
-    /// Submits a request, blocking while the pool's bounded request queue
-    /// is at capacity, and returns a streaming [`ResponseHandle`].
+    /// Admits a request at once — the pool never blocks or refuses a
+    /// submitter — and returns a streaming [`ResponseHandle`]. The request's
+    /// indices join the back of the pool's one queue, in order.
     pub fn submit(&self, request: SampleRequest) -> ResponseHandle {
         // Allocate the board before taking the scheduler lock: a `count`
         // too large to allocate then panics here, in the caller, instead of
         // poisoning the scheduler every prototype on the pool shares.
         let slots = vec![None; request.count];
-        let shared = self.pool.shared();
-        let mut sched = lock(&shared.sched);
-        while sched.in_flight >= shared.queue_capacity {
-            sched = shared
-                .admission
-                .wait(sched)
-                .expect("a sampler service worker panicked");
-        }
-        self.admit(sched, request, slots)
-    }
-
-    /// Submits a request without blocking: if the bounded request queue is
-    /// at capacity, the request is handed back inside
-    /// [`TrySubmitError::QueueFull`] for the caller to retry — idempotently,
-    /// thanks to the determinism contract.
-    pub fn try_submit(&self, request: SampleRequest) -> Result<ResponseHandle, TrySubmitError> {
-        let slots = vec![None; request.count];
-        let shared = self.pool.shared();
-        let sched = lock(&shared.sched);
-        if sched.in_flight >= shared.queue_capacity {
-            return Err(TrySubmitError::QueueFull { request });
-        }
-        Ok(self.admit(sched, request, slots))
-    }
-
-    /// Admits `request` under the scheduler lock: deals its indices into the
-    /// per-worker deques in contiguous chunks (the same initial shape as the
-    /// old static partition — stealing, not the deal, is what absorbs skew)
-    /// and wakes the pool.
-    fn admit(
-        &self,
-        mut sched: MutexGuard<'_, Sched>,
-        request: SampleRequest,
-        slots: Vec<Option<SampleOutcome>>,
-    ) -> ResponseHandle {
         let now = Instant::now();
         let state = Arc::new(RequestState {
             request,
             prototype: Arc::clone(&self.prototype),
             submitted_at: now,
             deadline: request.budget.map(|b| now + b),
+            abandoned: AtomicBool::new(false),
             board: Mutex::new(Board {
                 slots,
                 completed: 0,
@@ -667,21 +594,18 @@ impl SamplerService {
             }),
             ready: Condvar::new(),
         });
-        if request.count == 0 {
-            // Nothing to schedule; the request never occupies a queue slot.
-            return ResponseHandle { state, cursor: 0 };
-        }
-        sched.in_flight += 1;
-        let workers = sched.deques.len();
-        let chunk = request.count.div_ceil(workers);
-        for index in 0..request.count {
-            sched.deques[index / chunk].push_back(Item {
+        if request.count > 0 {
+            // An empty request has nothing to schedule and is never pending.
+            let shared = self.pool.shared();
+            let mut sched = lock(&shared.sched);
+            sched.in_flight += 1;
+            sched.queue.extend((0..request.count).map(|index| Item {
                 request: Arc::clone(&state),
                 index,
-            });
+            }));
+            drop(sched);
+            shared.work_available.notify_all();
         }
-        drop(sched);
-        self.pool.shared().work_available.notify_all();
         ResponseHandle { state, cursor: 0 }
     }
 
@@ -699,41 +623,26 @@ impl SamplerService {
 /// from being reused, so [`Arc::ptr_eq`] identifies it exactly.
 type CachedClone = Option<(Arc<dyn Prototype>, Box<dyn WitnessSampler>)>;
 
-/// The worker loop: pop the own deque from the front; failing that, steal
-/// from the back of the longest other deque; failing that, sleep until work
-/// arrives (or exit once shutdown is flagged and every deque is dry — so a
-/// dropped pool always drains the requests it admitted).
+/// The worker loop: pop the front of the queue, or sleep until work arrives
+/// (or exit once shutdown is flagged and the queue is dry — so a dropped
+/// pool always drains the requests it admitted).
 fn run_worker(shared: Arc<Shared>, me: usize) {
     let mut cached: CachedClone = None;
     loop {
         let mut sched = lock(&shared.sched);
-        let (item, stolen) = loop {
-            if let Some(item) = sched.deques[me].pop_front() {
-                break (item, false);
-            }
-            let victim = (0..sched.deques.len())
-                .filter(|&w| w != me)
-                .max_by_key(|&w| sched.deques[w].len());
-            if let Some(victim) = victim {
-                if let Some(item) = sched.deques[victim].pop_back() {
-                    break (item, true);
-                }
+        let item = loop {
+            if let Some(item) = sched.queue.pop_front() {
+                break item;
             }
             if sched.shutdown {
                 return;
             }
-            sched = shared
-                .work_available
-                .wait(sched)
-                .expect("a sampler service submitter panicked");
+            sched = wait_on(&shared.work_available, sched);
         };
         drop(sched);
 
         shared.worker_items[me].fetch_add(1, Ordering::Relaxed);
-        if stolen {
-            shared.worker_steals[me].fetch_add(1, Ordering::Relaxed);
-        }
-        let outcome = execute(&mut cached, &shared, &item, stolen, me);
+        let outcome = execute(&mut cached, &shared, &item, me);
         post_outcome(&shared, &item, outcome);
     }
 }
@@ -744,26 +653,22 @@ fn run_worker(shared: Arc<Shared>, me: usize) {
 /// same per-index RNG stream, so an absorbed panic leaves the outcome
 /// bit-identical to an undisturbed run — at most `max_respawns` times,
 /// after which the item completes as `Faulted`.
-fn execute(
-    cached: &mut CachedClone,
-    shared: &Shared,
-    item: &Item,
-    stolen: bool,
-    me: usize,
-) -> SampleOutcome {
+fn execute(cached: &mut CachedClone, shared: &Shared, item: &Item, me: usize) -> SampleOutcome {
     let state = &item.request;
     let mut retries = 0usize;
     loop {
         let started = Instant::now();
         let scheduling = SampleStats {
             queue_wait: started.duration_since(state.submitted_at),
-            steals: usize::from(stolen),
             retries,
             ..SampleStats::default()
         };
-        if state.deadline.is_some_and(|deadline| started >= deadline) {
-            // The request budget expired while this item was queued: complete
-            // it as a typed interruption without touching the solver (see
+        if state.abandoned.load(Ordering::Relaxed)
+            || state.deadline.is_some_and(|deadline| started >= deadline)
+        {
+            // Nobody reads this request any more, or its budget expired
+            // while this item was queued: complete the item as a typed
+            // interruption without touching the solver (see
             // `SampleRequest::budget` for the recoverability semantics).
             return SampleOutcome::interrupted(scheduling);
         }
@@ -792,7 +697,6 @@ fn execute(
         match std::panic::catch_unwind(run) {
             Ok(mut outcome) => {
                 outcome.stats.queue_wait = scheduling.queue_wait;
-                outcome.stats.steals = scheduling.steals;
                 outcome.stats.retries += retries;
                 return outcome;
             }
@@ -810,44 +714,23 @@ fn execute(
     }
 }
 
-/// Posts one outcome to its request's board and, on the last one, releases
-/// the request's queue slot.
+/// Posts one outcome to its request's board and, on the last one, takes the
+/// request off the pending count.
 fn post_outcome(shared: &Shared, item: &Item, outcome: SampleOutcome) {
     let state = &item.request;
     let mut board = lock(&state.board);
     debug_assert!(board.slots[item.index].is_none(), "index scheduled twice");
     board.slots[item.index] = Some(outcome);
     board.completed += 1;
-    let complete = board.completed == state.request.count;
-    let racy = complete && shared.racy_slot_release.load(Ordering::Relaxed);
-    if complete {
+    if board.completed == state.request.count {
         board.finished_at = Some(Instant::now());
-        if !racy {
-            // Release the queue slot while the board lock is still held: a
-            // client that returns from `wait` may immediately retry a
-            // rejected request (the documented backpressure idiom), so the
-            // slot must be observably free by the time the finished board is
-            // visible. The board → sched nesting here is the only place the
-            // two locks nest, so the ordering is globally consistent.
-            let mut sched = lock(&shared.sched);
-            sched.in_flight -= 1;
-            drop(sched);
-        }
+        // Decrement the pending count while the board lock is still held,
+        // so a caller returning from `wait` never sees its own request as
+        // pending in `health()`. The board → sched nesting here is the only
+        // place the two locks nest, so the ordering is globally consistent.
+        lock(&shared.sched).in_flight -= 1;
     }
     state.ready.notify_all();
-    drop(board);
-    if racy {
-        // Deliberately broken ordering, enabled only by
-        // `debug_reintroduce_slot_release_race`: the finished board is
-        // already visible, so a `wait()`er can race ahead of this decrement
-        // and observe a spuriously full queue.
-        let mut sched = lock(&shared.sched);
-        sched.in_flight -= 1;
-        drop(sched);
-    }
-    if complete {
-        shared.admission.notify_all();
-    }
 }
 
 /// A streaming handle to one in-flight request.
@@ -864,9 +747,11 @@ fn post_outcome(shared: &Shared, item: &Item, outcome: SampleOutcome) {
 ///
 /// The handle owns its slice of the request state, prototype included: it
 /// keeps working after its service and pool are dropped (a dropped pool
-/// drains admitted requests first).
+/// drains admitted requests first). Dropping the handle before the request
+/// completes abandons it: items no worker has started yet complete as
+/// [`OutcomeKind::Interrupted`] without running the sampler.
 #[derive(Debug)]
-#[must_use = "dropping the handle discards the request's outcomes"]
+#[must_use = "dropping the handle abandons the request and discards its outcomes"]
 pub struct ResponseHandle {
     state: Arc<RequestState>,
     cursor: usize,
@@ -886,49 +771,23 @@ impl ResponseHandle {
         self.state.request
     }
 
-    /// Number of outcomes completed so far (not necessarily a prefix — the
-    /// iterator, by contrast, only releases the completed *prefix*).
-    pub fn completed(&self) -> usize {
-        lock(&self.state.board).completed
-    }
-
-    /// Non-blocking variant of the iterator step: returns the next
-    /// index-ordered outcome if it has already completed, `None` otherwise
-    /// (or when the request is exhausted).
-    pub fn try_next(&mut self) -> Option<SampleOutcome> {
-        if self.cursor >= self.state.request.count {
-            return None;
-        }
-        let board = lock(&self.state.board);
-        let outcome = board.slots[self.cursor].clone();
-        if outcome.is_some() {
-            self.cursor += 1;
-        }
-        outcome
-    }
-
     /// Blocks until the whole request has completed and returns the full
     /// [`SampleResponse`] — including outcomes that were already streamed
     /// through the iterator.
     pub fn wait(self) -> SampleResponse {
         let mut board = lock(&self.state.board);
-        while board.finished_at.is_none() {
-            board = self
-                .state
-                .ready
-                .wait(board)
-                .expect("a sampler service worker panicked");
-        }
+        let finished_at = loop {
+            if let Some(finished_at) = board.finished_at {
+                break finished_at;
+            }
+            board = wait_on(&self.state.ready, board);
+        };
         // Take, don't clone: `wait` consumes the only handle and every
         // worker is done with a finished board, so the slots can be moved
         // out without doubling peak memory on large responses.
-        let outcomes: Vec<SampleOutcome> = board
-            .slots
-            .drain(..)
-            .map(|slot| slot.expect("finished request has empty slots"))
-            .collect();
-        let finished_at = board.finished_at.expect("checked above");
+        let outcomes: Vec<SampleOutcome> = board.slots.drain(..).flatten().collect();
         drop(board);
+        debug_assert_eq!(outcomes.len(), self.state.request.count);
         let mut aggregate_stats = SampleStats::default();
         for outcome in &outcomes {
             aggregate_stats.accumulate(&outcome.stats);
@@ -939,6 +798,13 @@ impl ResponseHandle {
             aggregate_stats,
             round_trip: finished_at.duration_since(self.state.submitted_at),
         }
+    }
+}
+
+impl Drop for ResponseHandle {
+    /// Abandons the request. A no-op for a request that already completed.
+    fn drop(&mut self) {
+        self.state.abandoned.store(true, Ordering::Relaxed);
     }
 }
 
@@ -957,11 +823,7 @@ impl Iterator for ResponseHandle {
                 self.cursor += 1;
                 return Some(outcome.clone());
             }
-            board = self
-                .state
-                .ready
-                .wait(board)
-                .expect("a sampler service worker panicked");
+            board = wait_on(&self.state.ready, board);
         }
     }
 }
@@ -1025,9 +887,7 @@ mod tests {
         let f = formula_with_count(3, 0);
         let service = SamplerService::try_new(
             UniGen::new(&f, UniGenConfig::default()).unwrap(),
-            ServiceConfig::default()
-                .with_workers(2)
-                .with_queue_capacity(1),
+            ServiceConfig::default().with_workers(2),
         )
         .unwrap();
         let response = service.submit(SampleRequest::new(0, 1)).wait();
@@ -1175,17 +1035,18 @@ mod tests {
         }
     }
 
-    /// Work-stealing fairness: with every expensive sample concentrated in
-    /// the first worker's chunk, idle workers must steal the skew away
-    /// instead of letting one deque serialise the batch (which is exactly
-    /// what the old static partition did).
+    /// One-queue fairness: with every expensive sample at the front of the
+    /// batch, the workers must share the skew instead of letting one of
+    /// them serialise it (which is what a static partition into contiguous
+    /// per-worker chunks did). (The name predates the one-queue pool, whose
+    /// workers all pop the same FIFO; there is no stealing left.)
     #[test]
     fn stealing_spreads_an_adversarially_skewed_chunk() {
         const COUNT: usize = 64;
         const EXPENSIVE: usize = 16;
         const WORKERS: usize = 4;
         let seed = 0x5eed;
-        // With 4 workers and 64 samples the first contiguous chunk is
+        // With 4 workers and 64 samples a static partition's first chunk is
         // indices 0..16 — make exactly those expensive. The sampler only
         // sees the RNG stream, so identify an index by its stream's first
         // draw (streams are disjoint by the SplitMix64 mix).
@@ -1200,25 +1061,16 @@ mod tests {
         let prototype = SkewedSampler::new(expensive, Duration::from_millis(3));
         let registry = Arc::clone(&prototype.registry);
 
-        let service = SamplerService::try_new(
-            prototype,
-            ServiceConfig::default()
-                .with_workers(WORKERS)
-                .with_queue_capacity(1),
-        )
-        .unwrap();
+        let service =
+            SamplerService::try_new(prototype, ServiceConfig::default().with_workers(WORKERS))
+                .unwrap();
         let response = service.submit(SampleRequest::new(COUNT, seed)).wait();
         assert_eq!(response.outcomes.len(), COUNT);
-
-        // The scheduler stole, and the per-sample counters surfaced it.
-        let steals = response.aggregate_stats.steals;
-        assert!(steals >= 4, "only {steals} items were stolen");
         let pool = service.pool();
-        assert_eq!(pool.worker_steals().iter().sum::<u64>(), steals as u64);
         assert_eq!(pool.worker_items().iter().sum::<u64>(), COUNT as u64);
 
         // Fairness: no single worker ran the lion's share of the expensive
-        // chunk (static chunking pins all 16 to worker 0).
+        // prefix (static chunking pins all 16 to worker 0).
         let per_worker: Vec<usize> = registry
             .lock()
             .unwrap()
@@ -1232,61 +1084,6 @@ mod tests {
             max <= EXPENSIVE - 4,
             "expensive items stayed serialised on one worker: {per_worker:?}"
         );
-    }
-
-    #[test]
-    fn try_submit_backpressure_hands_the_request_back() {
-        // A gated sampler: every sample blocks until the test opens the gate,
-        // so the queue-full window is deterministic, not timing-dependent.
-        #[derive(Clone)]
-        struct Gated {
-            gate: Arc<(Mutex<bool>, Condvar)>,
-        }
-        impl WitnessSampler for Gated {
-            fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
-                let (lock, condvar) = &*self.gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = condvar.wait(open).unwrap();
-                }
-                SampleOutcome::bottom(SampleStats::default())
-            }
-            fn name(&self) -> &'static str {
-                "Gated"
-            }
-        }
-
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let service = SamplerService::try_new(
-            Gated {
-                gate: Arc::clone(&gate),
-            },
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1),
-        )
-        .unwrap();
-        let first = service.submit(SampleRequest::new(2, 1));
-        // The queue (capacity 1) now holds the blocked request: a second
-        // submission must be rejected and returned verbatim.
-        let rejected = service.try_submit(SampleRequest::new(3, 2));
-        match rejected {
-            Err(TrySubmitError::QueueFull { request }) => {
-                assert_eq!(request, SampleRequest::new(3, 2));
-            }
-            other => panic!("expected QueueFull, got {other:?}"),
-        }
-        // Open the gate; the first request drains and capacity frees up.
-        {
-            let (lock, condvar) = &*gate;
-            *lock.lock().unwrap() = true;
-            condvar.notify_all();
-        }
-        let response = first.wait();
-        assert_eq!(response.outcomes.len(), 2);
-        let retried = service.try_submit(SampleRequest::new(3, 2));
-        assert!(retried.is_ok(), "capacity did not free after completion");
-        assert_eq!(retried.unwrap().wait().outcomes.len(), 3);
     }
 
     /// A sampler whose every `sample` call panics.
@@ -1308,7 +1105,6 @@ mod tests {
             Panicky,
             ServiceConfig::default()
                 .with_workers(1)
-                .with_queue_capacity(1)
                 .with_max_respawns(1),
         )
         .unwrap();
@@ -1321,7 +1117,7 @@ mod tests {
             .outcomes
             .iter()
             .all(|o| o.kind == OutcomeKind::Faulted && o.stats.retries == 1));
-        // The queue slot was released, and a later request gets the same
+        // The request left the pending count, and a later request gets the same
         // per-item treatment from the same, still-whole pool.
         assert_eq!(service.pool().health().pending_requests, 0);
         let response = service.submit(SampleRequest::new(2, 9)).wait();
@@ -1384,12 +1180,7 @@ mod tests {
         let b = UniGen::new(&formula_with_count(7, 3), UniGenConfig::default()).unwrap();
         let serial_a = a.clone().sample_batch(7, 5);
         let serial_b = b.clone().sample_batch(6, 5);
-        let pool = WorkerPool::try_new(
-            ServiceConfig::default()
-                .with_workers(3)
-                .with_queue_capacity(8),
-        )
-        .unwrap();
+        let pool = WorkerPool::try_new(ServiceConfig::default().with_workers(3)).unwrap();
         let (service_a, service_b) = (pool.serve(a), pool.serve(b));
         let handles: Vec<(ResponseHandle, &Vec<SampleOutcome>)> = (0..3)
             .flat_map(|_| {
@@ -1423,12 +1214,7 @@ mod tests {
         }
         let serial_a = a.clone().sample_batch(4, 17);
         let serial_b = b.clone().sample_batch(3, 17);
-        let pool = WorkerPool::try_new(
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(8),
-        )
-        .unwrap();
+        let pool = WorkerPool::try_new(ServiceConfig::default().with_workers(1)).unwrap();
         let (service_a, service_b) = (pool.serve(a), pool.serve(b));
         let handles: Vec<(ResponseHandle, &Vec<SampleOutcome>)> = (0..3)
             .flat_map(|_| {
@@ -1457,18 +1243,13 @@ mod tests {
             ServiceConfig::default().with_workers(2),
         )
         .unwrap();
-        for submit_oversized in [
-            |s: &SamplerService| drop(s.submit(SampleRequest::new(usize::MAX, 1))),
-            |s: &SamplerService| drop(s.try_submit(SampleRequest::new(usize::MAX, 1))),
-        ] {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                submit_oversized(&service)
-            }));
-            assert!(caught.is_err(), "an unallocatable board must panic");
-            let response = service.submit(SampleRequest::new(3, 2)).wait();
-            assert_eq!(response.outcomes.len(), 3);
-            assert_eq!(service.pool().health().pending_requests, 0);
-        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(service.submit(SampleRequest::new(usize::MAX, 1)))
+        }));
+        assert!(caught.is_err(), "an unallocatable board must panic");
+        let response = service.submit(SampleRequest::new(3, 2)).wait();
+        assert_eq!(response.outcomes.len(), 3);
+        assert_eq!(service.pool().health().pending_requests, 0);
     }
 
     #[test]
@@ -1492,9 +1273,8 @@ mod tests {
         let prepared = UniGen::new(&f, UniGenConfig::default()).unwrap();
         let serial = prepared.clone().sample_batch(8, 0xfee1);
         // Worker 0 is scheduled to panic exactly once, on item 3. A single
-        // worker keeps the schedule deterministic: with more workers the
-        // item could be stolen and executed elsewhere, and the panic would
-        // never fire.
+        // worker keeps the schedule deterministic: with more workers another
+        // worker could pop the item, and the panic would never fire.
         let plan = Arc::new(FaultPlan::seeded(0x9).panic_worker_at(0, 3));
         let service = WorkerPool::try_with_fault_plan(
             ServiceConfig::default().with_workers(1),
@@ -1565,13 +1345,8 @@ mod tests {
         let serial_a = prepared.clone().sample_batch(7, 100);
         let serial_b = prepared.clone().sample_batch(5, 200);
         let serial_c = prepared.clone().sample_batch(9, 300);
-        let service = SamplerService::try_new(
-            prepared,
-            ServiceConfig::default()
-                .with_workers(3)
-                .with_queue_capacity(8),
-        )
-        .unwrap();
+        let service =
+            SamplerService::try_new(prepared, ServiceConfig::default().with_workers(3)).unwrap();
         // Submit everything before collecting anything: the three requests
         // interleave arbitrarily across the pool.
         let ha = service.submit(SampleRequest::new(7, 100));

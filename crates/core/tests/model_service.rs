@@ -1,11 +1,9 @@
-//! Model-checked protocol tests for the work-stealing sampler service.
+//! Model-checked protocol tests for the sampler service's one-queue pool.
 //!
 //! Every test in this file runs the *real* `SamplerService` — not a model of
 //! it — under `conc`'s controlled scheduler, which explores distinct thread
 //! interleavings up to a preemption bound with sleep-set pruning. A clean
-//! report means every explored schedule upheld the protocol invariant; the
-//! `*_race_is_found` test proves the exploration has teeth by re-introducing
-//! a historical bug and asserting the checker rediscovers it.
+//! report means every explored schedule upheld the protocol invariant.
 //!
 //! Budgets come from `conc::model::Config::from_env()` so CI can widen the
 //! search with `CONC_SCHEDULES` / `CONC_PREEMPTIONS` without code changes.
@@ -13,7 +11,7 @@
 use std::sync::Arc;
 
 use conc::atomic::{AtomicUsize, Ordering};
-use conc::model::{check, Config, FailureKind, Report};
+use conc::model::{check, Config, Report};
 use rand::RngCore;
 
 use unigen::{
@@ -106,69 +104,32 @@ fn assert_explored(cfg: &Config, report: &Report) {
     );
 }
 
-/// Protocol: a caller that returns from `wait()` can immediately
-/// `try_submit` a follow-up request — completion must release the queue
-/// slot before the finished board becomes visible.
-fn backpressure_round_trip_body() {
-    let service = SamplerService::try_new(
-        Stub,
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(1),
-    )
-    .unwrap();
-    let handle = service.submit(SampleRequest::new(1, 7));
-    let response = handle.wait();
-    assert_eq!(response.outcomes.len(), 1);
-    // The documented backpressure idiom: completion observed, so the slot
-    // must be free. This is exactly the invariant the pre-fix ordering
-    // violated.
-    service
-        .try_submit(SampleRequest::new(1, 8))
-        .expect("slot must be free once wait() has returned")
-        .wait();
+/// Protocol: once `wait()` returns, the request is no longer pending — the
+/// last outcome takes it off the pending count while the board lock is
+/// still held, before the finished board becomes visible — and a follow-up
+/// request round-trips the same way.
+fn pending_round_trip_body() {
+    let service = SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap();
+    for master_seed in [7, 8] {
+        let response = service.submit(SampleRequest::new(1, master_seed)).wait();
+        assert_eq!(response.outcomes.len(), 1);
+        assert_eq!(
+            service.pool().health().pending_requests,
+            0,
+            "the request was still pending once wait() had returned"
+        );
+    }
 }
 
-/// The fixed slot-release ordering upholds the backpressure protocol on
-/// every explored schedule.
+/// The pending count is exact at every `wait()` return on every explored
+/// schedule. (The name predates the one-queue pool, which has no admission
+/// slots left: the count it keeps is the one `health()` reports.)
 #[test]
 fn backpressure_slot_accounting_is_clean() {
     let cfg = protocol_config();
-    let report = check(cfg.clone(), backpressure_round_trip_body);
+    let report = check(cfg.clone(), pending_round_trip_body);
     assert!(report.failure.is_none(), "{report}");
     assert_explored(&cfg, &report);
-}
-
-/// Re-introduce the historical bug (slot released *after* the finished
-/// board is published) and assert the checker finds the spurious
-/// `QueueFull` within budget — the checker has teeth.
-#[test]
-fn reintroduced_backpressure_race_is_found() {
-    let cfg = protocol_config();
-    let report = check(cfg.clone(), || {
-        let service = SamplerService::try_new(
-            Stub,
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1),
-        )
-        .unwrap();
-        service.pool().debug_reintroduce_slot_release_race();
-        let response = service.submit(SampleRequest::new(1, 7)).wait();
-        assert_eq!(response.outcomes.len(), 1);
-        service
-            .try_submit(SampleRequest::new(1, 8))
-            .expect("slot must be free once wait() has returned")
-            .wait();
-    });
-    let failure = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("the re-introduced race went undetected: {report}"));
-    assert!(
-        matches!(&failure.kind, FailureKind::Panic(msg) if msg.contains("slot must be free")),
-        "unexpected failure class: {report}"
-    );
 }
 
 /// Satellite regression for the board → sched critical section: the only
@@ -179,7 +140,7 @@ fn reintroduced_backpressure_race_is_found() {
 #[test]
 fn board_sched_lock_nesting_is_acyclic_and_observed() {
     let cfg = protocol_config();
-    let report = check(cfg.clone(), backpressure_round_trip_body);
+    let report = check(cfg.clone(), pending_round_trip_body);
     assert!(report.failure.is_none(), "{report}");
     let service_edges: Vec<_> = report
         .lock_order_edges
@@ -204,9 +165,10 @@ fn board_sched_lock_nesting_is_acyclic_and_observed() {
     }
 }
 
-/// Protocol: with two workers and a deliberately unbalanced deal, stealing
-/// and completion never lose or duplicate an item — every index completes
-/// exactly once on every explored schedule.
+/// Protocol: two workers popping one queue while completions post never
+/// lose or duplicate an item — every index completes exactly once, and the
+/// workers executed exactly as many items as were queued, on every explored
+/// schedule. (The name predates the one-queue pool; nothing steals.)
 #[test]
 fn steal_vs_completion_never_loses_items() {
     let cfg = protocol_config();
@@ -221,6 +183,13 @@ fn steal_vs_completion_never_loses_items() {
                 .iter()
                 .all(|o| o.kind == OutcomeKind::Bottom),
             "an item was dropped or faulted"
+        );
+        let health = service.pool().health();
+        assert_eq!((health.pending_requests, health.queued_items), (0, 0));
+        assert_eq!(
+            service.pool().worker_items().iter().sum::<u64>(),
+            4,
+            "an item was executed twice or never"
         );
     });
     assert!(report.failure.is_none(), "{report}");
@@ -272,9 +241,9 @@ fn drop_while_handle_waiting_completes_request() {
 }
 
 /// Protocol: dropping a `ResponseHandle` mid-stream while workers still
-/// post outcomes never deadlocks or panics — outcomes land on a board
-/// whose only other owner is the worker side, and teardown drains
-/// normally.
+/// post outcomes never deadlocks or panics — the abandoned request's
+/// unstarted item completes as an interruption on a board whose only other
+/// owner is the worker side, and teardown drains normally.
 #[test]
 fn handle_dropped_mid_stream_is_clean() {
     let cfg = protocol_config();
@@ -282,9 +251,9 @@ fn handle_dropped_mid_stream_is_clean() {
         let service =
             SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap();
         let mut handle = service.submit(SampleRequest::new(2, 9));
-        // Consume at most one outcome, then abandon the stream while the
-        // worker may still be posting the second.
-        let _ = handle.try_next();
+        // Consume one outcome, then abandon the stream while the worker
+        // may be running, skipping or posting the second.
+        assert!(handle.next().is_some());
         drop(handle);
         drop(service);
     });

@@ -222,14 +222,12 @@ pub fn chaos_case(name: &str, formula: &CnfFormula, seed: u64, count: usize) -> 
     }
 
     // The service lane: a scheduled one-shot worker panic mid-batch. One
-    // worker keeps the schedule deterministic (a stolen item would execute
-    // on a worker the plan does not target).
+    // worker keeps the schedule deterministic (with more, another worker
+    // could pop the item, and the plan targets worker 0 only).
     let panic_item = (splitmix64(seed ^ 0x7a71c) % count as u64) as usize;
     let plan = Arc::new(FaultPlan::seeded(seed).panic_worker_at(0, panic_item));
     let service = match WorkerPool::try_with_fault_plan(
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(2),
+        ServiceConfig::default().with_workers(1),
         Some(Arc::clone(&plan)),
     ) {
         Ok(pool) => pool.serve(prepared),

@@ -413,15 +413,11 @@ pub fn service_case(name: &str, formula: &CnfFormula, seed: u64) -> Option<Strin
                     "{name} seed {seed:#x}: the certified lane verified zero proof steps"
                 ));
             }
-            let service = match SamplerService::try_new(
-                prepared,
-                ServiceConfig::default()
-                    .with_workers(2)
-                    .with_queue_capacity(4),
-            ) {
-                Ok(service) => service,
-                Err(e) => return Some(format!("{name} seed {seed:#x}: service refused: {e}")),
-            };
+            let service =
+                match SamplerService::try_new(prepared, ServiceConfig::default().with_workers(2)) {
+                    Ok(service) => service,
+                    Err(e) => return Some(format!("{name} seed {seed:#x}: service refused: {e}")),
+                };
             for round in 0..2 {
                 let response = service.submit(SampleRequest::new(count, seed)).wait();
                 if witness_sequence(&response.outcomes) != witness_sequence(&serial) {
@@ -455,15 +451,11 @@ pub fn service_case(name: &str, formula: &CnfFormula, seed: u64) -> Option<Strin
                     ));
                 }
             };
-            let service = match SamplerService::try_new(
-                prepared,
-                ServiceConfig::default()
-                    .with_workers(2)
-                    .with_queue_capacity(4),
-            ) {
-                Ok(service) => service,
-                Err(e) => return Some(format!("{name} seed {seed:#x}: service refused: {e}")),
-            };
+            let service =
+                match SamplerService::try_new(prepared, ServiceConfig::default().with_workers(2)) {
+                    Ok(service) => service,
+                    Err(e) => return Some(format!("{name} seed {seed:#x}: service refused: {e}")),
+                };
             for round in 0..2 {
                 let response = service
                     .submit(SampleRequest::new(count, seed.wrapping_add(round)))

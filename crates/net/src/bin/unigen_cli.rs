@@ -48,13 +48,13 @@
 //!
 //! The `batch` subcommand drives the request/response [`SamplerService`]:
 //! it prepares one UniGen sampler with [`UniGen::new`], spawns the
-//! persistent work-stealing pool once, submits one typed [`SampleRequest`]
+//! persistent one-queue pool once, submits one typed [`SampleRequest`]
 //! for `--samples` witnesses with master seed `--seed`, streams the
 //! response's witnesses as its index-ordered prefix completes, and prints
 //! the request's round-trip time and aggregate [`unigen::SampleStats`]
-//! (every non-zero counter, including the pool-stamped wall time, queue
-//! wait and steals). The run ends with the per-worker item and steal
-//! counts and a [`unigen::ServiceHealth`] summary.
+//! (every non-zero counter, including the pool-stamped wall time and queue
+//! wait). The run ends with the per-worker item counts and a
+//! [`unigen::ServiceHealth`] summary.
 //!
 //! Sample `i` draws its randomness from a dedicated stream derived from
 //! `(seed, i)` ([`unigen::stream_for_index`]), with or without `batch`, so
@@ -341,11 +341,7 @@ fn run_batch(
     }
     let service = SamplerService::try_new(sampler, config)
         .map_err(|e| format!("cannot start the sampler service: {e}"))?;
-    eprintln!(
-        "c service: {} worker thread(s), request queue capacity {}",
-        service.pool().workers(),
-        service.pool().queue_capacity()
-    );
+    eprintln!("c service: {} worker thread(s)", service.pool().workers());
 
     let mut handle = service.submit(SampleRequest::new(options.samples, options.seed));
     let mut produced = 0usize;
@@ -369,9 +365,8 @@ fn run_batch(
         produced as f64 / options.samples.max(1) as f64
     );
     eprintln!(
-        "c service totals: worker_items={:?} worker_steals={:?}",
-        service.pool().worker_items(),
-        service.pool().worker_steals()
+        "c service totals: worker_items={:?}",
+        service.pool().worker_items()
     );
     let health = service.pool().health();
     eprintln!(
@@ -736,12 +731,11 @@ fn run_client(options: &ClientOptions) -> Result<(), String> {
             }
         }
         eprintln!(
-            "c client: {} witnesses / {} requested, bsat_calls={} steals={} retries={} \
+            "c client: {} witnesses / {} requested, bsat_calls={} retries={} \
              degradations={} faults={} queue_wait={}us wall={}us",
             batch.successes,
             options.samples,
             batch.stats.bsat_calls,
-            batch.stats.steals,
             batch.stats.retries,
             batch.stats.degradations,
             batch.stats.faults_injected,

@@ -12,10 +12,12 @@
 //!   holding its lock, which stalls that connection and no other.
 //! - [`ConnRequests`]: the in-flight request table with per-request
 //!   cancellation flags.
-//! - [`run_request`]: the dispatch protocol — bounded `try_submit`
-//!   retries (so queue backpressure reaches the wire as a typed `Busy`
-//!   error), then streaming index-ordered chunks from the
-//!   `ResponseHandle` until done, cancelled, or disconnected.
+//! - [`run_request`]: the dispatch protocol — submit to the pool (which
+//!   admits at once; the daemon bounds its requests in flight before it
+//!   starts a request thread), then stream index-ordered chunks from the
+//!   `ResponseHandle` until done, cancelled, or disconnected. A request
+//!   that stops early drops its handle, which interrupts its unstarted
+//!   samples.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -23,9 +25,9 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-use conc::atomic::{AtomicBool, AtomicU64, Ordering};
+use conc::atomic::{AtomicBool, Ordering};
 use conc::sync::{Mutex, MutexGuard};
-use unigen::{SampleRequest, SamplerService, TrySubmitError};
+use unigen::{SampleRequest, SamplerService};
 use unigen_cnf::Var;
 
 use crate::wire::{self, ErrorCode, Frame, WireStats};
@@ -184,13 +186,10 @@ pub enum RequestEnd {
         /// Witness outcomes in the batch.
         successes: u64,
     },
-    /// The bounded `try_submit` retry budget ran out; a typed `Busy`
-    /// error was sent instead of a stream.
-    Busy,
-    /// A `Cancel` frame (or disconnect) stopped the stream early. The
-    /// underlying service request still runs to completion — dropping
-    /// the `ResponseHandle` is defined to free the queue slot once the
-    /// workers finish — but no further chunks are sent.
+    /// A `Cancel` frame (or disconnect) stopped the stream early. No
+    /// further chunks are sent, and dropping the `ResponseHandle`
+    /// abandons the service request: the samples no worker has started
+    /// complete as interruptions without touching the solver.
     Cancelled,
     /// A write failed mid-stream (client went away).
     Disconnected,
@@ -212,50 +211,21 @@ pub struct RequestJob {
 /// Drive one request through the service and stream its response.
 ///
 /// Runs on the request's own thread. `writer` is the connection's write
-/// lock; `cancel` is the flag registered in [`ConnRequests`];
-/// `submit_retries` is the connection's retry counter surfaced in the
-/// serve log; `retry_budget` bounds how many times a `QueueFull` is
-/// retried (with a scheduler yield between attempts) before the request is
-/// rejected as `Busy`. A writer blocked on a slow client does not hold the
-/// pool's queue slot: the workers finish the request regardless, and the
-/// last outcome they post frees the slot.
+/// lock; `cancel` is the flag registered in [`ConnRequests`]. A writer
+/// blocked on a slow client holds no pool resource: the workers finish
+/// the request's samples regardless, and once the write fails (the
+/// daemon shut the socket) the dropped handle interrupts the rest.
 pub fn run_request<W: Write>(
     service: &SamplerService,
     job: RequestJob,
     writer: &Mutex<W>,
     cancel: &AtomicBool,
-    submit_retries: &AtomicU64,
-    retry_budget: usize,
 ) -> RequestEnd {
-    let mut request = job.request;
-    let mut attempt = 0usize;
-    let handle = loop {
-        if cancel.load(Ordering::Acquire) {
-            send_error(writer, job.id, ErrorCode::Cancelled, "request cancelled");
-            return RequestEnd::Cancelled;
-        }
-        match service.try_submit(request) {
-            Ok(handle) => break handle,
-            Err(TrySubmitError::QueueFull { request: rejected }) => {
-                if attempt >= retry_budget {
-                    let detail =
-                        format!("service queue full after {attempt} retries; resubmit later");
-                    send_error(writer, job.id, ErrorCode::Busy, detail);
-                    return RequestEnd::Busy;
-                }
-                attempt += 1;
-                submit_retries.fetch_add(1, Ordering::Relaxed);
-                request = rejected;
-                conc::thread::yield_now();
-            }
-            // `TrySubmitError` is non-exhaustive; surface any future
-            // rejection kind as a retryable Busy rather than crashing.
-            Err(other) => {
-                send_error(writer, job.id, ErrorCode::Busy, other.to_string());
-                return RequestEnd::Busy;
-            }
-        }
-    };
+    if cancel.load(Ordering::Acquire) {
+        send_error(writer, job.id, ErrorCode::Cancelled, "request cancelled");
+        return RequestEnd::Cancelled;
+    }
+    let handle = service.submit(job.request);
 
     let begin = Frame::StreamBegin {
         id: job.id,
@@ -282,7 +252,6 @@ pub fn run_request<W: Write>(
             None => Vec::new(),
         };
         stats.bsat_calls += outcome.stats.bsat_calls as u64;
-        stats.steals += outcome.stats.steals as u64;
         stats.retries += outcome.stats.retries as u64;
         stats.degradations += outcome.stats.degradations as u64;
         stats.faults_injected += outcome.stats.faults_injected as u64;

@@ -4,8 +4,9 @@
 //! The crate turns the in-process [`unigen::SamplerService`] into a
 //! daemon on blocking std sockets: one accept thread per TCP or
 //! unix-domain listener, one reader thread per connection and one thread
-//! per request, all sampling on one shared work-stealing pool and
-//! speaking a versioned length-prefixed binary protocol ([`wire`]).
+//! per request (at most [`server::MAX_IN_FLIGHT_REQUESTS`] at once), all
+//! sampling on one shared one-queue pool and speaking a versioned
+//! length-prefixed binary protocol ([`wire`]).
 //! Per-connection state (the write lock every frame goes out under,
 //! cancellation flags, the dispatch protocol) lives in [`conn`] and is
 //! built exclusively on `conc` primitives, so the same code paths are

@@ -10,6 +10,14 @@
 //! socket's send buffer is the per-connection backpressure bound: a slow
 //! client stalls only its own writers.
 //!
+//! Admission is the daemon's one bound: at most [`MAX_IN_FLIGHT_REQUESTS`]
+//! requests are in flight daemon-wide, each from the moment its reader
+//! thread accepts it to the moment its request thread ends. A request over
+//! the limit is answered at once with a typed `Busy` error, so request
+//! threads, concurrent prepares and the outcome boards admitted to the
+//! pool (which itself admits everything) are all bounded by the same
+//! constant.
+//!
 //! The daemon spawns one `--jobs`-sized worker pool, and every formula
 //! samples on it. Prepared formula+spec pairs live in a fingerprint-keyed
 //! registry of prototypes, so repeat requests (and concurrent clients
@@ -36,7 +44,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use conc::atomic::{AtomicBool, AtomicU64, Ordering};
+use conc::atomic::{AtomicBool, Ordering};
 use conc::sync::{Condvar, Mutex, MutexGuard};
 use conc::thread::JoinHandle;
 use unigen::{
@@ -51,18 +59,21 @@ use crate::wire::{
     self, Decoder, ErrorCode, Family, FormulaRef, Frame, WireHealth, WireSpec, PROTOCOL_VERSION,
 };
 
-/// `QueueFull` retries before a request is rejected as `Busy`.
-const SUBMIT_RETRY_BUDGET: usize = 64;
-
 /// Pause after a failed `accept` (e.g. out of descriptors) before the
 /// accept thread tries again, so a persistent error cannot spin it.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Largest `count` one wire request may ask for; a larger one is rejected
 /// as `Malformed` before the pool is touched. An admitted request
-/// allocates all its outcome slots up front and holds a queue slot until
-/// its last item completes: the cap bounds both for every other formula.
+/// allocates all its outcome slots up front, so this cap times
+/// [`MAX_IN_FLIGHT_REQUESTS`] bounds the outcome memory of the daemon.
 pub const MAX_REQUEST_COUNT: u64 = 1 << 16;
+
+/// Most requests in flight at once, daemon-wide: one more is answered
+/// with a typed `Busy` error before any thread is started for it. A
+/// request is in flight from its admission by the reader thread until its
+/// request thread ends (rejected, streamed, cancelled or disconnected).
+pub const MAX_IN_FLIGHT_REQUESTS: usize = 16;
 
 fn lock_ok<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     match mutex.lock() {
@@ -384,6 +395,8 @@ struct Conns {
 struct Shared {
     registry: Registry,
     pool: WorkerPool,
+    /// Requests in flight, at most [`MAX_IN_FLIGHT_REQUESTS`].
+    requests_in_flight: Mutex<usize>,
     stop: AtomicBool,
     allow_shutdown: bool,
     quiet: bool,
@@ -457,6 +470,17 @@ impl Shared {
         lock_ok(&self.conns).open.remove(&token);
     }
 
+    /// Admits one more request in flight, or `None` when
+    /// [`MAX_IN_FLIGHT_REQUESTS`] are already.
+    fn admit_request(self: &Arc<Self>) -> Option<InFlight> {
+        let mut in_flight = lock_ok(&self.requests_in_flight);
+        if *in_flight >= MAX_IN_FLIGHT_REQUESTS {
+            return None;
+        }
+        *in_flight += 1;
+        Some(InFlight(Arc::clone(self)))
+    }
+
     /// Stops the daemon: sets the stop flag, shuts every open connection
     /// (unblocking its reader and failing its stalled writes) and wakes
     /// every accept thread. Only the first call does anything.
@@ -475,6 +499,23 @@ impl Shared {
                 self.log(|| format!("waking an accept thread failed: {err}"));
             }
         }
+    }
+}
+
+/// One admitted request's place under [`MAX_IN_FLIGHT_REQUESTS`]; dropping
+/// it, however the request thread ends, frees the place.
+struct InFlight(Arc<Shared>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        // A plain counter is valid after any step, so a poisoned lock is
+        // recovered rather than turned into a panic inside `drop`.
+        let mut in_flight = self
+            .0
+            .requests_in_flight
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *in_flight -= 1;
     }
 }
 
@@ -547,6 +588,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, NetError> {
     let mut shared = Shared {
         registry: Registry::new(config.max_formulas),
         pool,
+        requests_in_flight: Mutex::new(0),
         stop: AtomicBool::new(false),
         allow_shutdown: config.allow_shutdown,
         quiet: config.quiet,
@@ -639,7 +681,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
                         token,
                         writer: Mutex::new(socket.clone()),
                         requests: ConnRequests::new(),
-                        submit_retries: AtomicU64::new(0),
                     }),
                     socket,
                     peer,
@@ -668,7 +709,6 @@ struct Conn {
     /// The write lock: every frame goes out whole under it.
     writer: Mutex<Socket>,
     requests: ConnRequests,
-    submit_retries: AtomicU64,
 }
 
 /// A connection's reader thread: decodes frames, answers the
@@ -699,9 +739,8 @@ impl Session {
         self.conn.requests.cancel_all();
         self.shared.log(|| {
             format!(
-                "conn {token} closed ({}): {reason}; submit_retries={} in_flight={}",
+                "conn {token} closed ({}): {reason}; in_flight={}",
                 self.peer,
-                self.conn.submit_retries.load(Ordering::Relaxed),
                 self.conn.requests.active(),
             )
         });
@@ -830,6 +869,16 @@ impl Session {
         master_seed: u64,
         budget_micros: u64,
     ) {
+        let token = self.conn.token;
+        let Some(in_flight) = self.shared.admit_request() else {
+            let detail = format!(
+                "the daemon has {MAX_IN_FLIGHT_REQUESTS} requests in flight; resubmit later"
+            );
+            send_error(&self.conn.writer, id, ErrorCode::Busy, detail);
+            self.shared
+                .log(|| format!("conn {token} req {id}: rejected (busy)"));
+            return;
+        };
         let Some(cancel) = self.conn.requests.begin(id) else {
             let detail = format!("request id {id} is already in flight");
             send_error(&self.conn.writer, id, ErrorCode::Malformed, detail);
@@ -838,7 +887,7 @@ impl Session {
         let shared = Arc::clone(&self.shared);
         let conn = Arc::clone(&self.conn);
         let thread = conc::thread::spawn(move || {
-            let token = conn.token;
+            let _in_flight = in_flight;
             let resolved = match &formula {
                 _ if count > MAX_REQUEST_COUNT => Err((
                     ErrorCode::Malformed,
@@ -866,24 +915,14 @@ impl Session {
                         fingerprint: entry.fingerprint,
                         sampling_set: entry.sampling_set.clone(),
                     };
-                    let end = run_request(
-                        &entry.service,
-                        job,
-                        &conn.writer,
-                        &cancel,
-                        &conn.submit_retries,
-                        SUBMIT_RETRY_BUDGET,
-                    );
+                    let end = run_request(&entry.service, job, &conn.writer, &cancel);
                     conn.requests.finish(id);
                     shared.log(|| {
                         let health = shared.pool.health();
                         format!(
-                            "conn {token} req {id}: {end:?} fp={:016x} submit_retries={} \
+                            "conn {token} req {id}: {end:?} fp={:016x} \
                              pending_requests={} queued_items={}",
-                            entry.fingerprint,
-                            conn.submit_retries.load(Ordering::Relaxed),
-                            health.pending_requests,
-                            health.queued_items,
+                            entry.fingerprint, health.pending_requests, health.queued_items,
                         )
                     });
                 }

@@ -227,7 +227,9 @@ pub enum ErrorCode {
     Malformed,
     /// Protocol version mismatch in the hello handshake.
     UnsupportedVersion,
-    /// The service queue stayed full through the bounded retry budget.
+    /// The daemon already has
+    /// [`MAX_IN_FLIGHT_REQUESTS`](crate::server::MAX_IN_FLIGHT_REQUESTS)
+    /// requests in flight; the request was not started and may be resent.
     Busy,
     /// Fingerprint-referenced formula is not in the registry.
     UnknownFingerprint,
@@ -328,7 +330,10 @@ pub struct WireSpec {
 pub struct WireStats {
     /// Total BSAT (bounded-SAT enumeration) calls.
     pub bsat_calls: u64,
-    /// Work-stealing steals while the request ran.
+    /// Always 0. The pool has one queue and nothing steals any more; the
+    /// field stays in the `Done` layout so that clients built against
+    /// this protocol version keep decoding it, and goes with the next
+    /// protocol bump.
     pub steals: u64,
     /// Retries: cell retries inside the samplers plus item retries after
     /// worker panics.
@@ -363,9 +368,9 @@ pub struct WireHealth {
     pub item_retries: u64,
     /// Total faults injected by fault plans.
     pub faults_injected: u64,
-    /// Requests currently occupying queue slots.
+    /// Requests admitted to the pool and not yet completed.
     pub pending_requests: u64,
-    /// Work items waiting in the pool's deques (running items are not
+    /// Work items waiting in the pool's queue (running items are not
     /// counted).
     pub queued_items: u64,
     /// Open client connections.

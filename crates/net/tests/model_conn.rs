@@ -12,7 +12,7 @@
 //!    acquisition,
 //! 2. a client disconnect mid-stream (the socket shut under a writer
 //!    blocked on a full send buffer) releases the in-flight request entry
-//!    and the service queue slot.
+//!    and leaves no request pending in the pool.
 //!
 //! Budgets come from `conc::model::Config::from_env()` so CI can widen
 //! the search with `CONC_SCHEDULES` / `CONC_PREEMPTIONS`.
@@ -20,7 +20,6 @@
 use std::io::{self, Write};
 use std::sync::Arc;
 
-use conc::atomic::AtomicU64;
 use conc::model::{check, Config, Report};
 use conc::sync::{Condvar, Mutex};
 use rand::RngCore;
@@ -144,23 +143,14 @@ fn job(id: u64, count: usize, master_seed: u64) -> RequestJob {
 fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
-        let service = SamplerService::try_new(
-            Stub,
-            ServiceConfig::default()
-                .with_workers(1)
-                .with_queue_capacity(1),
-        )
-        .unwrap();
+        let service =
+            SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap();
         let writer = Arc::new(Mutex::new(Vec::<u8>::new()));
         let requests = ConnRequests::new();
         let cancel = requests.begin(1).expect("fresh id");
-        let retries = Arc::new(AtomicU64::new(0));
         let request_thread = {
             let writer = Arc::clone(&writer);
-            let retries = Arc::clone(&retries);
-            conc::thread::spawn(move || {
-                run_request(&service, job(1, 2, 5), &*writer, &cancel, &retries, 4)
-            })
+            conc::thread::spawn(move || run_request(&service, job(1, 2, 5), &*writer, &cancel))
         };
         // The reader's role: a connection-level frame written under the
         // same lock while the stream runs.
@@ -215,23 +205,19 @@ fn dispatch_writer_lock_order_is_acyclic_and_waker_runs_unlocked() {
 }
 
 /// Protocol 2: a client disconnect mid-stream ends the request thread promptly,
-/// clears the in-flight table, and releases the service queue slot — a
-/// fresh blocking submit completes on every explored schedule. The peer
-/// takes the `StreamBegin` frame and then stalls, so the request thread is
+/// clears the in-flight table, and leaves nothing pending in the pool — once
+/// a fresh request queued behind the abandoned one completes, the pool
+/// reports no pending request, on every explored schedule. The peer takes
+/// the `StreamBegin` frame and then stalls, so the request thread is
 /// blocked in a write (holding the write lock) when the reader shuts the
-/// socket and raises every cancel flag.
+/// socket and raises every cancel flag. (The name predates the one-queue
+/// pool, which has no admission slots.)
 #[test]
 fn disconnect_mid_stream_frees_the_service_slot() {
     let cfg = protocol_config();
     let report = check(cfg.clone(), || {
         let service = Arc::new(
-            SamplerService::try_new(
-                Stub,
-                ServiceConfig::default()
-                    .with_workers(1)
-                    .with_queue_capacity(1),
-            )
-            .unwrap(),
+            SamplerService::try_new(Stub, ServiceConfig::default().with_workers(1)).unwrap(),
         );
         let begin = Frame::StreamBegin {
             id: 1,
@@ -242,14 +228,12 @@ fn disconnect_mid_stream_frees_the_service_slot() {
         let writer = Arc::new(Mutex::new(PeerWriter(Arc::clone(&peer))));
         let requests = Arc::new(ConnRequests::new());
         let cancel = requests.begin(1).expect("fresh id");
-        let retries = Arc::new(AtomicU64::new(0));
         let request_thread = {
             let service = Arc::clone(&service);
             let writer = Arc::clone(&writer);
             let requests = Arc::clone(&requests);
-            let retries = Arc::clone(&retries);
             conc::thread::spawn(move || {
-                let end = run_request(&service, job(1, 3, 9), &*writer, &cancel, &retries, 4);
+                let end = run_request(&service, job(1, 3, 9), &*writer, &cancel);
                 requests.finish(1);
                 end
             })
@@ -268,10 +252,12 @@ fn disconnect_mid_stream_frees_the_service_slot() {
             0,
             "disconnect clears the in-flight table"
         );
-        // The released slot: a fresh blocking submit must complete (a
-        // leaked slot would deadlock this schedule and fail the check).
+        // One worker and one queue: once a fresh request completes, every
+        // item queued before it has completed too, so the abandoned request
+        // must have left the pending count.
         let response = service.submit(SampleRequest::new(1, 13)).wait();
         assert_eq!(response.outcomes.len(), 1);
+        assert_eq!(service.pool().health().pending_requests, 0);
     });
     assert!(report.failure.is_none(), "{report}");
     assert_explored(&cfg, &report);

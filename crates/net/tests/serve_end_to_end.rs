@@ -12,7 +12,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use unigen::{
     OutcomeKind, UniGen, UniGenConfig, UniWit, UniWitConfig, UniformSampler, WitnessSampler,
@@ -20,7 +20,7 @@ use unigen::{
 };
 use unigen_cnf::dimacs;
 use unigen_net::client::{Client, ClientError, ClientRequest};
-use unigen_net::server::{default_spec, MAX_REQUEST_COUNT};
+use unigen_net::server::{default_spec, MAX_IN_FLIGHT_REQUESTS, MAX_REQUEST_COUNT};
 use unigen_net::wire::{self, Family, WireSpec};
 use unigen_net::{serve, Decoder, ErrorCode, Frame, ServeConfig, PROTOCOL_VERSION};
 
@@ -689,4 +689,127 @@ fn wire_shutdown_returns_promptly_with_idle_connections() {
     within_bound("ServerHandle::wait", move || handle.wait());
     assert_closed(tcp, "tcp");
     assert_closed(unix, "unix");
+}
+
+/// A random 3-CNF over 24 variables with 48 clauses (splitmix64 from a
+/// fixed seed). It has about 6·10^4 witnesses, so UniGen prepares it in
+/// hashed mode within milliseconds, and each sample then costs a few
+/// milliseconds of solver work.
+fn hashed_formula() -> String {
+    let mut state: u64 = 0x5eed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut text = String::from("p cnf 24 48\n");
+    for _ in 0..48 {
+        for _ in 0..3 {
+            let r = next();
+            let sign = if r >> 32 & 1 == 1 { "-" } else { "" };
+            text.push_str(&format!("{sign}{} ", r % 24 + 1));
+        }
+        text.push_str("0\n");
+    }
+    text
+}
+
+/// A raw connection that has completed the handshake and sent `requests`
+/// for [`hashed_formula`]; every read on it times out after 30 s.
+fn hashed_requests(path: &Path, requests: impl IntoIterator<Item = (u64, u64)>) -> UnixStream {
+    let mut stream = idle_peer(UnixStream::connect(path).expect("raw connect"), |s| {
+        s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .expect("read timeout set")
+    });
+    for (id, count) in requests {
+        let request = Frame::Request {
+            id,
+            formula: wire::FormulaRef::Inline(hashed_formula().into_bytes()),
+            spec: test_spec(),
+            count,
+            master_seed: id,
+            budget_micros: 0,
+        };
+        stream.write_all(&request.encode()).expect("request sent");
+    }
+    stream
+}
+
+/// Regression: a request whose client stopped reading is abandoned when
+/// the daemon shuts down, and its unstarted samples are interrupted
+/// instead of run. `ServerHandle::shutdown` used to wait until the pool had
+/// sampled every queued item of such a request: for a
+/// [`MAX_REQUEST_COUNT`] hashed request on one worker, minutes.
+#[test]
+fn shutdown_is_prompt_with_a_non_reading_max_count_request() {
+    let mut config = unix_config("non-reading");
+    config.workers = 1;
+    let handle = serve(config).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let mut stalled = hashed_requests(&path, [(1, MAX_REQUEST_COUNT)]);
+    let mut decoder = Decoder::new();
+    match next_frame(&mut stalled, &mut decoder) {
+        Frame::StreamBegin { id: 1, .. } => {}
+        other => panic!("expected StreamBegin, got {other:?}"),
+    }
+    // Prepared and streaming; read nothing more.
+    within_bound("ServerHandle::shutdown", move || handle.shutdown());
+    drop(stalled);
+}
+
+/// The daemon's one admission bound: one connection that stopped reading
+/// holds [`MAX_IN_FLIGHT_REQUESTS`] requests in flight, and another
+/// connection's request is answered at once with a typed `Busy`. Once the
+/// first connection goes, its abandoned requests free their places
+/// promptly, and the same request is served bit-identical to
+/// `sample_batch`.
+#[test]
+fn requests_past_the_in_flight_bound_are_busy_until_a_place_frees() {
+    let mut config = unix_config("in-flight");
+    config.workers = 1;
+    let handle = serve(config).expect("daemon starts");
+    let path = handle.unix_path().expect("unix listener bound").clone();
+
+    let ids = 1..=MAX_IN_FLIGHT_REQUESTS as u64;
+    let mut greedy = hashed_requests(&path, ids.map(|id| (id, 4096)));
+    // The reader thread admits frames in order, so once it has answered a
+    // health request sent after them, every request above is in flight:
+    // each holds at least seconds of one-worker sampling.
+    greedy
+        .write_all(&Frame::HealthReq.encode())
+        .expect("health request sent");
+    let mut decoder = Decoder::new();
+    while !matches!(next_frame(&mut greedy, &mut decoder), Frame::Health(_)) {}
+
+    let request = ClientRequest::inline(DIMACS, 16, 6).with_spec(test_spec());
+    let mut client = Client::connect_unix(&path).expect("second client connects");
+    let (mut client, busy) = within_bound("the answer past the bound", {
+        let request = request.clone();
+        move || {
+            let answer = client.sample(&request);
+            (client, answer)
+        }
+    });
+    match busy {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Busy),
+        other => panic!("expected a typed Busy rejection, got {other:?}"),
+    }
+
+    drop(greedy);
+    let batch = within_bound("the request once the greedy client left", move || loop {
+        match client.sample(&request) {
+            Err(ClientError::Rejected {
+                code: ErrorCode::Busy,
+                ..
+            }) => std::thread::sleep(std::time::Duration::from_millis(10)),
+            answer => break answer,
+        }
+    })
+    .expect("the request is served once places free");
+    assert_batch_matches_reference(&batch, 16, 6);
+
+    handle.shutdown();
 }

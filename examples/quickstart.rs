@@ -91,11 +91,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // aggregate statistics pre-folded.
     let response = handle.wait();
     println!(
-        "request round trip: {:?} for {} witnesses ({} BSAT calls, {} stolen work items, total queue wait {:?})",
+        "request round trip: {:?} for {} witnesses ({} BSAT calls, total queue wait {:?})",
         response.round_trip,
         response.successes(),
         response.aggregate_stats.bsat_calls,
-        response.aggregate_stats.steals,
         response.aggregate_stats.queue_wait
     );
     Ok(())

@@ -112,7 +112,7 @@ proptest! {
     /// interleaved* requests: two requests with distinct master seeds and
     /// different counts, submitted before either is collected, each
     /// reproduce their own `sample_batch` reference bit for bit — at 1, 2
-    /// and 8 workers, through the work-stealing deque scheduler, on one
+    /// and 8 workers, through the pool's one queue, on one
     /// persistent pool per worker count. The response's aggregate statistics
     /// must equal folding the outcomes with `SampleStats::accumulate`.
     #[test]
@@ -131,7 +131,7 @@ proptest! {
         for workers in [1usize, 2, 8] {
             let service = SamplerService::try_new(
                 prepared.clone(),
-                ServiceConfig::default().with_workers(workers).with_queue_capacity(4),
+                ServiceConfig::default().with_workers(workers),
             )
             .unwrap();
             // Interleave: both requests live in the pool at once.

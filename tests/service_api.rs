@@ -1,6 +1,6 @@
 //! End-to-end coverage of the service-oriented sampling API: typed
-//! request/response messages, streaming handles,
-//! bounded queueing with backpressure, and — for **every** sampler family —
+//! request/response messages, streaming handles, abandoned requests, and —
+//! for **every** sampler family —
 //! the bit-identical-to-`sample_batch` determinism contract at 1, 2 and 8
 //! workers.
 
@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use rand::RngCore;
 
 use unigen::{
-    SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, TrySubmitError,
-    UniGen, UniGenConfig, UniWit, UniWitConfig, UniformSampler, WitnessSampler, XorSamplePrime,
-    XorSamplePrimeConfig,
+    SampleOutcome, SampleRequest, SampleStats, SamplerService, ServiceConfig, UniGen, UniGenConfig,
+    UniWit, UniWitConfig, UniformSampler, WitnessSampler, XorSamplePrime, XorSamplePrimeConfig,
 };
 use unigen_cnf::{CnfFormula, Var, XorClause};
 
@@ -102,86 +101,32 @@ proptest! {
     }
 }
 
-/// Bounded queueing: `try_submit` rejects with the request handed back once
-/// the queue is at capacity, and capacity frees as requests complete. The
-/// blocking window is made deterministic with a gated sampler rather than
-/// timing.
-#[test]
-fn bounded_queue_backpressure_round_trip() {
-    use conc::sync::{Condvar, Mutex};
-    use std::sync::Arc;
-
-    #[derive(Clone)]
-    struct Gated {
-        gate: Arc<(Mutex<bool>, Condvar)>,
-    }
-    impl WitnessSampler for Gated {
-        fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
-            let (lock, condvar) = &*self.gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = condvar.wait(open).unwrap();
-            }
-            SampleOutcome::bottom(SampleStats::default())
-        }
-        fn name(&self) -> &'static str {
-            "Gated"
-        }
-    }
-
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let service = SamplerService::try_new(
-        Gated {
-            gate: Arc::clone(&gate),
-        },
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(2),
-    )
-    .unwrap();
-    let first = service.submit(SampleRequest::new(3, 1));
-    let second = service.submit(SampleRequest::new(3, 2));
-    let rejected = service.try_submit(SampleRequest::new(3, 3));
-    match rejected {
-        Err(TrySubmitError::QueueFull { request }) => {
-            // The rejected request comes back verbatim: the idempotent-retry
-            // token for an RPC front end.
-            assert_eq!(request, SampleRequest::new(3, 3));
-        }
-        other => panic!("expected QueueFull, got {other:?}"),
-    }
-    {
-        let (lock, condvar) = &*gate;
-        *lock.lock().unwrap() = true;
-        condvar.notify_all();
-    }
-    assert_eq!(first.wait().outcomes.len(), 3);
-    assert_eq!(second.wait().outcomes.len(), 3);
-    let retried = service.try_submit(SampleRequest::new(3, 3)).unwrap();
-    assert_eq!(retried.wait().outcomes.len(), 3);
-}
-
 /// Regression (handle lifecycle audit): a `ResponseHandle` dropped
 /// mid-stream — while workers are still blocked *executing* that request's
-/// items — must not wedge or panic the service. The request's board simply
-/// loses its reader; workers keep posting outcomes into it and release the
-/// queue slot on completion, so the service stays usable and drains cleanly
-/// on drop.
+/// items — must not wedge or panic the service, and the items no worker
+/// started yet must never reach the sampler: the abandoned request's
+/// remaining items complete as interruptions, so the service stays usable
+/// and drains cleanly on drop.
 #[test]
 fn handle_dropped_mid_stream_leaves_service_usable() {
     use conc::sync::{Condvar, Mutex};
     use std::sync::Arc;
 
+    /// The gate: whether it is open, and how many `sample` calls began.
+    type Gate = (Mutex<(bool, usize)>, Condvar);
+
     #[derive(Clone)]
     struct Gated {
-        gate: Arc<(Mutex<bool>, Condvar)>,
+        gate: Arc<Gate>,
     }
     impl WitnessSampler for Gated {
         fn sample(&mut self, _rng: &mut dyn RngCore) -> SampleOutcome {
             let (lock, condvar) = &*self.gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = condvar.wait(open).unwrap();
+            let mut state = lock.lock().unwrap();
+            state.1 += 1;
+            condvar.notify_all();
+            while !state.0 {
+                state = condvar.wait(state).unwrap();
             }
             SampleOutcome::bottom(SampleStats::default())
         }
@@ -190,31 +135,39 @@ fn handle_dropped_mid_stream_leaves_service_usable() {
         }
     }
 
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate: Arc<Gate> = Arc::new((Mutex::new((false, 0)), Condvar::new()));
     let service = SamplerService::try_new(
         Gated {
             gate: Arc::clone(&gate),
         },
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(1),
+        ServiceConfig::default().with_workers(2),
     )
     .unwrap();
-    let mut abandoned = service.submit(SampleRequest::new(4, 1));
-    // The workers are (or will shortly be) parked inside `sample` on the
-    // closed gate; the stream has produced nothing yet.
-    assert_eq!(abandoned.completed(), 0);
-    assert!(abandoned.try_next().is_none());
+    let abandoned = service.submit(SampleRequest::new(4, 1));
+    // Wait until both workers are parked inside `sample` on the closed
+    // gate, on items 0 and 1; items 2 and 3 are still queued.
+    {
+        let (lock, condvar) = &*gate;
+        let mut state = lock.lock().unwrap();
+        while state.1 < 2 {
+            state = condvar.wait(state).unwrap();
+        }
+    }
     drop(abandoned);
     {
         let (lock, condvar) = &*gate;
-        *lock.lock().unwrap() = true;
+        lock.lock().unwrap().0 = true;
         condvar.notify_all();
     }
-    // The orphaned request still completes and frees its queue slot, so a
-    // follow-up submission is admitted and answered in full.
+    // The orphaned request completes without sampling its queued items,
+    // and a follow-up submission behind it is answered in full.
     let follow_up = service.submit(SampleRequest::new(3, 2)).wait();
     assert_eq!(follow_up.outcomes.len(), 3);
+    assert_eq!(
+        gate.0.lock().unwrap().1,
+        2 + 3,
+        "an abandoned request's unstarted items reached the sampler"
+    );
     service.shutdown();
 }
 

@@ -117,13 +117,8 @@ fn service_answers_unsat_requests_with_clean_bottoms() {
     let serial = uniwit.clone().sample_batch(6, 0x5eed);
     assert!(serial.iter().all(|o| o.witness.is_none()));
 
-    let service = SamplerService::try_new(
-        uniwit,
-        ServiceConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(4),
-    )
-    .unwrap();
+    let service =
+        SamplerService::try_new(uniwit, ServiceConfig::default().with_workers(2)).unwrap();
     for round in 0u64..3 {
         let response = service.submit(SampleRequest::new(6, 0x5eed + round)).wait();
         assert_eq!(response.outcomes.len(), 6, "round {round} lost outcomes");
