@@ -9,7 +9,7 @@ use unigen::{SampleStats, UniGen, UniGenConfig, UniWit, UniWitConfig, WitnessSam
 use unigen_circuit::benchmarks::{self, Benchmark};
 use unigen_cnf::{CnfFormula, Var, XorClause};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{enumerate_cell, Budget, GaussMode, Solver, SolverConfig};
+use unigen_satsolver::{enumerate_cell, Budget, GaussMode, KnownWitnesses, Solver, SolverConfig};
 
 use crate::gate::{geomean, json_number, Comparison, GateReport};
 
@@ -541,7 +541,14 @@ fn probe_operating_width(
     let mut solver = Solver::from_formula(&benchmark.formula);
     for width in 1..=sampling.len() {
         let layer = family.sample(width, rng).to_xor_clauses();
-        let outcome = enumerate_cell(&mut solver, &sampling, &layer, bound + 1, &Budget::new());
+        let outcome = enumerate_cell(
+            &mut solver,
+            &sampling,
+            &layer,
+            bound + 1,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         if outcome.len() <= bound {
             return width;
         }
@@ -616,7 +623,14 @@ fn measure_guarded_loop(
     let mut witnesses = 0usize;
     let mut fingerprint = 0u64;
     for (cell_index, layer) in layers.iter().enumerate() {
-        let outcome = enumerate_cell(&mut solver, sampling, layer, bound, budget);
+        let outcome = enumerate_cell(
+            &mut solver,
+            sampling,
+            layer,
+            bound,
+            budget,
+            &KnownWitnesses::new(),
+        );
         witnesses += outcome.len();
         fingerprint = fold_cell(
             fingerprint,

@@ -2,16 +2,27 @@
 //! ApproxMC, on one solver) per instance on a fixed corpus — the
 //! measurement behind `BENCH_prepare.json` and the CI gate on it.
 //!
-//! The gate number is the geometric mean of prepares per second. Next to
-//! each time the report records the deterministic work of the prepare: its
-//! `BSAT` calls (one guard each on the prepared solver, line 4's included),
-//! the ApproxMC estimate, the hash-width window's upper end `q`, and the
-//! solver's propagations and conflicts. `--check` pins the calls, the
-//! estimate and `q` of every instance exactly, so a change that moves any
-//! of them must regenerate the baseline and say so. The times are raw
-//! seconds on the measuring host, so the numeric half is compared only on
-//! a host with the baseline's CPU count (see [`crate::gate::same_host`]).
+//! Each prepare is timed between two runs of a fixed reference kernel
+//! ([`reference_kernel`]), and the gate number is the geometric mean, over
+//! the instances, of the reference's time divided by the prepare's: how
+//! many prepares fit in one reference run. A host that runs slower for a
+//! while slows the reference beside it, so the drift between runs minutes
+//! apart (raw prepares per second moved by up to 20 % at an unchanged
+//! commit) cancels out of the ratio, while a slower prepare still lowers
+//! it. The raw geometric mean of prepares per second is reported beside
+//! it, ungated.
+//!
+//! Next to each time the report records the deterministic work of the
+//! prepare: its `BSAT` calls (one guard each on the prepared solver, line
+//! 4's included), the ApproxMC estimate, the hash-width window's upper end
+//! `q`, and the solver's propagations and conflicts. `--check` pins the
+//! calls, the estimate and `q` of every instance exactly, so a change that
+//! moves any of them must regenerate the baseline and say so. The ratio
+//! still depends on the kind of CPU, so the numeric half is compared only
+//! on a host with the baseline's CPU count (see
+//! [`crate::gate::same_host`]).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use unigen::{PreparedMode, UniGen, UniGenConfig};
@@ -28,8 +39,11 @@ pub struct PrepareInstance {
     pub num_vars: usize,
     /// Sampling-set size.
     pub sampling_set_size: usize,
-    /// Wall-clock seconds of `UniGen::new`.
+    /// Wall-clock seconds of the fastest `UniGen::new`.
     pub seconds: f64,
+    /// Wall-clock seconds of the fastest [`reference_kernel`] run around
+    /// the prepares.
+    pub reference_seconds: f64,
     /// `BSAT` calls of the prepare: line 4's and ApproxMC's.
     pub bsat_calls: u64,
     /// Propagations of the prepared solver.
@@ -67,14 +81,63 @@ pub fn prepare_bench_suite() -> Vec<Benchmark> {
         .collect()
 }
 
-/// Prepares every instance once, at the default configuration.
+/// Steps of [`reference_kernel`]: about 7 ms on a 2-vCPU host, as long as
+/// a small prepare.
+const REFERENCE_STEPS: u64 = 1 << 20;
+
+/// Prepares of each instance per run. Each is timed between reference
+/// runs, and the fastest prepare and the fastest reference run are kept,
+/// so a stall on a shared host that hits one of them is dropped.
+const REPEATS: usize = 3;
+
+/// The yardstick prepares are timed against: a fixed pseudo-random walk of
+/// reads, data-dependent branches and writes over a 256 KiB table, close
+/// to how a solver touches its clause arena. It uses nothing from the
+/// workspace, so no change to the code under test can speed it up.
+pub fn reference_kernel() -> u64 {
+    const WORDS: usize = 1 << 15;
+    let mut table = vec![0u64; WORDS];
+    let (mut x, mut acc) = (0x9e37_79b9_7f4a_7c15u64, 0u64);
+    for _ in 0..REFERENCE_STEPS {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let slot = x as usize & (WORDS - 1);
+        if table[slot] & 1 == 0 {
+            table[slot] = table[slot].wrapping_add(x | 1);
+        } else {
+            table[slot] ^= x >> 3;
+        }
+        acc = acc.wrapping_add(table[(slot ^ acc as usize) & (WORDS - 1)]);
+    }
+    acc
+}
+
+/// Wall-clock seconds of one [`reference_kernel`] run.
+fn time_reference() -> f64 {
+    let start = Instant::now();
+    black_box(reference_kernel());
+    start.elapsed().as_secs_f64()
+}
+
+/// Prepares every instance `REPEATS` times, at the default
+/// configuration, each prepare between two timed runs of
+/// [`reference_kernel`], and keeps the fastest of each.
 pub fn run_prepare_bench(suite: &[Benchmark]) -> PrepareReport {
     let instances = suite
         .iter()
         .map(|bench| {
-            let start = Instant::now();
-            let prepared = UniGen::new(&bench.formula, UniGenConfig::default());
-            let seconds = start.elapsed().as_secs_f64();
+            let mut reference_seconds = time_reference();
+            let mut seconds = f64::INFINITY;
+            let mut prepared = None;
+            for _ in 0..REPEATS {
+                let start = Instant::now();
+                let sampler = UniGen::new(&bench.formula, UniGenConfig::default());
+                seconds = seconds.min(start.elapsed().as_secs_f64());
+                reference_seconds = reference_seconds.min(time_reference());
+                prepared = Some(sampler);
+            }
+            let prepared = prepared.expect("REPEATS is at least one");
             let (stats, hashed) = match &prepared {
                 Ok(sampler) => (
                     *sampler.solver_stats(),
@@ -90,6 +153,7 @@ pub fn run_prepare_bench(suite: &[Benchmark]) -> PrepareReport {
                 num_vars: bench.formula.num_vars(),
                 sampling_set_size: bench.formula.sampling_set_or_all().len(),
                 seconds,
+                reference_seconds,
                 bsat_calls: stats.guards_created,
                 propagations: stats.propagations,
                 conflicts: stats.conflicts,
@@ -106,6 +170,12 @@ pub fn run_prepare_bench(suite: &[Benchmark]) -> PrepareReport {
 }
 
 impl PrepareReport {
+    /// Geometric mean of prepares per second, reported beside the gate
+    /// number.
+    pub fn prepares_per_second(&self) -> f64 {
+        geomean(self.instances.iter().map(|i| 1.0 / i.seconds))
+    }
+
     /// Each instance's pinned work: name, `BSAT` calls, estimate and `q`.
     fn pins(&self) -> Vec<(String, u64, u128, usize)> {
         self.instances
@@ -120,10 +190,14 @@ impl PrepareReport {
 
 impl GateReport for PrepareReport {
     const FILE: &'static str = "BENCH_prepare.json";
-    const KEY: &'static str = "geomean_prepares_per_second";
+    const KEY: &'static str = "geomean_prepares_per_reference";
 
     fn score(&self) -> f64 {
-        geomean(self.instances.iter().map(|i| 1.0 / i.seconds))
+        geomean(
+            self.instances
+                .iter()
+                .map(|i| i.reference_seconds / i.seconds),
+        )
     }
 
     fn unsound(&self) -> Option<&'static str> {
@@ -149,11 +223,12 @@ impl GateReport for PrepareReport {
 
     fn summary(&self) -> String {
         let mut out = format!(
-            "{:<18} {:>6} {:>4} {:>10} {:>6} {:>9} {:>3} {:>13} {:>9}\n",
+            "{:<18} {:>6} {:>4} {:>10} {:>8} {:>6} {:>9} {:>3} {:>13} {:>9}\n",
             "instance",
             "vars",
             "|S|",
             "prepare(s)",
+            "ref(s)",
             "bsat",
             "estimate",
             "q",
@@ -163,11 +238,12 @@ impl GateReport for PrepareReport {
         for i in &self.instances {
             let (estimate, q) = i.hashed.unwrap_or_default();
             out.push_str(&format!(
-                "{:<18} {:>6} {:>4} {:>10.3} {:>6} {:>9} {:>3} {:>13} {:>9}\n",
+                "{:<18} {:>6} {:>4} {:>10.3} {:>8.4} {:>6} {:>9} {:>3} {:>13} {:>9}\n",
                 i.name,
                 i.num_vars,
                 i.sampling_set_size,
                 i.seconds,
+                i.reference_seconds,
                 i.bsat_calls,
                 estimate,
                 q,
@@ -175,7 +251,11 @@ impl GateReport for PrepareReport {
                 i.conflicts
             ));
         }
-        out.push_str(&format!("geomean prepares/s: {:.3}", self.score()));
+        out.push_str(&format!(
+            "geomean prepares per reference run: {:.3} (ungated: {:.3} prepares/s)",
+            self.score(),
+            self.prepares_per_second()
+        ));
         out
     }
 
@@ -183,20 +263,22 @@ impl GateReport for PrepareReport {
         let mut out = String::from("{\n  \"bench\": \"prepare\",\n");
         out.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
         out.push_str(&format!(
-            "  \"{}\": {},\n  \"instances\": [\n",
+            "  \"{}\": {},\n  \"geomean_prepares_per_second\": {},\n  \"instances\": [\n",
             Self::KEY,
-            json_number(self.score(), 3)
+            json_number(self.score(), 3),
+            json_number(self.prepares_per_second(), 3)
         ));
         for (n, i) in self.instances.iter().enumerate() {
             let (estimate, q) = i.hashed.unwrap_or_default();
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"num_vars\": {}, \"sampling_set\": {}, \"seconds\": {}, \
-                 \"bsat_calls\": {}, \"estimate\": {estimate}, \"q\": {q}, \"propagations\": {}, \
-                 \"conflicts\": {}}}{}\n",
+                 \"reference_seconds\": {}, \"bsat_calls\": {}, \"estimate\": {estimate}, \
+                 \"q\": {q}, \"propagations\": {}, \"conflicts\": {}}}{}\n",
                 i.name,
                 i.num_vars,
                 i.sampling_set_size,
                 json_number(i.seconds, 6),
+                json_number(i.reference_seconds, 6),
                 i.bsat_calls,
                 i.propagations,
                 i.conflicts,
@@ -249,6 +331,7 @@ mod tests {
                 num_vars: 10,
                 sampling_set_size: 4,
                 seconds: 0.25,
+                reference_seconds: 0.5,
                 bsat_calls: calls,
                 propagations: 100,
                 conflicts: 3,
@@ -265,7 +348,11 @@ mod tests {
             parse_baseline_pins(&json),
             Some(vec![("demo".to_string(), 24, 1312, 6)])
         );
-        assert_eq!(baseline_number(&json, PrepareReport::KEY), Some(4.0));
+        assert_eq!(baseline_number(&json, PrepareReport::KEY), Some(2.0));
+        assert_eq!(
+            baseline_number(&json, "geomean_prepares_per_second"),
+            Some(4.0)
+        );
         assert_eq!(baseline_number(&json, "host_cpus"), Some(2.0));
         assert_eq!(r.compare(&json), Ok(Comparison::Numeric));
     }

@@ -5,7 +5,9 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use unigen_cnf::{Model, Var, XorClause};
-use unigen_satsolver::{enumerate_cell, Budget, EnumerationOutcome, InterruptReason, Solver};
+use unigen_satsolver::{
+    enumerate_cell, Budget, EnumerationOutcome, InterruptReason, KnownWitnesses, Solver,
+};
 
 /// Statistics describing the work a single sample cost.
 ///
@@ -140,19 +142,21 @@ impl std::fmt::Display for SampleStats {
     }
 }
 
-/// Runs one `BSAT` cell enumeration ([`enumerate_cell`]) on `solver` and
-/// charges the solver work it cost to `stats`: one `bsat_calls`, plus the
-/// propagations and conflicts the call added to the solver's counters.
+/// Runs one `BSAT` cell enumeration ([`enumerate_cell`]) on `solver`,
+/// replaying `known` into it, and charges the solver work it cost to
+/// `stats`: one `bsat_calls`, plus the propagations and conflicts the call
+/// added to the solver's counters.
 pub(crate) fn enumerate_charged(
     solver: &mut Solver,
     sampling_set: &[Var],
     clauses: &[XorClause],
     bound: usize,
     budget: &Budget,
+    known: &KnownWitnesses,
     stats: &mut SampleStats,
 ) -> EnumerationOutcome {
     let before = *solver.stats();
-    let outcome = enumerate_cell(solver, sampling_set, clauses, bound, budget);
+    let outcome = enumerate_cell(solver, sampling_set, clauses, bound, budget, known);
     let after = solver.stats();
     stats.solver_propagations += after.propagations - before.propagations;
     stats.solver_conflicts += after.conflicts - before.conflicts;
@@ -343,7 +347,12 @@ pub trait WitnessSampler {
     /// The determinism contract requires per-`BSAT` budgets that never
     /// trigger (the default unlimited [`unigen_satsolver::Budget`]): a
     /// wall-clock or conflict cutoff fires depending on accumulated solver
-    /// state, which is the one thing workers do not share.
+    /// state, which workers do not share. UniGen's witness cache is more
+    /// such state: each worker's clone replays the witnesses its own
+    /// earlier cells found, so how much search a cell needs, and hence
+    /// whether a budget fires in it, depends on which samples that worker
+    /// ran before. Without a budget, a cell holds the same witnesses
+    /// whatever the cache held.
     fn sample_batch(&mut self, count: usize, master_seed: u64) -> Vec<SampleOutcome> {
         (0..count)
             .map(|index| {

@@ -8,8 +8,8 @@ use unigen_cnf::{CnfFormula, Model, Var, XorClause};
 use unigen_counting::ApproxMc;
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
-    enumerate_cell, EnumerationOutcome, FaultHook, GaussMode, InterruptReason, ProofLog, Solver,
-    SolverConfig, SolverStats,
+    enumerate_cell, EnumerationOutcome, FaultHook, GaussMode, InterruptReason, KnownWitnesses,
+    ProofLog, Solver, SolverConfig, SolverStats,
 };
 
 use crate::certify::Certifier;
@@ -25,6 +25,12 @@ use crate::sampler::{
 /// retried with fresh randomness without advancing the hash width — the
 /// paper repeats lines 14–16 when a call times out.
 const BSAT_RETRIES: usize = 2;
+
+/// The most witnesses a sampler keeps to replay into its later sampling
+/// cells. On llreverse-like (about 120 witnesses) the list covers the
+/// whole solution set; on a formula with many more witnesses than this it
+/// still holds the cap's worth and costs `⌈num_vars / 64⌉` words each.
+const KNOWN_WITNESS_CAP: usize = 256;
 
 /// What the one-off preparation phase (lines 1–11 of Algorithm 1) concluded
 /// about the formula.
@@ -72,6 +78,11 @@ pub struct UniGen {
     /// ever issues: hash layers and blocking clauses are guard-scoped per
     /// cell, while base-formula learned clauses and activities persist.
     solver: Solver,
+    /// Witnesses this sampler's own sampling cells found, at most
+    /// [`KNOWN_WITNESS_CAP`], replayed into every later cell whose rows they
+    /// satisfy. A prepared sampler holds none, so a prototype kept for
+    /// cloning carries none; each clone fills its own.
+    known: KnownWitnesses,
     /// The installed chaos-testing schedule, if any; doubles as the solver's
     /// fault hook. `None` (the default) costs one pointer test per solve.
     fault_plan: Option<Arc<FaultPlan>>,
@@ -153,6 +164,7 @@ impl UniGen {
             &[],
             hi_count + 1,
             &config.bsat_budget,
+            &KnownWitnesses::new(),
         );
         // The preparation cell's proof is checked before its outcome is
         // acted on — even an empty cell (unsatisfiable formula) must carry a
@@ -177,13 +189,13 @@ impl UniGen {
             }
         } else {
             // Lines 9–11: approximate count and candidate hash widths.
-            // ApproxMC counts on this solver under line 4's budget, told of
-            // line 4's witnesses, and its cells are certified like line 4's
-            // before the estimate is used.
+            // ApproxMC counts on this solver under line 4's budget and
+            // replays line 4's witnesses into its cells, and its cells are
+            // certified like line 4's before the estimate is used.
             let approx = ApproxMc::new(config.approxmc.clone()).count_on_solver(
                 &mut solver,
                 sampling_set,
-                outcome.len(),
+                &outcome.witnesses,
                 &config.bsat_budget,
                 config.seed,
             );
@@ -208,6 +220,7 @@ impl UniGen {
             family,
             mode,
             solver,
+            known: KnownWitnesses::new(),
             fault_plan: None,
             pristine: None,
             certifier,
@@ -324,8 +337,8 @@ impl UniGen {
             plan.begin_bsat();
         }
         let run = |solver: &mut Solver, stats: &mut SampleStats| {
-            let budget = &self.config.bsat_budget;
-            enumerate_charged(solver, &self.sampling_set, clauses, bound, budget, stats)
+            let (set, budget) = (&self.sampling_set, &self.config.bsat_budget);
+            enumerate_charged(solver, set, clauses, bound, budget, &self.known, stats)
         };
         let mut outcome = run(&mut self.solver, stats);
         if outcome.interrupted == Some(InterruptReason::GaussPoisoned) {
@@ -415,6 +428,8 @@ impl UniGen {
                     failure = OutcomeKind::Faulted;
                     break 'widths;
                 }
+                let room = KNOWN_WITNESS_CAP.saturating_sub(self.known.len());
+                self.known.extend(outcome.found().iter().take(room));
 
                 if let Some(reason) = outcome.interrupted {
                     // A budget fired (or a fault survived the whole ladder):
@@ -938,5 +953,66 @@ mod tests {
             UniGen::with_sampling_set(&f, &[], UniGenConfig::default()),
             Err(SamplerError::EmptySamplingSet)
         ));
+    }
+
+    #[test]
+    fn the_known_witness_cache_stays_within_its_cap() {
+        let bench = unigen_circuit::benchmarks::login_like("login3x6-like", 3, 6, 0x1061);
+        let mut sampler = UniGen::new(&bench.formula, UniGenConfig::default()).unwrap();
+        // A prepared prototype holds no witness and no heap for them.
+        assert!(sampler.known.is_empty());
+        assert_eq!(sampler.known.heap_bytes(), 0);
+        let mut rng = seeded_rng(23);
+        for _ in 0..2000 {
+            sampler.sample(&mut rng);
+            assert!(sampler.known.len() <= KNOWN_WITNESS_CAP);
+        }
+        // 15 872 witnesses: the cache filled up to the cap and stopped.
+        assert_eq!(sampler.known.len(), KNOWN_WITNESS_CAP);
+    }
+
+    #[test]
+    fn a_covered_cell_costs_one_solve() {
+        let bench = unigen_circuit::benchmarks::table1_suite()
+            .into_iter()
+            .find(|b| b.name == "llreverse-like")
+            .unwrap();
+        let mut sampler = UniGen::new(&bench.formula, UniGenConfig::default()).unwrap();
+        let PreparedMode::Hashed { q, .. } = *sampler.prepared_mode() else {
+            panic!("llreverse-like hashes");
+        };
+        let total = enumerate_cell(
+            &mut Solver::from_formula(&bench.formula),
+            sampler.sampling_set(),
+            &[],
+            usize::MAX,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        )
+        .len();
+        assert!(total <= KNOWN_WITNESS_CAP, "{total} witnesses");
+        let mut rng = seeded_rng(29);
+        let mut samples = 0;
+        while sampler.known.len() < total {
+            sampler.sample(&mut rng);
+            samples += 1;
+            assert!(samples < 200, "the cache never covered the solution set");
+        }
+        // Every witness of every cell is replayed; the one solve left is
+        // the final Unsat that drains the cell.
+        let hi_count = sampler.kappa_pivot.hi_thresh_count();
+        for width in [q - 1, q] {
+            let clauses = sampler.family.sample(width, &mut rng).to_xor_clauses();
+            let before = sampler.solver_stats().solve_calls;
+            let mut stats = SampleStats::default();
+            let cell = sampler.enumerate_with_ladder(&clauses, hi_count + 1, &mut stats);
+            assert!(
+                cell.is_exhaustive(),
+                "width {width}: {} witnesses",
+                cell.len()
+            );
+            assert_eq!(cell.replayed, cell.len());
+            assert_eq!(sampler.solver_stats().solve_calls - before, 1);
+        }
     }
 }

@@ -27,7 +27,7 @@ use rand::{Rng, RngCore};
 use unigen_cnf::{CnfFormula, Var};
 use unigen_counting::ApproxMcConfig;
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{Budget, Solver};
+use unigen_satsolver::{Budget, KnownWitnesses, Solver};
 
 use crate::error::SamplerError;
 use crate::sampler::{
@@ -118,6 +118,7 @@ impl WitnessSampler for UniWit {
             &[],
             pivot + 1,
             &self.config.bsat_budget,
+            &KnownWitnesses::new(),
             &mut stats,
         );
         if base.interrupted.is_some() {
@@ -154,6 +155,7 @@ impl WitnessSampler for UniWit {
                 &clauses,
                 pivot + 1,
                 &self.config.bsat_budget,
+                &KnownWitnesses::new(),
                 &mut stats,
             );
             if let Some(reason) = outcome.interrupted {

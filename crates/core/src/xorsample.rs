@@ -16,7 +16,7 @@ use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Var};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{Budget, Solver};
+use unigen_satsolver::{Budget, KnownWitnesses, Solver};
 
 use crate::error::SamplerError;
 use crate::sampler::{
@@ -121,6 +121,7 @@ impl WitnessSampler for XorSamplePrime {
             &clauses,
             CELL_CAP + 1,
             &self.config.bsat_budget,
+            &KnownWitnesses::new(),
             &mut stats,
         );
 

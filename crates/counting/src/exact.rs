@@ -150,8 +150,12 @@ impl ExactCounter {
             return Ok(cached);
         }
 
-        // Branch on the most frequent variable of the component.
-        let var = most_frequent_var(&component);
+        // Branch on the most frequent variable of the component. One
+        // without a variable holds only empty clauses, which no assignment
+        // satisfies.
+        let Some(var) = most_frequent_var(&component) else {
+            return Ok(0);
+        };
         let before = component_vars(&component);
         let mut total: u128 = 0;
         for value in [false, true] {
@@ -237,8 +241,9 @@ fn component_vars(clauses: &[Residual]) -> BTreeSet<Var> {
         .collect()
 }
 
-/// Returns the variable occurring in the largest number of clauses.
-fn most_frequent_var(clauses: &[Residual]) -> Var {
+/// Returns the variable occurring in the largest number of clauses, or
+/// `None` when the clauses mention no variable.
+fn most_frequent_var(clauses: &[Residual]) -> Option<Var> {
     let mut counts: HashMap<Var, usize> = HashMap::new();
     for clause in clauses {
         for lit in clause {
@@ -249,7 +254,6 @@ fn most_frequent_var(clauses: &[Residual]) -> Var {
         .into_iter()
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .map(|(v, _)| v)
-        .expect("non-empty clause set has at least one variable")
 }
 
 /// Splits a clause set into connected components (clauses sharing a variable
@@ -298,6 +302,14 @@ mod tests {
 
     fn brute_force(formula: &CnfFormula) -> u128 {
         formula.enumerate_models_brute_force().len() as u128
+    }
+
+    #[test]
+    fn a_component_without_variables_has_no_model() {
+        assert_eq!(most_frequent_var(&[]), None);
+        assert_eq!(most_frequent_var(&[Vec::new()]), None);
+        let count = ExactCounter::new().count_component(vec![Vec::new()], &mut HashMap::new());
+        assert_eq!(count.unwrap(), 0);
     }
 
     #[test]

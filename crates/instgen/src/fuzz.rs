@@ -12,7 +12,10 @@
 //! stream is verified cell-by-cell with the independent [`unigen_cert`]
 //! checker: every exhausted cell must carry a checked refutation of its
 //! blocked residue, and the checker's per-cell verdicts must agree with the
-//! enumeration outcomes the harness observed.
+//! enumeration outcomes the harness observed. That lane also replays the
+//! witnesses of the case's earlier cells into each cell
+//! ([`KnownWitnesses`]), so its proof checks replayed witnesses and its
+//! exhaustive cells must still equal the Gauss-off lane's searched sets.
 //!
 //! [`service_case`] covers the sampler layer: batch determinism through
 //! [`SamplerService`] against the serial [`WitnessSampler::sample_batch`]
@@ -34,7 +37,9 @@ use unigen::{
 use unigen_cert::Checker;
 use unigen_cnf::{CnfFormula, Model, Var, XorClause};
 use unigen_hashing::XorHashFamily;
-use unigen_satsolver::{enumerate_cell, Budget, GaussMode, ProofLog, Solver, SolverConfig};
+use unigen_satsolver::{
+    enumerate_cell, Budget, GaussMode, KnownWitnesses, ProofLog, Solver, SolverConfig,
+};
 
 /// Knobs for [`differential_case`]. The defaults keep a debug-mode case in
 /// the low milliseconds on the instance sizes the fuzz tests use.
@@ -166,11 +171,29 @@ pub fn differential_case(
         divergence: None,
     };
     let mut empty_layer_digests: Vec<CellDigest> = Vec::new();
+    // The Gauss-on lane replays every witness its earlier cells found, as
+    // ApproxMC and the sampler do; the Gauss-off lane searches every cell
+    // from scratch, so the two lanes also check replay against search.
+    let mut known = KnownWitnesses::new();
 
     for (cell_index, xors) in layers.iter().enumerate() {
-        let on_outcome = enumerate_cell(&mut gauss_on, &sampling_set, xors, config.bound, &budget);
-        let off_outcome =
-            enumerate_cell(&mut gauss_off, &sampling_set, xors, config.bound, &budget);
+        let on_outcome = enumerate_cell(
+            &mut gauss_on,
+            &sampling_set,
+            xors,
+            config.bound,
+            &budget,
+            &known,
+        );
+        known.extend(on_outcome.found());
+        let off_outcome = enumerate_cell(
+            &mut gauss_off,
+            &sampling_set,
+            xors,
+            config.bound,
+            &budget,
+            &KnownWitnesses::new(),
+        );
 
         // Certify the cell's proof-stream suffix before anything else: a
         // rejected step localises the failure to this cell.

@@ -19,8 +19,25 @@
 //! clauses about the base formula, variable activities, and saved phases all
 //! survive into the next cell. This amortisation across hash cells is where
 //! the incremental interface earns its keep.
+//!
+//! # Replaying known witnesses
+//!
+//! Every cell asks a question about a *set*: the witnesses of `F` that
+//! satisfy the cell's rows, capped at a bound. A witness the caller already
+//! holds is a member of every later cell whose rows it satisfies, so
+//! [`enumerate_cell`] takes a [`KnownWitnesses`] list and, before it
+//! searches, evaluates each known witness on the cell's rows. Each one that
+//! satisfies them is counted without a solve: it is logged as the usual
+//! `Witness` and `Block` proof steps and blocked at decision level zero
+//! under the cell's guard. The solver then searches only for the rest, up
+//! to the same bound. A drained cell is still exactly the cell's set and a
+//! capped cell still reports `bound` witnesses, so which witnesses a cell
+//! holds (drained) or how many (capped) does not depend on the list; only
+//! the search work does. In certify mode the checker validates each
+//! replayed model against every active clause and row, so a list entry that
+//! is not a witness of the cell fails the check.
 
-use unigen_cnf::{Model, Var, XorClause};
+use unigen_cnf::{Lit, Model, Var, XorClause};
 
 use crate::budget::Budget;
 use crate::fault::InterruptReason;
@@ -32,6 +49,9 @@ use crate::solver::{Guard, SolveResult, Solver};
 pub struct EnumerationOutcome {
     /// The witnesses found, each distinct on the sampling set.
     pub witnesses: Vec<Model>,
+    /// How many of `witnesses`, at the front, were replayed from a
+    /// [`KnownWitnesses`] list rather than found by search.
+    pub replayed: usize,
     /// `true` if enumeration stopped because the bound was reached (there may
     /// be more witnesses).
     pub bound_reached: bool,
@@ -59,6 +79,130 @@ impl EnumerationOutcome {
     /// solutions (projected on the sampling set).
     pub fn is_exhaustive(&self) -> bool {
         !self.bound_reached && self.interrupted.is_none()
+    }
+
+    /// The witnesses the search found, after the replayed ones.
+    pub fn found(&self) -> &[Model] {
+        &self.witnesses[self.replayed..]
+    }
+}
+
+/// Witnesses of a formula that the caller already holds, which
+/// [`enumerate_cell`] replays into each cell whose rows they satisfy
+/// instead of searching for them again (see the module docs).
+///
+/// Each witness is a full model over the formula's base variables, stored
+/// bit-packed at `⌈num_vars / 64⌉` words. An empty list costs no heap.
+///
+/// # Example
+///
+/// ```
+/// use unigen_cnf::{CnfFormula, Lit, Var};
+/// use unigen_satsolver::{enumerate_cell, Budget, KnownWitnesses, Solver};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut f = CnfFormula::new(3);
+/// f.add_clause([Lit::from_dimacs(1), Lit::from_dimacs(2), Lit::from_dimacs(3)])?;
+/// let sampling: Vec<Var> = (0..3).map(Var::new).collect();
+/// let mut solver = Solver::from_formula(&f);
+///
+/// let first = enumerate_cell(&mut solver, &sampling, &[], 3, &Budget::new(), &KnownWitnesses::new());
+/// let mut known = KnownWitnesses::new();
+/// known.extend(first.found());
+/// // The three known witnesses are replayed; search finds the other four.
+/// let all = enumerate_cell(&mut solver, &sampling, &[], 100, &Budget::new(), &known);
+/// assert_eq!((all.len(), all.replayed, all.found().len()), (7, 3, 4));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KnownWitnesses {
+    /// Variables per witness: the length of the first model pushed.
+    num_vars: usize,
+    /// The witnesses back to back; variable `v` of a witness is bit `v % 64`
+    /// of its word `v / 64`.
+    words: Vec<u64>,
+}
+
+impl KnownWitnesses {
+    /// An empty list.
+    pub fn new() -> Self {
+        KnownWitnesses::default()
+    }
+
+    /// Number of witnesses held.
+    pub fn len(&self) -> usize {
+        self.words.len().checked_div(self.stride()).unwrap_or(0)
+    }
+
+    /// `true` if no witness is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes the list holds, spare capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>()
+    }
+
+    /// Adds `model`, a full model of the formula over its base variables.
+    /// It must differ on the sampling set from every witness already held,
+    /// as the witnesses one [`enumerate_cell`] run finds do from each other
+    /// and from the ones it replayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` covers a different number of variables than the
+    /// first witness pushed.
+    pub fn push(&mut self, model: &Model) {
+        if self.words.is_empty() {
+            self.num_vars = model.len();
+        }
+        assert_eq!(
+            model.len(),
+            self.num_vars,
+            "every known witness covers the same variables"
+        );
+        let start = self.words.len();
+        self.words.resize(start + self.stride(), 0);
+        for (i, &value) in model.values().iter().enumerate() {
+            self.words[start + i / 64] |= u64::from(value) << (i % 64);
+        }
+    }
+
+    fn stride(&self) -> usize {
+        self.num_vars.div_ceil(64)
+    }
+
+    /// The held witnesses that satisfy every row of `xors`, as models. A
+    /// row over a variable the witnesses do not cover matches none.
+    fn matching<'a>(&'a self, xors: &'a [XorClause]) -> impl Iterator<Item = Model> + 'a {
+        let num_vars = self.num_vars;
+        let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
+        self.words
+            .chunks_exact(self.stride().max(1))
+            .filter(move |words| {
+                xors.iter().all(|xor| {
+                    let mut parity = false;
+                    for v in xor.vars() {
+                        if v.index() >= num_vars {
+                            return false;
+                        }
+                        parity ^= bit(words, v.index());
+                    }
+                    parity == xor.rhs()
+                })
+            })
+            .map(move |words| (0..num_vars).map(|i| bit(words, i)).collect())
+    }
+}
+
+/// Pushes each model in turn (see [`KnownWitnesses::push`]).
+impl<'a> Extend<&'a Model> for KnownWitnesses {
+    fn extend<I: IntoIterator<Item = &'a Model>>(&mut self, models: I) {
+        for model in models {
+            self.push(model);
+        }
     }
 }
 
@@ -187,14 +331,10 @@ impl<'s> Enumerator<'s> {
                 // the certificate's witness *identity* is its projection
                 // onto the cell's sampling set.
                 self.solver.with_proof(|p| p.witness(model.values()));
-                let projection = model.project(&self.sampling_set);
-                let mut blocking: Vec<_> = projection.to_lits().iter().map(|&l| !l).collect();
-                if let Some(guard) = self.guard {
-                    blocking.push(guard.disable_lit());
-                }
                 // The satisfying trail is still in place: install the
                 // blocking clause with a conflict-style backjump and keep
                 // the descent below it for the next witness.
+                let blocking = self.blocking_clause(&model);
                 self.solver.block_and_continue(blocking);
                 self.warm = true;
                 (Some(model), None)
@@ -215,6 +355,27 @@ impl<'s> Enumerator<'s> {
                 (None, Some(reason))
             }
         }
+    }
+
+    /// The clause that blocks `model`'s projection on the sampling set,
+    /// weakened with the guard's disable literal when there is a guard.
+    fn blocking_clause(&self, model: &Model) -> Vec<Lit> {
+        let projection = model.project(&self.sampling_set);
+        let mut blocking: Vec<_> = projection.to_lits().iter().map(|&l| !l).collect();
+        if let Some(guard) = self.guard {
+            blocking.push(guard.disable_lit());
+        }
+        blocking
+    }
+
+    /// Counts `model`, a witness the caller already holds, without a
+    /// solve: logs it like a found witness and blocks it at decision level
+    /// zero. Must precede the first search of the enumeration.
+    fn replay(&mut self, model: &Model) {
+        debug_assert!(!self.warm && !self.exhausted, "replay after a search");
+        self.solver.with_proof(|p| p.witness(model.values()));
+        let blocking = self.blocking_clause(model);
+        self.solver.block_at_root(blocking);
     }
 
     /// Enumerates up to `bound` witnesses, spending at most `budget` per
@@ -238,6 +399,7 @@ impl<'s> Enumerator<'s> {
         }
         EnumerationOutcome {
             witnesses,
+            replayed: 0,
             bound_reached,
             interrupted,
         }
@@ -291,12 +453,21 @@ pub fn bounded_solutions(
 /// This is the primitive every sampler and counter loop in the workspace is
 /// built on; passing an empty `xors` slice gives a side-effect-free `BSAT`
 /// over the bare formula (used by preparation phases).
+///
+/// The first `bound` witnesses of `known` that satisfy every row of `xors`
+/// are replayed into the cell before the search: they are counted, logged
+/// and blocked without a solve, and lead
+/// [`EnumerationOutcome::witnesses`]. Every entry of `known` must be a
+/// witness of the formula loaded into `solver`, and the list must hold
+/// each projection on `sampling_set` at most once; pass an empty list to
+/// search for every witness.
 pub fn enumerate_cell(
     solver: &mut Solver,
     sampling_set: &[Var],
     xors: &[XorClause],
     bound: usize,
     budget: &Budget,
+    known: &KnownWitnesses,
 ) -> EnumerationOutcome {
     let guard = solver.new_guard();
     for xor in xors {
@@ -304,7 +475,15 @@ pub fn enumerate_cell(
     }
     let outcome = {
         let mut enumerator = Enumerator::under_guard(solver, sampling_set.to_vec(), guard);
-        enumerator.run(bound, budget)
+        let mut replayed: Vec<Model> = known.matching(xors).take(bound).collect();
+        for model in &replayed {
+            enumerator.replay(model);
+        }
+        let mut outcome = enumerator.run(bound - replayed.len(), budget);
+        outcome.replayed = replayed.len();
+        replayed.append(&mut outcome.witnesses);
+        outcome.witnesses = replayed;
+        outcome
     };
     solver.retire_guard(guard);
     outcome
@@ -417,12 +596,26 @@ mod tests {
         let mut solver = Solver::from_formula(&f);
         let sampling = all_vars(3);
 
-        let base = enumerate_cell(&mut solver, &sampling, &[], 100, &Budget::new());
+        let base = enumerate_cell(
+            &mut solver,
+            &sampling,
+            &[],
+            100,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         assert_eq!(base.len(), 7);
 
         // A cell carved by a hash constraint…
         let xors = vec![XorClause::from_dimacs([1, 2], true)];
-        let cell = enumerate_cell(&mut solver, &sampling, &xors, 100, &Budget::new());
+        let cell = enumerate_cell(
+            &mut solver,
+            &sampling,
+            &xors,
+            100,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         assert!(cell.is_exhaustive());
         for w in &cell.witnesses {
             assert!(f.evaluate(w));
@@ -430,7 +623,14 @@ mod tests {
         }
 
         // …leaves no residue: the full model set is still reachable.
-        let again = enumerate_cell(&mut solver, &sampling, &[], 100, &Budget::new());
+        let again = enumerate_cell(
+            &mut solver,
+            &sampling,
+            &[],
+            100,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         assert_eq!(again.len(), 7);
         // And the opposite cell plus this cell partition the space.
         let other = enumerate_cell(
@@ -439,6 +639,7 @@ mod tests {
             &[XorClause::from_dimacs([1, 2], false)],
             100,
             &Budget::new(),
+            &KnownWitnesses::new(),
         );
         assert_eq!(cell.len() + other.len(), 7);
     }
@@ -472,7 +673,14 @@ mod tests {
                 ..SolverConfig::default()
             };
             let mut solver = Solver::from_formula_with_config(&f, config);
-            let cell = enumerate_cell(&mut solver, &sampling, &layer, 100, &Budget::new());
+            let cell = enumerate_cell(
+                &mut solver,
+                &sampling,
+                &layer,
+                100,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            );
             assert!(cell.is_exhaustive());
             for w in &cell.witnesses {
                 assert!(f.evaluate(w));
@@ -486,7 +694,14 @@ mod tests {
                 .map(|w| w.project(&sampling))
                 .collect();
             // The guard cycle left no residue in any mode.
-            let base = enumerate_cell(&mut solver, &sampling, &[], 100, &Budget::new());
+            let base = enumerate_cell(
+                &mut solver,
+                &sampling,
+                &[],
+                100,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            );
             assert_eq!(base.len(), 21, "base model count in mode {gauss:?}");
             sets.push(set);
         }
@@ -515,6 +730,7 @@ mod tests {
             &[XorClause::from_dimacs([1, 4], false)],
             100,
             &Budget::new(),
+            &KnownWitnesses::new(),
         );
         assert!(reference.is_exhaustive());
 
@@ -550,7 +766,14 @@ mod tests {
         assert_eq!(got, want);
         // Guard accounting balanced, no residue left behind.
         assert_eq!(solver.stats().guards_created, solver.stats().guards_retired);
-        let base = enumerate_cell(&mut solver, &sampling, &[], 100, &Budget::new());
+        let base = enumerate_cell(
+            &mut solver,
+            &sampling,
+            &[],
+            100,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         assert_eq!(base.len(), 6);
     }
 
@@ -572,7 +795,14 @@ mod tests {
         ];
         let mut incremental = Solver::from_formula(&f);
         for layer in &layers {
-            let cell = enumerate_cell(&mut incremental, &sampling, layer, 100, &Budget::new());
+            let cell = enumerate_cell(
+                &mut incremental,
+                &sampling,
+                layer,
+                100,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            );
 
             let mut hashed = f.clone();
             for xor in layer {
@@ -593,5 +823,172 @@ mod tests {
                 .collect();
             assert_eq!(got, want);
         }
+    }
+
+    fn projections(witnesses: &[Model], sampling: &[Var]) -> HashSet<Vec<bool>> {
+        witnesses
+            .iter()
+            .map(|w| w.project(sampling).values().to_vec())
+            .collect()
+    }
+
+    /// Replay changes what a cell costs, never what it holds: every case
+    /// gives the capped size of a search without replay, and the same
+    /// projected set whenever the cell drains.
+    fn replay_matches_search(gauss: crate::config::GaussMode) {
+        use crate::config::SolverConfig;
+
+        // 6 sampling variables, 42 witnesses; the cell keeps about a
+        // quarter of them.
+        let mut f = CnfFormula::new(6);
+        f.add_clause([
+            Lit::from_dimacs(1),
+            Lit::from_dimacs(2),
+            Lit::from_dimacs(3),
+        ])
+        .unwrap();
+        f.add_clause([Lit::from_dimacs(-4), Lit::from_dimacs(5)])
+            .unwrap();
+        let sampling = all_vars(6);
+        let layer = vec![
+            XorClause::from_dimacs([1, 2, 4], true),
+            XorClause::from_dimacs([3, 5, 6], false),
+        ];
+        let config = SolverConfig {
+            gauss,
+            ..SolverConfig::default()
+        };
+        let solver = || Solver::from_formula_with_config(&f, config.clone());
+        let none = KnownWitnesses::new();
+        let mut reference = solver();
+        let cell = enumerate_cell(
+            &mut reference,
+            &sampling,
+            &layer,
+            100,
+            &Budget::new(),
+            &none,
+        );
+        assert!(cell.is_exhaustive());
+        let size = cell.len();
+        assert!(size >= 6, "cell of {size}");
+        // Witnesses of the opposite cell violate the first row.
+        let other = enumerate_cell(
+            &mut reference,
+            &sampling,
+            &[XorClause::from_dimacs([1, 2, 4], false)],
+            100,
+            &Budget::new(),
+            &none,
+        );
+
+        let list = |models: &[&[Model]]| {
+            let mut known = KnownWitnesses::new();
+            known.extend(models.iter().flat_map(|m| m.iter()));
+            known
+        };
+        let half = &cell.witnesses[..size / 2];
+        // (case, known list, bound, witnesses it must replay)
+        let cases = [
+            ("no known witnesses", none.clone(), 100, 0),
+            ("a subset of the cell", list(&[half]), 100, size / 2),
+            (
+                "other cells' witnesses",
+                list(&[&other.witnesses, half]),
+                100,
+                size / 2,
+            ),
+            (
+                "more matches than the bound",
+                list(&[&cell.witnesses]),
+                size / 2,
+                size / 2,
+            ),
+        ];
+        for (case, known, bound, replayed) in cases {
+            let searched = enumerate_cell(
+                &mut solver(),
+                &sampling,
+                &layer,
+                bound,
+                &Budget::new(),
+                &none,
+            );
+            let mut replaying = solver();
+            let got = enumerate_cell(
+                &mut replaying,
+                &sampling,
+                &layer,
+                bound,
+                &Budget::new(),
+                &known,
+            );
+            assert_eq!(got.len(), searched.len(), "{case}: capped size");
+            assert_eq!(got.bound_reached, searched.bound_reached, "{case}");
+            assert_eq!(got.replayed, replayed, "{case}: replayed");
+            if searched.is_exhaustive() {
+                assert!(got.is_exhaustive(), "{case}");
+                assert_eq!(
+                    projections(&got.witnesses, &sampling),
+                    projections(&searched.witnesses, &sampling),
+                    "{case}: drained set"
+                );
+            }
+            assert_eq!(
+                projections(&got.witnesses, &sampling).len(),
+                got.len(),
+                "{case}"
+            );
+            for w in &got.witnesses {
+                assert!(
+                    f.evaluate(w) && layer.iter().all(|x| x.evaluate(w)),
+                    "{case}"
+                );
+            }
+            let stats = replaying.stats();
+            assert_eq!(stats.guards_created, 1, "{case}: one guard per call");
+            assert_eq!(stats.guards_created, stats.guards_retired, "{case}");
+            if replayed == bound {
+                assert_eq!(
+                    stats.solve_calls, 0,
+                    "{case}: the replay alone filled the bound"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_matches_search_without_gauss() {
+        replay_matches_search(crate::config::GaussMode::Off);
+    }
+
+    #[test]
+    fn replay_matches_search_with_gauss() {
+        replay_matches_search(crate::config::GaussMode::On);
+    }
+
+    #[test]
+    fn known_witnesses_pack_models_across_words() {
+        // 130 variables span three words; the rows probe each word.
+        let model = |seed: usize| Model::new((0..130).map(|i| (i * 7 + seed) % 3 == 0).collect());
+        let mut known = KnownWitnesses::new();
+        assert!(known.is_empty());
+        for seed in 0..3 {
+            known.push(&model(seed));
+        }
+        assert_eq!(known.len(), 3);
+        assert_eq!(known.words.len(), 3 * 3);
+        let all: Vec<Model> = known.matching(&[]).collect();
+        assert_eq!(all, vec![model(0), model(1), model(2)]);
+        let rows = [XorClause::new(
+            [Var::new(0), Var::new(64), Var::new(129)],
+            true,
+        )];
+        let expected: Vec<Model> = (0..3).map(model).filter(|m| rows[0].evaluate(m)).collect();
+        assert!(!expected.is_empty() && expected.len() < 3);
+        assert_eq!(known.matching(&rows).collect::<Vec<_>>(), expected);
+        // A row past the witnesses' variables matches none.
+        let beyond = [XorClause::new([Var::new(130)], false)];
+        assert_eq!(known.matching(&beyond).count(), 0);
     }
 }

@@ -1110,6 +1110,7 @@ mod tests {
                 &rows,
                 1024,
                 &Budget::new(),
+                &crate::enumerate::KnownWitnesses::new(),
             );
             cells.push(sorted_cell(&outcome));
         }

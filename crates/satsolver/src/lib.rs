@@ -111,7 +111,9 @@ pub mod support;
 
 pub use budget::Budget;
 pub use config::{GaussMode, SolverConfig};
-pub use enumerate::{bounded_solutions, enumerate_cell, EnumerationOutcome, Enumerator};
+pub use enumerate::{
+    bounded_solutions, enumerate_cell, EnumerationOutcome, Enumerator, KnownWitnesses,
+};
 pub use fault::{FaultHook, FaultSite, InterruptReason};
 pub use proof::ProofLog;
 pub use solver::{Guard, SolveResult, Solver};

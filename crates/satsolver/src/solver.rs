@@ -900,6 +900,16 @@ impl Solver {
         // clause is watched normally.
     }
 
+    /// Installs a blocking clause at decision level zero, for a witness the
+    /// enumerator counted without a solve (a replayed known witness).
+    pub(crate) fn block_at_root(&mut self, lits: Vec<Lit>) {
+        if !self.ok {
+            return;
+        }
+        self.with_proof(|p| p.block(&lits));
+        self.add_clause_lits(lits);
+    }
+
     /// Unwinds any in-progress enumeration (used when an enumerator is
     /// dropped mid-cell, so the solver is back at level zero for whatever
     /// comes next).

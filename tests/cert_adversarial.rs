@@ -12,9 +12,9 @@
 //! *is* the tag.
 
 use unigen::cert_formula;
-use unigen_cert::{step_spans, CheckError, Checker};
-use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
-use unigen_satsolver::{enumerate_cell, Budget, ProofLog, Solver, SolverConfig};
+use unigen_cert::{step_spans, CheckError, Checker, Rule};
+use unigen_cnf::{CnfFormula, Lit, Model, Var, XorClause};
+use unigen_satsolver::{enumerate_cell, Budget, KnownWitnesses, ProofLog, Solver, SolverConfig};
 
 /// Step tags of the binary proof format (see `unigen_satsolver::proof`).
 const TAG_AXIOM: u8 = 6;
@@ -53,7 +53,14 @@ fn certified_stream() -> (unigen_cert::Formula, Vec<u8>) {
         },
     );
     let xors = vec![XorClause::from_dimacs([1, 2], true)];
-    let outcome = enumerate_cell(&mut solver, &sampling, &xors, 64, &Budget::new());
+    let outcome = enumerate_cell(
+        &mut solver,
+        &sampling,
+        &xors,
+        64,
+        &Budget::new(),
+        &KnownWitnesses::new(),
+    );
     assert!(outcome.is_exhaustive(), "the cell must enumerate fully");
     assert!(!outcome.witnesses.is_empty(), "the cell must be non-empty");
 
@@ -212,4 +219,121 @@ fn truncating_the_residue_proof_never_claims_exhaustion() {
         matches!(err, CheckError::Truncated { .. }),
         "expected Truncated, got {err:?}"
     );
+}
+
+/// A formula over four sampling variables with 14 witnesses: `x1 ∨ x2 ∨
+/// x3`, and `x4` free.
+fn replay_formula() -> CnfFormula {
+    let mut f = CnfFormula::new(4);
+    f.add_clause([
+        Lit::from_dimacs(1),
+        Lit::from_dimacs(2),
+        Lit::from_dimacs(3),
+    ])
+    .unwrap();
+    f
+}
+
+fn proof_solver(f: &CnfFormula) -> Solver {
+    Solver::from_formula_with_config(
+        f,
+        SolverConfig {
+            proof: Some(ProofLog::new()),
+            ..SolverConfig::default()
+        },
+    )
+}
+
+/// The rule a rejected stream broke.
+fn rejected_rule(err: &CheckError) -> Option<Rule> {
+    match err {
+        CheckError::Rejected { rule, .. } => Some(*rule),
+        _ => None,
+    }
+}
+
+#[test]
+fn replayed_cells_pass_the_independent_checker() {
+    let f = replay_formula();
+    let sampling: Vec<Var> = (0..4).map(Var::new).collect();
+    let layers = [
+        vec![XorClause::from_dimacs([1, 4], true)],
+        vec![XorClause::from_dimacs([2, 4], false)],
+        vec![
+            XorClause::from_dimacs([1, 2], true),
+            XorClause::from_dimacs([3, 4], false),
+        ],
+        vec![],
+    ];
+    let mut solver = proof_solver(&f);
+    let mut reference = Solver::from_formula(&f);
+    let mut known = KnownWitnesses::new();
+    let mut replayed = 0;
+    for layer in &layers {
+        let cell = enumerate_cell(&mut solver, &sampling, layer, 64, &Budget::new(), &known);
+        let searched = enumerate_cell(
+            &mut reference,
+            &sampling,
+            layer,
+            64,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
+        assert!(cell.is_exhaustive() && searched.is_exhaustive());
+        let set = |o: &unigen_satsolver::EnumerationOutcome| {
+            let mut s: Vec<_> = o.witnesses.iter().map(|w| w.project(&sampling)).collect();
+            s.sort_by_key(|p| p.as_index());
+            s
+        };
+        assert_eq!(set(&cell), set(&searched));
+        replayed += cell.replayed;
+        known.extend(cell.found());
+    }
+    assert!(replayed > 0, "no cell replayed a known witness");
+
+    let bytes = solver.proof_bytes().expect("proof sink installed").to_vec();
+    let report = Checker::check(&cert_formula(&f), &bytes).expect("the replayed stream checks");
+    report.require_complete().expect("every cell closed");
+    assert_eq!(report.cells.len(), layers.len());
+    assert!(report.cells.iter().all(|c| c.exhaustive()));
+    // The last cell is the whole formula, every witness of it replayed.
+    assert_eq!(report.cells[3].witnesses.len(), 14);
+}
+
+#[test]
+fn a_replayed_non_witness_is_rejected() {
+    let f = replay_formula();
+    let sampling: Vec<Var> = (0..4).map(Var::new).collect();
+    let row = vec![XorClause::from_dimacs([1, 4], true)];
+
+    // A known "witness" that satisfies the cell's row but falsifies the
+    // base clause x1 ∨ x2 ∨ x3: the replay counts it without a solve, and
+    // the checker's semantic witness check refuses it.
+    let mut known = KnownWitnesses::new();
+    known.push(&Model::new(vec![false, false, false, true]));
+    let mut solver = proof_solver(&f);
+    let cell = enumerate_cell(&mut solver, &sampling, &row, 64, &Budget::new(), &known);
+    assert_eq!(cell.replayed, 1);
+    let bytes = solver.proof_bytes().unwrap().to_vec();
+    let err = Checker::check(&cert_formula(&f), &bytes).expect_err("a non-witness was replayed");
+    assert_eq!(rejected_rule(&err), Some(Rule::BadWitness), "{err:?}");
+
+    // A replayed witness whose logged model is moved off the cell's row:
+    // flipping x4 keeps x1 ∨ x2 ∨ x3 true but breaks x1 ⊕ x4 = 1.
+    let mut known = KnownWitnesses::new();
+    known.push(&Model::new(vec![true, false, false, false]));
+    let mut solver = proof_solver(&f);
+    let cell = enumerate_cell(&mut solver, &sampling, &row, 64, &Budget::new(), &known);
+    assert_eq!(cell.replayed, 1);
+    let bytes = solver.proof_bytes().unwrap().to_vec();
+    Checker::check(&cert_formula(&f), &bytes).expect("the honest replay checks");
+    let spans = step_spans(&bytes).unwrap();
+    // The cell's first witness step is the replayed one; its payload is
+    // the tag, the variable count, then the bits LSB first.
+    let (off, _) = spans_of(&bytes, &spans, TAG_WITNESS)[0];
+    assert_eq!(bytes[off + 2] & 0b1111, 0b0001);
+    let mut mutated = bytes.clone();
+    mutated[off + 2] ^= 0b1000;
+    let err = Checker::check(&cert_formula(&f), &mutated).expect_err("the row is violated");
+    assert_eq!(rejected_rule(&err), Some(Rule::BadWitness), "{err:?}");
 }

@@ -17,7 +17,7 @@
 use unigen::{cert_formula, SamplerError, UniGen, UniGenConfig};
 use unigen_cert::{CheckError, Checker};
 use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
-use unigen_satsolver::{enumerate_cell, Budget, ProofLog, Solver, SolverConfig};
+use unigen_satsolver::{enumerate_cell, Budget, KnownWitnesses, ProofLog, Solver, SolverConfig};
 
 fn proof_solver(f: &CnfFormula) -> Solver {
     Solver::from_formula_with_config(
@@ -43,7 +43,14 @@ fn an_empty_cell_certifies_as_zero_witnesses_with_a_refutation() {
         XorClause::new([Var::from_dimacs(1)], true),
         XorClause::new([Var::from_dimacs(1)], false),
     ];
-    let outcome = enumerate_cell(&mut solver, &sampling, &xors, 8, &Budget::new());
+    let outcome = enumerate_cell(
+        &mut solver,
+        &sampling,
+        &xors,
+        8,
+        &Budget::new(),
+        &KnownWitnesses::new(),
+    );
     assert!(outcome.is_exhaustive());
     assert!(outcome.is_empty());
 
@@ -82,7 +89,14 @@ fn an_unsat_preparation_stream_checks_as_a_refutation() {
     f.add_clause([Lit::from_dimacs(-1)]).unwrap();
     let sampling = f.sampling_set_or_all();
     let mut solver = proof_solver(&f);
-    let outcome = enumerate_cell(&mut solver, &sampling, &[], 8, &Budget::new());
+    let outcome = enumerate_cell(
+        &mut solver,
+        &sampling,
+        &[],
+        8,
+        &Budget::new(),
+        &KnownWitnesses::new(),
+    );
     assert!(outcome.is_exhaustive() && outcome.is_empty());
 
     let bytes = solver.proof_bytes().expect("proof sink installed").to_vec();
@@ -106,7 +120,14 @@ fn an_interrupted_enumeration_is_typed_incomplete_never_exhaustive() {
     let sampling = f.sampling_set_or_all();
     let mut solver = proof_solver(&f);
     let budget = Budget::new().with_step_limit(0);
-    let outcome = enumerate_cell(&mut solver, &sampling, &[], 8, &budget);
+    let outcome = enumerate_cell(
+        &mut solver,
+        &sampling,
+        &[],
+        8,
+        &budget,
+        &KnownWitnesses::new(),
+    );
     assert!(
         outcome.interrupted.is_some(),
         "a zero step budget interrupts the first solve: {outcome:?}"

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use unigen_cnf::{dimacs, Var, XorClause};
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
-    bounded_solutions, enumerate_cell, Budget, GaussMode, Solver, SolverConfig,
+    bounded_solutions, enumerate_cell, Budget, GaussMode, KnownWitnesses, Solver, SolverConfig,
 };
 
 fn config(gauss: GaussMode) -> SolverConfig {
@@ -148,7 +148,14 @@ fn degenerate_layer_roundtrip(want_empty: bool) {
 
         for cfg in both_modes() {
             let mut solver = Solver::from_formula_with_config(&f, cfg.clone());
-            let cell = enumerate_cell(&mut solver, &sampling, &layer, 1 << 8, &Budget::new());
+            let cell = enumerate_cell(
+                &mut solver,
+                &sampling,
+                &layer,
+                1 << 8,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            );
             assert!(cell.is_exhaustive());
             assert!(
                 solver.is_consistent(),
@@ -182,7 +189,14 @@ fn degenerate_layer_roundtrip(want_empty: bool) {
 
             // The solver survives the degenerate layer: the base formula's
             // 7 models are all still reachable afterwards.
-            let after = enumerate_cell(&mut solver, &sampling, &[], 1 << 8, &Budget::new());
+            let after = enumerate_cell(
+                &mut solver,
+                &sampling,
+                &[],
+                1 << 8,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            );
             assert_eq!(after.len(), 7, "seed {seed}, {cfg:?}");
         }
         if found >= 5 {

@@ -18,7 +18,8 @@ use unigen_circuit::benchmarks::{iscas_like, login_like, sorter};
 use unigen_cnf::{CnfFormula, Lit, Var, XorClause};
 use unigen_hashing::XorHashFamily;
 use unigen_satsolver::{
-    bounded_solutions, enumerate_cell, Budget, GaussMode, SolveResult, Solver, SolverConfig,
+    bounded_solutions, enumerate_cell, Budget, GaussMode, KnownWitnesses, SolveResult, Solver,
+    SolverConfig,
 };
 
 /// Strategy producing small random formulas with both clause kinds.
@@ -90,7 +91,7 @@ proptest! {
         let budget = Budget::new();
         let mut persistent = Solver::from_formula(&formula);
         for layer in &layers {
-            let cell = enumerate_cell(&mut persistent, &all_vars, layer, 1 << 12, &budget);
+            let cell = enumerate_cell(&mut persistent, &all_vars, layer, 1 << 12, &budget, &KnownWitnesses::new());
             prop_assert!(cell.is_exhaustive());
 
             let mut hashed = formula.clone();
@@ -111,7 +112,7 @@ proptest! {
         }
         // After every guard has been retired the base formula's model set is
         // fully intact.
-        let base = enumerate_cell(&mut persistent, &all_vars, &[], 1 << 12, &budget);
+        let base = enumerate_cell(&mut persistent, &all_vars, &[], 1 << 12, &budget, &KnownWitnesses::new());
         let brute = formula.enumerate_models_brute_force();
         prop_assert_eq!(base.len(), brute.len());
     }
@@ -140,9 +141,9 @@ proptest! {
         let mut watched_solver = Solver::from_formula_with_config(&formula, off);
         for layer in &layers {
             let gauss_cell =
-                enumerate_cell(&mut gauss_solver, &all_vars, layer, 1 << 12, &budget);
+                enumerate_cell(&mut gauss_solver, &all_vars, layer, 1 << 12, &budget, &KnownWitnesses::new());
             let watched_cell =
-                enumerate_cell(&mut watched_solver, &all_vars, layer, 1 << 12, &budget);
+                enumerate_cell(&mut watched_solver, &all_vars, layer, 1 << 12, &budget, &KnownWitnesses::new());
             prop_assert!(gauss_cell.is_exhaustive());
             prop_assert!(watched_cell.is_exhaustive());
             prop_assert_eq!(
@@ -172,7 +173,7 @@ proptest! {
         // Both persistent solvers end the run unharmed.
         let brute = formula.enumerate_models_brute_force().len();
         for solver in [&mut gauss_solver, &mut watched_solver] {
-            let base = enumerate_cell(solver, &all_vars, &[], 1 << 12, &budget);
+            let base = enumerate_cell(solver, &all_vars, &[], 1 << 12, &budget, &KnownWitnesses::new());
             prop_assert_eq!(base.len(), brute);
         }
     }
@@ -242,7 +243,14 @@ fn shrunk_solver_enumerates_the_next_cell_like_its_twin() {
         let cell = |solver: &mut Solver, rng: &mut rand::rngs::StdRng| {
             let width = base_width + (rand::Rng::gen::<u8>(rng) % 3) as usize;
             let rows = family.sample(width, rng).to_xor_clauses();
-            enumerate_cell(solver, &sampling, &rows, 128, &Budget::new())
+            enumerate_cell(
+                solver,
+                &sampling,
+                &rows,
+                128,
+                &Budget::new(),
+                &KnownWitnesses::new(),
+            )
         };
         let projected = |outcome: &unigen_satsolver::EnumerationOutcome| {
             outcome

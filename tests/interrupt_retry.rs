@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use unigen_hashing::XorHashFamily;
 use unigen_instgen::strategy::{scale_free, sgen_sat, Instance};
 use unigen_instgen::{InstanceGenerator, ScaleFreeConfig};
-use unigen_satsolver::{enumerate_cell, Budget, GaussMode, Solver, SolverConfig};
+use unigen_satsolver::{enumerate_cell, Budget, GaussMode, KnownWitnesses, Solver, SolverConfig};
 
 const BOUND: usize = 64;
 
@@ -75,6 +75,7 @@ fn check_case(
         &xors,
         BOUND,
         &Budget::new(),
+        &KnownWitnesses::new(),
     );
     if reference.interrupted.is_some() {
         return Err("unlimited budget must not interrupt".to_string());
@@ -92,6 +93,7 @@ fn check_case(
             &xors,
             BOUND,
             &Budget::new().with_step_limit(step_limit),
+            &KnownWitnesses::new(),
         );
         if outcome.interrupted.is_none() {
             break outcome;

@@ -13,7 +13,7 @@ use unigen::{
 };
 use unigen_cnf::{CnfFormula, Var};
 use unigen_instgen::{InstanceGenerator, SgenConfig};
-use unigen_satsolver::{enumerate_cell, Budget, SolveResult, Solver};
+use unigen_satsolver::{enumerate_cell, Budget, KnownWitnesses, SolveResult, Solver};
 
 fn sgen(blocks: usize, unsat: bool, seed: u64) -> CnfFormula {
     SgenConfig { blocks, unsat }.generate(seed)
@@ -24,7 +24,14 @@ fn witness_set(
     sampling_set: &[Var],
     bound: usize,
 ) -> (BTreeSet<Vec<bool>>, bool) {
-    let outcome = enumerate_cell(solver, sampling_set, &[], bound, &Budget::new());
+    let outcome = enumerate_cell(
+        solver,
+        sampling_set,
+        &[],
+        bound,
+        &Budget::new(),
+        &KnownWitnesses::new(),
+    );
     let set = outcome
         .witnesses
         .iter()
@@ -84,7 +91,14 @@ fn repeated_unsat_cells_keep_the_solver_reusable() {
     let sampling_set = formula.sampling_set_or_all();
     let mut solver = Solver::from_formula(&formula);
     for round in 0..8 {
-        let outcome = enumerate_cell(&mut solver, &sampling_set, &[], 16, &Budget::new());
+        let outcome = enumerate_cell(
+            &mut solver,
+            &sampling_set,
+            &[],
+            16,
+            &Budget::new(),
+            &KnownWitnesses::new(),
+        );
         assert!(
             outcome.is_exhaustive() && outcome.is_empty(),
             "round {round}: unsat base must enumerate exhaustively empty"
