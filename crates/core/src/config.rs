@@ -38,7 +38,10 @@ pub struct UniGenConfig {
     /// trusted; a failure during preparation surfaces as
     /// [`crate::SamplerError::CertificationFailed`]. Off by default — the
     /// solver's proof hooks are a single pointer test when disabled, but
-    /// logging and checking cost real time and memory when enabled.
+    /// logging and checking cost real time and memory when enabled. It
+    /// also keeps every sampling cell on the solver: a sampler in certify
+    /// mode never answers a cell from a proven-complete witness list,
+    /// since such a cell logs no proof step.
     pub certify: bool,
 }
 

@@ -349,10 +349,11 @@ pub trait WitnessSampler {
     /// wall-clock or conflict cutoff fires depending on accumulated solver
     /// state, which workers do not share. UniGen's witness cache is more
     /// such state: each worker's clone replays the witnesses its own
-    /// earlier cells found, so how much search a cell needs, and hence
-    /// whether a budget fires in it, depends on which samples that worker
-    /// ran before. Without a budget, a cell holds the same witnesses
-    /// whatever the cache held.
+    /// earlier cells found, and once any clone of the prototype proves its
+    /// list complete, every clone answers cells from that list without a
+    /// search. So how much search a cell needs, and hence whether a budget
+    /// fires in it, depends on which samples ran before. Without a budget,
+    /// a cell holds the same witnesses whatever the cache held.
     fn sample_batch(&mut self, count: usize, master_seed: u64) -> Vec<SampleOutcome> {
         (0..count)
             .map(|index| {

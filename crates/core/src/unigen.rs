@@ -1,7 +1,8 @@
 //! The UniGen algorithm (Algorithm 1 of the paper).
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
+use conc::sync::Mutex;
 use rand::{Rng, RngCore};
 
 use unigen_cnf::{CnfFormula, Model, Var, XorClause};
@@ -27,10 +28,18 @@ use crate::sampler::{
 const BSAT_RETRIES: usize = 2;
 
 /// The most witnesses a sampler keeps to replay into its later sampling
-/// cells. On llreverse-like (about 120 witnesses) the list covers the
-/// whole solution set; on a formula with many more witnesses than this it
-/// still holds the cap's worth and costs `⌈num_vars / 64⌉` words each.
+/// cells, and so the most a formula may have on its sampling set for the
+/// list to be proved complete and answer every cell without a solve. On
+/// llreverse-like (128 witnesses) the list covers the whole solution set;
+/// on a formula with many more witnesses than this it still holds the
+/// cap's worth and costs `⌈num_vars / 64⌉` words each.
 const KNOWN_WITNESS_CAP: usize = 256;
+
+/// The write-once slot that every clone of one prepared prototype shares:
+/// empty until a clone proves its known list holds every witness of the
+/// formula, then that list. Its one write stores a whole list, so a
+/// poisoned lock still guards a valid slot and is recovered.
+type CompleteList = Arc<Mutex<Option<Arc<KnownWitnesses>>>>;
 
 /// What the one-off preparation phase (lines 1–11 of Algorithm 1) concluded
 /// about the formula.
@@ -81,8 +90,19 @@ pub struct UniGen {
     /// Witnesses this sampler's own sampling cells found, at most
     /// [`KNOWN_WITNESS_CAP`], replayed into every later cell whose rows they
     /// satisfy. A prepared sampler holds none, so a prototype kept for
-    /// cloning carries none; each clone fills its own.
+    /// cloning carries none; each clone fills its own, and drops it once a
+    /// complete list is published.
     known: KnownWitnesses,
+    /// The previous cell drained on replayed witnesses alone, so the next
+    /// cell first tries to prove `known` complete.
+    attempt_due: bool,
+    /// The length of `known` right after this sampler's last completeness
+    /// attempt that failed (0 before any): the list must grow past it
+    /// before the next attempt. A capped attempt leaves it at the cap.
+    attempted_at: usize,
+    /// The proven-complete witness list, shared with every clone; once it
+    /// is set, cells are answered from it without a solve.
+    complete: CompleteList,
     /// The installed chaos-testing schedule, if any; doubles as the solver's
     /// fault hook. `None` (the default) costs one pointer test per solve.
     fault_plan: Option<Arc<FaultPlan>>,
@@ -221,6 +241,9 @@ impl UniGen {
             mode,
             solver,
             known: KnownWitnesses::new(),
+            attempt_due: false,
+            attempted_at: 0,
+            complete: CompleteList::default(),
             fault_plan: None,
             pristine: None,
             certifier,
@@ -287,6 +310,75 @@ impl UniGen {
     /// when certify mode is off.
     pub fn certified_steps(&self) -> Option<u64> {
         self.certifier.as_ref().map(Certifier::steps)
+    }
+
+    /// The number of witnesses the formula has on the sampling set, once
+    /// this sampler or another clone of its prototype proved its known
+    /// list complete; `None` until then, and always in certify mode.
+    pub fn proven_witness_count(&self) -> Option<usize> {
+        self.published().map(|list| list.len())
+    }
+
+    /// The proven-complete witness list, if one was published.
+    fn published(&self) -> Option<Arc<KnownWitnesses>> {
+        let slot = self.complete.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.clone()
+    }
+
+    /// The complete list to answer the next cell from, or `None` when the
+    /// cell must be searched. Certify mode searches every cell, since a
+    /// list-answered cell logs no proof step. When the previous cell made
+    /// it worth a try, this first runs the completeness attempt.
+    fn complete_list(&mut self, stats: &mut SampleStats) -> Option<Arc<KnownWitnesses>> {
+        if self.config.certify {
+            return None;
+        }
+        if std::mem::take(&mut self.attempt_due)
+            && self.known.len() > self.attempted_at
+            && self.published().is_none()
+        {
+            self.attempt_completion(stats);
+        }
+        let list = self.published()?;
+        self.known = KnownWitnesses::new();
+        Some(list)
+    }
+
+    /// Tries to prove `known` complete with one enumeration of the bare
+    /// formula, `known` replayed and bounded at `KNOWN_WITNESS_CAP + 1`. A
+    /// drained enumeration means `known` and what it found are every
+    /// witness on the sampling set, and the union is published. A capped
+    /// one fills `known` to the cap, so no attempt follows; an interrupted
+    /// one publishes nothing. Its solver work is charged to `stats`, but
+    /// it is not a `BSAT` call of its own: the cell it precedes counts one.
+    fn attempt_completion(&mut self, stats: &mut SampleStats) {
+        let before = *self.solver.stats();
+        let outcome = enumerate_cell(
+            &mut self.solver,
+            &self.sampling_set,
+            &[],
+            KNOWN_WITNESS_CAP + 1,
+            &self.config.bsat_budget,
+            &self.known,
+        );
+        let after = self.solver.stats();
+        stats.solver_propagations += after.propagations - before.propagations;
+        stats.solver_conflicts += after.conflicts - before.conflicts;
+        // Below the bound, every witness found fits under the cap.
+        self.remember(outcome.found());
+        if outcome.is_exhaustive() {
+            let list = Arc::new(std::mem::take(&mut self.known));
+            let mut slot = self.complete.lock().unwrap_or_else(PoisonError::into_inner);
+            slot.get_or_insert(list);
+        } else {
+            self.attempted_at = self.known.len();
+        }
+    }
+
+    /// Adds witnesses a search found to `known`, up to the cap.
+    fn remember(&mut self, found: &[Model]) {
+        let room = KNOWN_WITNESS_CAP.saturating_sub(self.known.len());
+        self.known.extend(found.iter().take(room));
     }
 
     /// Feeds every proof byte logged since the last check into the online
@@ -384,6 +476,12 @@ impl UniGen {
     /// further `BSAT` call is issued. The returned cell is sorted into the
     /// canonical (projection) order so the caller's uniform pick depends only
     /// on the cell and the RNG, not on solver heuristic state.
+    ///
+    /// Once a clone of this sampler's prototype has proved its known list
+    /// complete, each cell is answered from that list instead of the
+    /// solver, with the same drained set or the same cap, and still counts
+    /// one `BSAT` call; outside certify mode, a cell that follows one that
+    /// drained on replayed witnesses alone first tries that proof.
     pub(crate) fn collect_cell(
         &mut self,
         q: usize,
@@ -414,6 +512,19 @@ impl UniGen {
                 stats.xor_clauses_added += clauses.len();
                 stats.xor_vars_total += clauses.iter().map(|c| c.len()).sum::<usize>();
 
+                // A list of every witness answers the cell exactly as the
+                // search would: the same drained set, or a capped cell.
+                if let Some(list) = self.complete_list(&mut stats) {
+                    stats.bsat_calls += 1;
+                    match list.cell(&clauses, hi_count + 1) {
+                        Some(cell) if cell.len() as f64 >= lo => {
+                            chosen = Some(cell);
+                            break 'widths;
+                        }
+                        _ => continue 'widths,
+                    }
+                }
+
                 // One guarded cell on the persistent solver: the hash layer
                 // and the enumeration's blocking clauses are retired when
                 // the call returns, so no fresh solver is ever built here.
@@ -428,8 +539,9 @@ impl UniGen {
                     failure = OutcomeKind::Faulted;
                     break 'widths;
                 }
-                let room = KNOWN_WITNESS_CAP.saturating_sub(self.known.len());
-                self.known.extend(outcome.found().iter().take(room));
+                self.remember(outcome.found());
+                self.attempt_due =
+                    outcome.is_exhaustive() && outcome.replayed > 0 && outcome.found().is_empty();
 
                 if let Some(reason) = outcome.interrupted {
                     // A budget fired (or a fault survived the whole ladder):
@@ -971,48 +1083,175 @@ mod tests {
         assert_eq!(sampler.known.len(), KNOWN_WITNESS_CAP);
     }
 
-    #[test]
-    fn a_covered_cell_costs_one_solve() {
-        let bench = unigen_circuit::benchmarks::table1_suite()
+    fn llreverse_like() -> CnfFormula {
+        unigen_circuit::benchmarks::table1_suite()
             .into_iter()
             .find(|b| b.name == "llreverse-like")
-            .unwrap();
-        let mut sampler = UniGen::new(&bench.formula, UniGenConfig::default()).unwrap();
-        let PreparedMode::Hashed { q, .. } = *sampler.prepared_mode() else {
-            panic!("llreverse-like hashes");
-        };
+            .unwrap()
+            .formula
+    }
+
+    /// What a sample contributes to a stream and to its pins: the witness,
+    /// the outcome kind and the logical `BSAT` calls.
+    fn digest(outcome: &SampleOutcome) -> (Option<Model>, OutcomeKind, usize) {
+        (
+            outcome.witness.clone(),
+            outcome.kind,
+            outcome.stats.bsat_calls,
+        )
+    }
+
+    /// Sample `index` of the stream seeded `seed`, drawn by `sampler`.
+    fn draw(sampler: &mut UniGen, seed: u64, index: usize) -> SampleOutcome {
+        sampler.sample(&mut crate::sampler::stream_for_index(seed, index))
+    }
+
+    /// A clone of `prototype` that searches every cell: it neither reads
+    /// nor publishes a complete list.
+    fn searching_clone(prototype: &UniGen) -> UniGen {
+        let mut clone = prototype.clone();
+        clone.complete = CompleteList::default();
+        clone.attempted_at = usize::MAX;
+        clone
+    }
+
+    /// Draws indices `0..count` on one long-lived clone of `prototype` and
+    /// checks each outcome against a fresh searching clone per index.
+    /// Returns the long-lived sampler and the `BSAT` calls it made.
+    fn long_lived_matches_fresh_clones(
+        prototype: &UniGen,
+        seed: u64,
+        count: usize,
+    ) -> (UniGen, usize) {
+        let mut sampler = prototype.clone();
+        let mut bsat_calls = 0;
+        for index in 0..count {
+            let outcome = draw(&mut sampler, seed, index);
+            let fresh = draw(&mut searching_clone(prototype), seed, index);
+            assert_eq!(digest(&outcome), digest(&fresh), "index {index}");
+            bsat_calls += outcome.stats.bsat_calls;
+        }
+        (sampler, bsat_calls)
+    }
+
+    /// Completeness attempts a sampler made: every `BSAT` call and every
+    /// attempt takes one guard, and nothing else does without a fault.
+    fn attempts(sampler: &UniGen, prepared: &UniGen, bsat_calls: usize) -> u64 {
+        let guards = sampler.solver_stats().guards_created - prepared.solver_stats().guards_created;
+        guards - bsat_calls as u64
+    }
+
+    #[test]
+    fn a_published_list_answers_every_cell_without_a_solve() {
+        let formula = llreverse_like();
+        let prototype = UniGen::new(&formula, UniGenConfig::default()).unwrap();
         let total = enumerate_cell(
-            &mut Solver::from_formula(&bench.formula),
-            sampler.sampling_set(),
+            &mut Solver::from_formula(&formula),
+            prototype.sampling_set(),
             &[],
             usize::MAX,
             &Budget::new(),
             &KnownWitnesses::new(),
         )
         .len();
-        assert!(total <= KNOWN_WITNESS_CAP, "{total} witnesses");
-        let mut rng = seeded_rng(29);
-        let mut samples = 0;
-        while sampler.known.len() < total {
-            sampler.sample(&mut rng);
-            samples += 1;
-            assert!(samples < 200, "the cache never covered the solution set");
+        let mut sampler = prototype.clone();
+        let mut outcomes = Vec::new();
+        while sampler.proven_witness_count().is_none() {
+            outcomes.push(draw(&mut sampler, 29, outcomes.len()));
+            assert!(outcomes.len() < 200, "the list was never proved complete");
         }
-        // Every witness of every cell is replayed; the one solve left is
-        // the final Unsat that drains the cell.
-        let hi_count = sampler.kappa_pivot.hi_thresh_count();
-        for width in [q - 1, q] {
-            let clauses = sampler.family.sample(width, &mut rng).to_xor_clauses();
-            let before = sampler.solver_stats().solve_calls;
-            let mut stats = SampleStats::default();
-            let cell = sampler.enumerate_with_ladder(&clauses, hi_count + 1, &mut stats);
-            assert!(
-                cell.is_exhaustive(),
-                "width {width}: {} witnesses",
-                cell.len()
-            );
-            assert_eq!(cell.replayed, cell.len());
-            assert_eq!(sampler.solver_stats().solve_calls - before, 1);
+        assert_eq!(sampler.proven_witness_count(), Some(total));
+        assert!(sampler.known.is_empty(), "the private list was dropped");
+        // From here on, 10⁴ samples cost the solver nothing.
+        let solver = *sampler.solver_stats();
+        let vars = sampler.solver.num_vars();
+        let searched = outcomes.len();
+        for _ in 0..10_000 {
+            outcomes.push(draw(&mut sampler, 29, outcomes.len()));
         }
+        assert_eq!(sampler.solver_stats().solve_calls, solver.solve_calls);
+        assert_eq!(sampler.solver_stats().guards_created, solver.guards_created);
+        assert_eq!(sampler.solver.num_vars(), vars);
+        // A fresh clone per index reads the same list, so the indices the
+        // long-lived sampler searched cross-check the list's answers; every
+        // 500th list-answered index is also searched afresh.
+        for (index, outcome) in outcomes.iter().enumerate() {
+            let fresh = draw(&mut prototype.clone(), 29, index);
+            assert_eq!(digest(&fresh), digest(outcome), "index {index}");
+            if index >= searched && index % 500 == 0 {
+                let searched = draw(&mut searching_clone(&prototype), 29, index);
+                assert_eq!(digest(&searched), digest(outcome), "index {index}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_list_of_128_witnesses_is_proved_complete() {
+        let prototype = UniGen::new(&formula_with_count(7, 5), UniGenConfig::default()).unwrap();
+        let (sampler, _) = long_lived_matches_fresh_clones(&prototype, 31, 120);
+        assert_eq!(sampler.proven_witness_count(), Some(128));
+    }
+
+    #[test]
+    fn a_list_at_the_cap_is_still_proved_complete() {
+        let prototype = UniGen::new(&formula_with_count(8, 3), UniGenConfig::default()).unwrap();
+        let (sampler, _) = long_lived_matches_fresh_clones(&prototype, 37, 150);
+        assert_eq!(sampler.proven_witness_count(), Some(KNOWN_WITNESS_CAP));
+    }
+
+    #[test]
+    fn more_witnesses_than_the_cap_take_at_most_one_attempt() {
+        // 256 witnesses with x9 false and 8 with x9 true (x4…x8 forced).
+        let mut f = formula_with_count(9, 2);
+        for forced in 4..=8 {
+            f.add_clause([Lit::from_dimacs(-9), Lit::from_dimacs(forced)])
+                .unwrap();
+        }
+        let prototype = UniGen::new(&f, UniGenConfig::default()).unwrap();
+        let (sampler, bsat_calls) = long_lived_matches_fresh_clones(&prototype, 41, 150);
+        assert_eq!(sampler.proven_witness_count(), None);
+        assert_eq!(sampler.known.len(), KNOWN_WITNESS_CAP);
+        assert_eq!(attempts(&sampler, &prototype, bsat_calls), 1);
+        assert_eq!(sampler.attempted_at, KNOWN_WITNESS_CAP);
+    }
+
+    #[test]
+    fn a_clone_taken_after_publication_needs_no_solve() {
+        let prototype = UniGen::new(&formula_with_count(7, 5), UniGenConfig::default()).unwrap();
+        let mut first = prototype.clone();
+        let mut index = 0;
+        while first.proven_witness_count().is_none() {
+            draw(&mut first, 43, index);
+            index += 1;
+            assert!(index < 200, "the list was never proved complete");
+        }
+        let mut second = prototype.clone();
+        let solver = *second.solver_stats();
+        let outcome = draw(&mut second, 43, index);
+        assert!(outcome.stats.bsat_calls >= 1);
+        assert_eq!(second.solver_stats().solve_calls, solver.solve_calls);
+        assert_eq!(second.solver_stats().guards_created, solver.guards_created);
+        let fresh = draw(&mut searching_clone(&prototype), 43, index);
+        assert_eq!(digest(&outcome), digest(&fresh));
+    }
+
+    #[test]
+    fn certify_mode_searches_every_cell() {
+        let f = formula_with_count(7, 5);
+        let plain = UniGen::new(&f, UniGenConfig::default()).unwrap();
+        let config = UniGenConfig::default().with_certify(true);
+        let mut certified = UniGen::new(&f, config).unwrap();
+        let (plain, _) = long_lived_matches_fresh_clones(&plain, 47, 60);
+        assert_eq!(plain.proven_witness_count(), Some(128));
+
+        let checked: Vec<SampleOutcome> = (0..60).map(|i| draw(&mut certified, 47, i)).collect();
+        for (index, outcome) in checked.iter().enumerate() {
+            let reference = draw(&mut searching_clone(&plain), 47, index);
+            assert_eq!(digest(outcome), digest(&reference), "index {index}");
+        }
+        let total = total_stats(&checked);
+        assert!(total.cert_checks >= total.bsat_calls);
+        assert!(certified.cert_error().is_none());
+        assert_eq!(certified.proven_witness_count(), None);
     }
 }

@@ -36,6 +36,14 @@
 //! the search work does. In certify mode the checker validates each
 //! replayed model against every active clause and row, so a list entry that
 //! is not a witness of the cell fails the check.
+//!
+//! A list that holds *every* witness of `F` answers a cell with no solver
+//! at all: [`KnownWitnesses::cell`] filters it through the cell's rows and
+//! returns the drained set, or reports the cap, exactly as
+//! [`enumerate_cell`] would. A caller proves its list complete with one
+//! [`enumerate_cell`] over the bare formula, the list replayed: when that
+//! drains, the list and what it found are all of `F`'s witnesses. Such a
+//! cell logs no proof step, so a certifying caller keeps searching.
 
 use unigen_cnf::{Lit, Model, Var, XorClause};
 
@@ -174,9 +182,32 @@ impl KnownWitnesses {
         self.num_vars.div_ceil(64)
     }
 
-    /// The held witnesses that satisfy every row of `xors`, as models. A
-    /// row over a variable the witnesses do not cover matches none.
+    /// The cell that `xors` cuts out of the formula's witnesses, as
+    /// [`enumerate_cell`] with `bound` reports it, for a list that holds
+    /// every witness of the formula: `Some` with the whole cell, in list
+    /// order, when fewer than `bound` held witnesses satisfy every row, as
+    /// a call that drains the cell; `None` when `bound` or more do, as a
+    /// call that stops at `bound`, and then no model is built.
+    pub fn cell(&self, xors: &[XorClause], bound: usize) -> Option<Vec<Model>> {
+        let cell: Vec<&[u64]> = self.satisfying(xors).take(bound).collect();
+        (cell.len() < bound).then(|| cell.into_iter().map(|w| self.model(w)).collect())
+    }
+
+    /// The held witnesses that satisfy every row of `xors`, as models.
     fn matching<'a>(&'a self, xors: &'a [XorClause]) -> impl Iterator<Item = Model> + 'a {
+        self.satisfying(xors).map(|words| self.model(words))
+    }
+
+    /// The model one held witness's `words` encode.
+    fn model(&self, words: &[u64]) -> Model {
+        (0..self.num_vars)
+            .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// The words of each held witness that satisfies every row of `xors`.
+    /// A row over a variable the witnesses do not cover matches none.
+    fn satisfying<'a>(&'a self, xors: &'a [XorClause]) -> impl Iterator<Item = &'a [u64]> + 'a {
         let num_vars = self.num_vars;
         let bit = |words: &[u64], i: usize| words[i / 64] >> (i % 64) & 1 == 1;
         self.words
@@ -193,7 +224,6 @@ impl KnownWitnesses {
                     parity == xor.rhs()
                 })
             })
-            .map(move |words| (0..num_vars).map(|i| bit(words, i)).collect())
     }
 }
 

@@ -5,8 +5,9 @@
 //! `cargo run -p xtask -- lint` walks the workspace sources and enforces
 //! four rules that `rustc`/`clippy` cannot express:
 //!
-//! * **`std-sync`** — `std::sync::{Mutex, Condvar}`, `std::thread::spawn`
-//!   and `std::thread::scope` are forbidden outside `crates/conc`: every
+//! * **`std-sync`** — `std::sync::{Mutex, Condvar, OnceLock, RwLock}`,
+//!   `std::thread::spawn` and `std::thread::scope` are forbidden outside
+//!   `crates/conc`: every
 //!   concurrent component must build on the `conc` abstraction layer so
 //!   the model checker can explore it (`conc` deliberately offers no scoped
 //!   threads, so every thread is a model-checkable `conc::thread::spawn`). (Atomics are allowed — they pass
@@ -455,6 +456,10 @@ fn brace_delta(code: &str) -> i64 {
     delta
 }
 
+/// The blocking `std::sync` types the `std-sync` rule keeps inside
+/// `crates/conc`.
+const SYNC_PRIMITIVES: [&str; 4] = ["Mutex", "Condvar", "OnceLock", "RwLock"];
+
 /// Matches one rule against a line: `code` is the comment-stripped view
 /// most rules scan, `raw` the original line — `allow-justify` needs the
 /// comment back, because the justification *is* a comment.
@@ -474,7 +479,7 @@ fn match_rule(rule: &str, code: &str, raw: &str) -> Option<String> {
         }
         "std-sync" => {
             if code.starts_with("use std::sync")
-                && (code.contains("Mutex") || code.contains("Condvar"))
+                && SYNC_PRIMITIVES.iter().any(|name| code.contains(name))
             {
                 return Some(code.trim().to_string());
             }
@@ -483,8 +488,9 @@ fn match_rule(rule: &str, code: &str, raw: &str) -> Option<String> {
             {
                 return Some(code.trim().to_string());
             }
-            hit("std::sync::Mutex")
-                .or_else(|| hit("std::sync::Condvar"))
+            SYNC_PRIMITIVES
+                .iter()
+                .find_map(|name| hit(&format!("std::sync::{name}")))
                 .or_else(|| hit("std::thread::spawn"))
                 .or_else(|| hit("std::thread::scope"))
         }
@@ -517,6 +523,19 @@ mod tests {
         assert_eq!(rules_of(&v), vec!["std-sync", "std-sync"]);
         assert_eq!(v[0].line, 1);
         assert_eq!(v[1].line, 2);
+    }
+
+    #[test]
+    fn flags_std_once_lock_and_rw_lock_outside_conc() {
+        let src = "use std::sync::{Arc, OnceLock};\nstatic S: std::sync::RwLock<u8> = todo();\n\
+                   use std::sync::RwLock;\nfn f() { let _ = std::sync::OnceLock::<u8>::new(); }\n";
+        let v = lint_source("crates/core/src/unigen.rs", src);
+        assert_eq!(rules_of(&v), vec!["std-sync"; 4]);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert!(lint_source("crates/conc/src/sync.rs", src).is_empty());
+        // `Arc` and `PoisonError` are not blocking primitives.
+        let clean = "use std::sync::{Arc, PoisonError};\n";
+        assert!(lint_source("crates/core/src/unigen.rs", clean).is_empty());
     }
 
     #[test]

@@ -194,3 +194,55 @@ proptest! {
         }
     }
 }
+
+/// 2^7 = 128 witnesses over the sampling set {x1…x7}, each free variable
+/// copied into a dependent one.
+fn formula_with_128_witnesses() -> unigen_cnf::CnfFormula {
+    use unigen_cnf::{Var, XorClause};
+    let mut f = unigen_cnf::CnfFormula::new(12);
+    for i in 0..5 {
+        f.add_xor_clause(XorClause::new([Var::new(i), Var::new(7 + i)], false))
+            .unwrap();
+    }
+    f.set_sampling_set((0..7).map(Var::new)).unwrap();
+    f
+}
+
+/// A sampler's attempt to prove its known-witness list complete is one
+/// more enumeration under the per-call budget. On this formula a 150-step
+/// limit lets preparation and almost every sampling cell finish but cuts
+/// the attempt's final refutation of the whole formula short: nothing is
+/// published, and the cells go on being searched.
+#[test]
+fn an_interrupted_completeness_attempt_publishes_nothing() {
+    use unigen::{UniGen, UniGenConfig, WitnessSampler};
+
+    let f = formula_with_128_witnesses();
+    let run = |budget: Budget| {
+        let config = UniGenConfig::default().with_bsat_budget(budget);
+        let prototype = UniGen::new(&f, config).unwrap();
+        let mut sampler = prototype.clone();
+        let outcomes = sampler.sample_batch(100, 7);
+        let bsat_calls: u64 = outcomes.iter().map(|o| o.stats.bsat_calls as u64).sum();
+        let guards =
+            sampler.solver_stats().guards_created - prototype.solver_stats().guards_created;
+        let valid = outcomes
+            .iter()
+            .filter(|o| o.witness.as_ref().is_some_and(|w| f.evaluate(w)))
+            .count();
+        let witnesses = outcomes.iter().filter(|o| o.witness.is_some()).count();
+        assert_eq!(valid, witnesses, "every witness satisfies the formula");
+        (sampler.proven_witness_count(), guards, bsat_calls, valid)
+    };
+
+    let (published, guards, bsat_calls, valid) = run(Budget::new().with_step_limit(150));
+    assert_eq!(published, None);
+    // While nothing is published, every cell and every attempt takes one
+    // guard, and nothing else does.
+    assert!(guards > bsat_calls, "no completeness attempt ran");
+    assert!(valid >= 90, "only {valid}/100 samples yielded a witness");
+
+    // Without the cut, the same run proves the list complete.
+    let (published, ..) = run(Budget::new());
+    assert_eq!(published, Some(128));
+}
